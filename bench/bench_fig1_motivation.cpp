@@ -14,7 +14,7 @@
 // channels alone).
 #include <iostream>
 
-#include "bayes/attack_bn.hpp"
+#include "bayes/compiled.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -78,7 +78,7 @@ double target_probability(const Fig1Network& fig, double similarity_weight) {
   bayes::PropagationModel model;
   model.p_avg = 0.0;  // the figure reasons about similarity channels only
   model.similarity_weight = similarity_weight;
-  const bayes::AttackBayesNet bn(fig.diversified(), 0, model);
+  const bayes::CompiledReliability bn(fig.diversified(), 0, model);
   bayes::InferenceOptions options;
   options.engine = bayes::InferenceEngine::Exact;
   return bn.compromise_probability(7, options);

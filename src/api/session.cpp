@@ -655,22 +655,8 @@ struct Session::Impl {
     const auto outcome = batches_.get_or_compute(
         hasher.key(), cancel, [&](const support::CancelToken& token) {
           support::failpoint::evaluate("session.compute");
-          const runner::ScenarioGrid grid = runner::ScenarioGrid::from_json(request.grid);
-          const std::vector<runner::ScenarioSpec> specs = grid.expand();
-          require(!specs.empty(), "batch", "grid expands to zero scenarios");
-          // Fail on typos before any (potentially huge) workload gets built.
-          for (const std::string& solver : grid.solvers) {
-            if (!mrf::SolverRegistry::instance().contains(solver)) {
-              throw InvalidArgument("unknown solver in grid: " + solver + " (registered: " +
-                                    mrf::SolverRegistry::instance().names_joined(", ") + ")");
-            }
-          }
-          const std::vector<std::string> recipes = runner::constraint_recipe_names();
-          for (const std::string& recipe : grid.constraints) {
-            if (std::find(recipes.begin(), recipes.end(), recipe) == recipes.end()) {
-              throw InvalidArgument("unknown constraint recipe in grid: " + recipe);
-            }
-          }
+          const std::vector<runner::ScenarioSpec> specs =
+              runner::expand_validated(runner::ScenarioGrid::from_json(request.grid));
           runner::BatchOptions options;
           options.threads = request.threads;
           options.store_dir = store_dir;

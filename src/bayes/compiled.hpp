@@ -1,6 +1,12 @@
-// CompiledReliability: the flat Bayesian-metric substrate behind the §VI
-// attack BN and the d_bn diversity metric, mirroring mrf::CompiledMrf and
-// sim::CompiledPropagation one pillar over.
+// CompiledReliability: the §VI attack Bayesian network as a flat
+// substrate, behind the d_bn diversity metric, mirroring mrf::CompiledMrf
+// and sim::CompiledPropagation one pillar over.
+//
+// Given a diversified network and an entry host, the undirected topology
+// is unrolled into a BFS-layered attack DAG (attack steps move away from
+// the entry; see graph/layered_dag.hpp) whose edges carry the infection
+// rates of the propagation model.  The probability of any host being
+// compromised is then a two-terminal reliability query on that DAG.
 //
 // The seed-era path rebuilt the layered attack DAG per (entry, target)
 // query, `bn_diversity_metric` constructed *two* full BNs per evaluation
@@ -36,8 +42,9 @@
 //     hit counters are integers, so the estimate is bit-identical at any
 //     support::ThreadPool width, the sequential path included.
 //
-// AttackBayesNet (attack_bn.hpp) and bn_diversity_metric (metric.hpp) are
-// facades over this class; reliability_monte_carlo's generic-digraph loop
+// Callers construct it directly for single queries and multi-target
+// sweeps; bn_diversity_metric (metric.hpp) is the one-pair Def. 6
+// convenience over it.  reliability_monte_carlo's generic-digraph loop
 // runs on the sibling CompiledConnectivity substrate below, preserving the
 // seed-era RNG stream bit-for-bit.
 #pragma once

@@ -10,7 +10,7 @@
 // topology's diversity potential (Table V of the paper).
 #pragma once
 
-#include "bayes/attack_bn.hpp"
+#include "bayes/compiled.hpp"
 
 namespace icsdiv::bayes {
 

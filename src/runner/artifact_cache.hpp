@@ -1,13 +1,13 @@
 // Content-addressed artifact keys and the refcounted per-stage store
-// behind runner::ScenarioEngine (scenario_engine.hpp).
+// behind BatchRunner::run (the staged engine in scenario_engine.cpp).
 //
-// Every stage of the staged pipeline (generate → problem → solve →
-// attack-eval → metric-eval) keys its output by a 128-bit content hash of
-// exactly the spec fields the stage's computation depends on, chained
-// onto the parent stage's key.  Two cells whose specs agree on those
-// fields therefore share one execution — the planner deduplicates by key,
-// the scheduler runs each unique stage task once, and the store hands the
-// immutable result to every consumer.
+// Every stage of the staged pipeline (workload → problem → solve →
+// channels → attack, and solve → metric) keys its output by a 128-bit
+// content hash of exactly the spec fields the stage's computation depends
+// on, chained onto the parent stage's key.  Two cells whose specs agree
+// on those fields therefore share one execution — the planner
+// deduplicates by key, the scheduler runs each unique stage task once,
+// and the store hands the immutable result to every consumer.
 //
 // Eviction is planned, not heuristic: the planner counts how many
 // downstream stage tasks consume each artifact's payload, and the last

@@ -6,9 +6,7 @@
 #include <ostream>
 #include <tuple>
 
-#include "runner/scenario_engine.hpp"
 #include "support/csv.hpp"
-#include "support/thread_pool.hpp"
 
 namespace icsdiv::runner {
 
@@ -32,43 +30,6 @@ support::Json json_number(double value) {
 }
 
 }  // namespace
-
-ScenarioResult run_scenario(const ScenarioSpec& spec, std::optional<bool> inner_parallel) {
-  BatchOptions options;
-  options.threads = 1;
-  // The standalone path keeps its historical default: the spec decides the
-  // in-cell fan-out unless the caller overrides (no single-worker forcing).
-  options.inner_parallel = inner_parallel.value_or(spec.parallel);
-  ScenarioResult result = ScenarioEngine(std::move(options)).run({spec}).results.front();
-  return result;
-}
-
-BatchRunner::BatchRunner(BatchOptions options) : options_(std::move(options)) {}
-
-void BatchRunner::run_cells(std::size_t count,
-                            const std::function<void(std::size_t)>& cell,
-                            std::size_t threads) {
-  if (count == 0) return;
-  threads = std::min(resolve_batch_threads(threads), count);
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < count; ++i) cell(i);
-    return;
-  }
-  support::ThreadPool pool(threads);
-  pool.parallel_for(count, cell);
-}
-
-BatchReport BatchRunner::run(const std::vector<ScenarioSpec>& specs) const {
-  const std::size_t threads = std::min(resolve_batch_threads(options_.threads),
-                                       std::max<std::size_t>(1, specs.size()));
-  BatchOptions engine_options = options_;
-  // A lone worker may as well let each stage fan out; otherwise the spec
-  // decides, unless the batch-wide override is set.
-  if (!engine_options.inner_parallel.has_value() && threads == 1) {
-    engine_options.inner_parallel = true;
-  }
-  return ScenarioEngine(std::move(engine_options)).run(specs);
-}
 
 std::size_t BatchReport::failed_count() const noexcept {
   std::size_t failed = 0;

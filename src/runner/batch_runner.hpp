@@ -1,13 +1,14 @@
-// Parallel scenario batch engine (facade; see scenario_engine.hpp).
+// Parallel scenario batch engine.
 //
-// BatchRunner plans a grid's cells as a staged pipeline — generate →
-// problem → solve → attack-eval → metric-eval — on runner::ScenarioEngine
-// and shards *stage tasks* across its own ThreadPool (not the global one:
-// stages may themselves fan subproblems or Monte-Carlo runs out to the
-// global pool, and keeping the two pools separate makes that nesting
-// deadlock-free).  Cells sharing a stage prefix (same workload, same
-// problem, same solve) share one execution of it; per-stage
-// hit/miss/evict counts land in `BatchReport::stage_stats`.
+// BatchRunner::run plans a grid's cells as a staged pipeline — workload →
+// problem → solve → channels → attack, and solve → metric — and shards
+// *stage tasks* across its own ThreadPool (not the global one: stages may
+// themselves fan subproblems or Monte-Carlo runs out to the global pool,
+// and keeping the two pools separate makes that nesting deadlock-free).
+// Cells sharing a stage prefix (same workload, same problem, same solve)
+// share one execution of it; per-stage hit/miss/evict counts land in
+// `BatchReport::stage_stats`.  The engine lives in scenario_engine.cpp
+// (DESIGN.md §9).
 //
 // Each cell derives a private deterministic RNG stream from its spec
 // seed, so the report's deterministic columns are bit-identical whether
@@ -149,25 +150,14 @@ class BatchRunner {
  public:
   explicit BatchRunner(BatchOptions options = {});
 
+  /// Plans the stage DAG for `specs`, executes it on
+  /// `BatchOptions::threads` workers, and assembles the per-cell report
+  /// (results in spec order, `stage_stats` filled).
   [[nodiscard]] BatchReport run(const std::vector<ScenarioSpec>& specs) const;
   [[nodiscard]] BatchReport run(const ScenarioGrid& grid) const { return run(grid.expand()); }
-
-  /// The sharding primitive behind run(): executes `cell(i)` for every
-  /// i < count across `threads` workers on a dedicated pool (sequentially
-  /// when threads or count is 1).  Exceptions propagate (first wins).
-  /// Other grid-shaped work (e.g. sim::run_mttc_grid) reuses this.
-  static void run_cells(std::size_t count, const std::function<void(std::size_t)>& cell,
-                        std::size_t threads = 0);
 
  private:
   BatchOptions options_;
 };
-
-/// Runs one cell synchronously — a single-spec pass through the staged
-/// engine, so the standalone path and the batch path are the same code.
-/// `inner_parallel` overrides ScenarioSpec::parallel (the decomposed
-/// solve's own thread fan-out) when set.
-[[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec,
-                                          std::optional<bool> inner_parallel = std::nullopt);
 
 }  // namespace icsdiv::runner

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "bayes/compiled.hpp"
+#include "mrf/registry.hpp"
 
 namespace icsdiv::runner {
 
@@ -54,6 +55,24 @@ core::ConstraintSet apply_constraint_recipe(const std::string& recipe,
 
 std::vector<std::string> constraint_recipe_names() {
   return {"none", "pinned", "forbidden-pair"};
+}
+
+std::vector<ScenarioSpec> expand_validated(const ScenarioGrid& grid) {
+  for (const std::string& solver : grid.solvers) {
+    if (!mrf::SolverRegistry::instance().contains(solver)) {
+      throw InvalidArgument("unknown solver in grid: " + solver + " (registered: " +
+                            mrf::SolverRegistry::instance().names_joined(", ") + ")");
+    }
+  }
+  const std::vector<std::string> recipes = constraint_recipe_names();
+  for (const std::string& recipe : grid.constraints) {
+    if (std::find(recipes.begin(), recipes.end(), recipe) == recipes.end()) {
+      throw InvalidArgument("unknown constraint recipe in grid: " + recipe);
+    }
+  }
+  std::vector<ScenarioSpec> specs = grid.expand();
+  require(!specs.empty(), "batch", "grid expands to zero scenarios");
+  return specs;
 }
 
 std::vector<std::string> attacker_strategy_names() { return {"sophisticated", "uniform"}; }

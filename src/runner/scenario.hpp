@@ -161,4 +161,11 @@ struct ScenarioGrid {
   [[nodiscard]] support::Json to_json() const;
 };
 
+/// The batch entry points' fail-fast expansion (api::Session's batch
+/// request and `icsdiv_cli batch` both use it): rejects unregistered
+/// solvers and unknown constraint recipes before any workload is built,
+/// then expands and rejects a grid with zero cells.  Throws
+/// InvalidArgument (Infeasible past `max_cells`, from expand()).
+[[nodiscard]] std::vector<ScenarioSpec> expand_validated(const ScenarioGrid& grid);
+
 }  // namespace icsdiv::runner

@@ -174,11 +174,11 @@ BatchReport merge_shards(const std::vector<support::Json>& shards) {
           "expected " + std::to_string(shard_count) + " shard documents, got " +
               std::to_string(shards.size()));
 
+  // Validate every envelope and count the rows before sizing anything
+  // from total_cells: a declared count is only trusted once the rows the
+  // documents carry add up to it.
   std::vector<bool> shard_seen(shard_count, false);
-  std::vector<bool> cell_seen(total_cells, false);
-  BatchReport report;
-  report.results.resize(total_cells);
-
+  std::size_t rows = 0;
   for (const support::Json& document : shards) {
     const support::JsonObject& object = document.as_object();
     require(object.contains("icsdiv_shard") && object.at("icsdiv_shard").as_integer() == 1,
@@ -194,8 +194,19 @@ BatchReport merge_shards(const std::vector<support::Json>& shards) {
     require(!shard_seen[index], "merge_shards",
             "shard " + std::to_string(index) + " appears twice");
     shard_seen[index] = true;
+    rows += object.at("results").as_array().size();
+  }
+  require(rows == total_cells, "merge_shards",
+          "shard documents carry " + std::to_string(rows) + " cells, not the " +
+              std::to_string(total_cells) + " they declare");
 
-    for (const support::Json& row : object.at("results").as_array()) {
+  // With exactly total_cells rows, in-range indices seen once each cover
+  // every cell.
+  std::vector<bool> cell_seen(total_cells, false);
+  BatchReport report;
+  report.results.resize(total_cells);
+  for (const support::Json& document : shards) {
+    for (const support::Json& row : document.as_object().at("results").as_array()) {
       ScenarioResult result = result_from_json(row);
       require(result.index < total_cells, "merge_shards",
               "cell index " + std::to_string(result.index) + " out of range");
@@ -204,10 +215,6 @@ BatchReport merge_shards(const std::vector<support::Json>& shards) {
       cell_seen[result.index] = true;
       report.results[result.index] = std::move(result);
     }
-  }
-
-  for (std::size_t c = 0; c < total_cells; ++c) {
-    require(cell_seen[c], "merge_shards", "cell " + std::to_string(c) + " missing from shards");
   }
   return report;
 }

@@ -38,6 +38,13 @@ struct ShardSpec {
 /// Parses "K/N" with K < N, N >= 1.  Throws InvalidArgument otherwise.
 [[nodiscard]] ShardSpec parse_shard(std::string_view text);
 
+/// The cell's solve-stage content address (the workload → problem → solve
+/// key chain, defined with the stage keys in scenario_engine.cpp): cells
+/// with equal keys share their entire solve prefix, so this is the
+/// ownership key below and the name solve records carry in the on-disk
+/// store.
+[[nodiscard]] ArtifactKey scenario_solve_key(const ScenarioSpec& spec);
+
 /// The ownership rule: does `shard` own the cell with this solve key?
 [[nodiscard]] bool shard_owns(const ShardSpec& shard, const ArtifactKey& solve_key) noexcept;
 

@@ -187,14 +187,35 @@ TEST(Session, IdenticalBatchRequestsCoalesce) {
 }
 
 TEST(Session, BatchValidatesGridBeforeRunning) {
-  Session session;
-  BatchRequest batch;
-  batch.grid = support::Json::parse(R"({
-    "name": "bad", "hosts": [8], "degrees": [3], "services": [2],
-    "products_per_service": [2], "solvers": ["warp-drive"],
-    "constraints": ["none"], "seeds": [1]
-  })");
-  EXPECT_THROW((void)session.execute(batch), InvalidArgument);
+  // runner::expand_validated, shared with icsdiv_cli's local batch paths:
+  // one typo in an axis list fails the whole request, and the valid cells
+  // beside it never run.
+  std::atomic<std::size_t> cells_run{0};
+  SessionOptions options;
+  options.on_batch_result = [&](const runner::ScenarioResult&) { ++cells_run; };
+  Session session(options);
+  const auto rejection = [&](const char* solvers, const char* constraints) -> std::string {
+    BatchRequest batch;
+    batch.grid = support::Json::parse(R"({
+      "hosts": [8], "degrees": [3], "services": [2], "products_per_service": [2], "seeds": [1]
+    })");
+    batch.grid.as_object().set("solvers", support::Json::parse(solvers));
+    batch.grid.as_object().set("constraints", support::Json::parse(constraints));
+    try {
+      (void)session.execute(batch);
+    } catch (const InvalidArgument& error) {
+      return error.what();
+    }
+    return "accepted";
+  };
+
+  const std::string bad_solver = rejection(R"(["icm", "warp-drive"])", R"(["none"])");
+  EXPECT_NE(bad_solver.find("unknown solver in grid: warp-drive"), std::string::npos) << bad_solver;
+  const std::string bad_recipe = rejection(R"(["icm"])", R"(["none", "no-such-recipe"])");
+  EXPECT_NE(bad_recipe.find("unknown constraint recipe in grid: no-such-recipe"), std::string::npos)
+      << bad_recipe;
+  EXPECT_EQ(cells_run.load(), 0u);
+  EXPECT_EQ(session.status().batch_stages.solve.planned, 0u);
 }
 
 TEST(Session, SaturationRejectsWithRetryAfterAndKeepsStatusObservable) {

@@ -112,7 +112,7 @@ TEST(InferenceOptionsValidation, EngineNamesRoundTrip) {
 TEST(CompiledVsSeed, ExactPinsBitIdentical) {
   LineFixture f(0.5);
   const auto mixed = f.assign({f.a, f.b, f.b, f.a});
-  const AttackBayesNet bn(mixed, 0, PropagationModel{0.2, 0.5, true});
+  const CompiledReliability bn(mixed, 0, PropagationModel{0.2, 0.5, true});
   InferenceOptions exact;
   exact.engine = InferenceEngine::Exact;
   EXPECT_DOUBLE_EQ(bn.compromise_probability(3, exact), 0.095999999999999946);
@@ -130,7 +130,7 @@ TEST(CompiledVsSeed, GenericMonteCarloStreamBitIdentical) {
   // pinned value is what the pre-compiled loop produced for Rng(99).
   LineFixture f(0.5);
   const auto mixed = f.assign({f.a, f.b, f.b, f.a});
-  const AttackBayesNet bn(mixed, 0, PropagationModel{0.2, 0.5, true});
+  const CompiledReliability bn(mixed, 0, PropagationModel{0.2, 0.5, true});
   support::Rng rng(99);
   EXPECT_DOUBLE_EQ(reliability_monte_carlo(bn.reliability_problem(3), 400'000, rng),
                    0.095612500000000003);
@@ -142,7 +142,7 @@ TEST(CompiledVsSeed, CoupledSamplerWithinSeedBands) {
   // error, not bit-for-bit.
   LineFixture f(0.5);
   const auto mixed = f.assign({f.a, f.b, f.b, f.a});
-  const AttackBayesNet bn(mixed, 0, PropagationModel{0.2, 0.5, true});
+  const CompiledReliability bn(mixed, 0, PropagationModel{0.2, 0.5, true});
   InferenceOptions mc;
   mc.engine = InferenceEngine::MonteCarlo;
   EXPECT_NEAR(bn.compromise_probability(3, mc), 0.095612500000000003, 0.004);

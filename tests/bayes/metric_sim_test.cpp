@@ -5,7 +5,7 @@
 
 #include "bayes/metric.hpp"
 #include "core/baselines.hpp"
-#include "sim/experiment.hpp"
+#include "sim/worm_sim.hpp"
 
 namespace icsdiv {
 namespace {
@@ -84,7 +84,7 @@ TEST(AttackBn, MonoChainProbabilityAnalytic) {
   LineFixture f(0.5);
   const auto mono = f.assign({f.a, f.a, f.a, f.a});
   const bayes::PropagationModel model{0.1, 0.2, true};
-  const bayes::AttackBayesNet bn(mono, 0, model);
+  const bayes::CompiledReliability bn(mono, 0, model);
   // Pure chain: P(h3) = rate³ with rate = 0.28.
   const double p = bn.compromise_probability(3);
   EXPECT_NEAR(p, 0.28 * 0.28 * 0.28, 1e-9);
@@ -94,7 +94,7 @@ TEST(AttackBn, MonoChainProbabilityAnalytic) {
 TEST(AttackBn, EntryAndUnreachable) {
   LineFixture f(0.5);
   const auto mono = f.assign({f.a, f.a, f.a, f.a});
-  const bayes::AttackBayesNet bn(mono, 1, bayes::PropagationModel{});
+  const bayes::CompiledReliability bn(mono, 1, bayes::PropagationModel{});
   EXPECT_DOUBLE_EQ(bn.compromise_probability(1), 1.0);
 
   // Add an isolated host: unreachable → probability 0.
@@ -103,14 +103,14 @@ TEST(AttackBn, EntryAndUnreachable) {
   net.add_service(lonely, f.service, {f.a});
   core::Assignment assignment(net);
   for (HostId h = 0; h <= lonely; ++h) assignment.assign(h, f.service, f.a);
-  const bayes::AttackBayesNet bn2(assignment, 0, bayes::PropagationModel{});
+  const bayes::CompiledReliability bn2(assignment, 0, bayes::PropagationModel{});
   EXPECT_DOUBLE_EQ(bn2.compromise_probability(lonely), 0.0);
 }
 
 TEST(AttackBn, ExactAndMonteCarloEnginesAgree) {
   LineFixture f(0.5);
   const auto mixed = f.assign({f.a, f.b, f.b, f.a});
-  const bayes::AttackBayesNet bn(mixed, 0, bayes::PropagationModel{0.2, 0.5, true});
+  const bayes::CompiledReliability bn(mixed, 0, bayes::PropagationModel{0.2, 0.5, true});
   bayes::InferenceOptions exact;
   exact.engine = bayes::InferenceEngine::Exact;
   bayes::InferenceOptions mc;
@@ -242,22 +242,6 @@ TEST(WormSim, ParameterValidation) {
   sim::SimulationParams zero_ticks;
   zero_ticks.max_ticks = 0;
   EXPECT_THROW(sim::WormSimulator(mono, zero_ticks), InvalidArgument);
-}
-
-TEST(MttcGrid, RunsAllCells) {
-  LineFixture f(0.7);
-  const auto mono = f.assign({f.a, f.a, f.a, f.a});
-  const auto mixed = f.assign({f.a, f.b, f.a, f.b});
-  sim::MttcGridSpec spec;
-  spec.assignments = {{"mono", &mono}, {"mixed", &mixed}};
-  spec.entries = {0, 1};
-  spec.target = 3;
-  spec.runs_per_cell = 40;
-  const auto rows = sim::run_mttc_grid(spec);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].assignment_name, "mono");
-  ASSERT_EQ(rows[0].per_entry.size(), 2u);
-  EXPECT_EQ(rows[0].per_entry[0].runs, 40u);
 }
 
 }  // namespace

@@ -30,6 +30,13 @@ ScenarioGrid small_grid() {
   return grid;
 }
 
+/// One cell through the batch engine on a single worker.
+ScenarioResult run_one(const ScenarioSpec& spec) {
+  BatchOptions options;
+  options.threads = 1;
+  return BatchRunner(options).run({spec}).results.front();
+}
+
 TEST(ScenarioGrid, ExpandsTheCartesianProduct) {
   const ScenarioGrid grid = small_grid();
   EXPECT_EQ(grid.size(), 12u);
@@ -293,7 +300,7 @@ TEST(MetricsSpec, RejectsBadValues) {
       InvalidArgument);
 }
 
-TEST(RunScenario, ComputesDbnColumnsFromTheMetricsBlock) {
+TEST(SingleCell, ComputesDbnColumnsFromTheMetricsBlock) {
   ScenarioSpec spec;
   spec.workload.hosts = 16;
   spec.workload.average_degree = 4.0;
@@ -307,7 +314,7 @@ TEST(RunScenario, ComputesDbnColumnsFromTheMetricsBlock) {
   metrics.engine = "montecarlo";
   metrics.samples = 20'000;
   spec.metrics = metrics;
-  const ScenarioResult result = run_scenario(spec);
+  const ScenarioResult result = run_one(spec);
   ASSERT_TRUE(result.error.empty()) << result.error;
   EXPECT_TRUE(result.metrics_evaluated);
   EXPECT_EQ(result.metric_engine, "montecarlo");
@@ -319,7 +326,7 @@ TEST(RunScenario, ComputesDbnColumnsFromTheMetricsBlock) {
   EXPECT_GE(result.p_with_mean, result.p_without_mean);  // Def. 6: d_bn ≤ 1
 }
 
-TEST(RunScenario, MetricsHostsOutsideTheWorkloadFailTheCell) {
+TEST(SingleCell, MetricsHostsOutsideTheWorkloadFailTheCell) {
   ScenarioSpec spec;
   spec.workload.hosts = 8;
   spec.workload.services = 1;
@@ -327,7 +334,7 @@ TEST(RunScenario, MetricsHostsOutsideTheWorkloadFailTheCell) {
   metrics.entries = {0};
   metrics.targets = {99};  // not a host of an 8-host workload
   spec.metrics = metrics;
-  const ScenarioResult result = run_scenario(spec);
+  const ScenarioResult result = run_one(spec);
   EXPECT_FALSE(result.error.empty());
   EXPECT_FALSE(result.metrics_evaluated);
   // The engine echo survives for the report's axis columns.
@@ -363,14 +370,14 @@ TEST(ConstraintRecipes, ForbiddenPairIsGlobal) {
   constraints.validate(*instance.network);
 }
 
-TEST(RunScenario, SolvesAndReportsMetrics) {
+TEST(SingleCell, SolvesAndReportsMetrics) {
   ScenarioSpec spec;
   spec.workload.hosts = 15;
   spec.workload.average_degree = 4.0;
   spec.workload.services = 2;
   spec.workload.products_per_service = 3;
   spec.seed = 11;
-  const ScenarioResult result = run_scenario(spec);
+  const ScenarioResult result = run_one(spec);
   EXPECT_TRUE(result.error.empty()) << result.error;
   EXPECT_EQ(result.hosts, 15u);
   EXPECT_EQ(result.variables, 30u);
@@ -381,7 +388,7 @@ TEST(RunScenario, SolvesAndReportsMetrics) {
   EXPECT_GE(result.total_similarity, result.average_similarity);  // ≥ 1 link-service pair
 }
 
-TEST(RunScenario, RunsTheAttackBlockOnTheSolvedCell) {
+TEST(SingleCell, RunsTheAttackBlockOnTheSolvedCell) {
   ScenarioSpec spec;
   spec.workload.hosts = 12;
   spec.workload.average_degree = 4.0;
@@ -395,7 +402,7 @@ TEST(RunScenario, RunsTheAttackBlockOnTheSolvedCell) {
   attack.runs = 30;
   attack.max_ticks = 2000;
   spec.attack = attack;
-  const ScenarioResult result = run_scenario(spec);
+  const ScenarioResult result = run_one(spec);
   ASSERT_TRUE(result.error.empty()) << result.error;
   EXPECT_TRUE(result.attacked);
   EXPECT_EQ(result.attack_strategy, "sophisticated");
@@ -404,7 +411,7 @@ TEST(RunScenario, RunsTheAttackBlockOnTheSolvedCell) {
   EXPECT_LE(result.mttc_censored, result.mttc_runs);
 }
 
-TEST(RunScenario, AttackHostsOutsideTheWorkloadFailTheCell) {
+TEST(SingleCell, AttackHostsOutsideTheWorkloadFailTheCell) {
   ScenarioSpec spec;
   spec.workload.hosts = 8;
   spec.workload.services = 1;
@@ -412,15 +419,15 @@ TEST(RunScenario, AttackHostsOutsideTheWorkloadFailTheCell) {
   attack.entries = {0};
   attack.target = 99;  // not a host of an 8-host workload
   spec.attack = attack;
-  const ScenarioResult result = run_scenario(spec);
+  const ScenarioResult result = run_one(spec);
   EXPECT_FALSE(result.error.empty());
 }
 
-TEST(RunScenario, CapturesFailuresPerCell) {
+TEST(SingleCell, CapturesFailuresPerCell) {
   ScenarioSpec spec;
   spec.workload.hosts = 8;
   spec.solver = "no-such-solver";
-  const ScenarioResult result = run_scenario(spec);
+  const ScenarioResult result = run_one(spec);
   EXPECT_FALSE(result.error.empty());
   EXPECT_NE(result.error.find("no-such-solver"), std::string::npos);
 }
@@ -670,12 +677,6 @@ TEST(BatchReport, JsonCarriesCellsAndAggregates) {
   EXPECT_EQ(first.at("cells").as_integer(), 2);
   // The document serialises (no NaN/Infinity leaks into the writer).
   EXPECT_FALSE(json.dump().empty());
-}
-
-TEST(BatchRunner, RunCellsCoversEveryIndexExactlyOnce) {
-  std::vector<std::atomic<int>> hits(97);
-  BatchRunner::run_cells(hits.size(), [&](std::size_t i) { ++hits[i]; }, 5);
-  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
 }
 
 }  // namespace

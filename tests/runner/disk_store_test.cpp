@@ -4,12 +4,14 @@
 // under a capacity budget, and the engine-level contract — a warm run
 // over a shared store executes zero stages, reports identical
 // deterministic bytes, and accounts every slot as planned = executed +
-// hits + disk_hits.
+// hits + disk_hits, including over a committed format-version-1 store
+// (tests/runner/fixtures) and over stores missing one stage's records.
 #include "runner/disk_store.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -21,6 +23,7 @@
 
 #include "runner/batch_runner.hpp"
 #include "support/error.hpp"
+#include "support/failpoint.hpp"
 
 namespace icsdiv::runner {
 namespace {
@@ -315,6 +318,88 @@ TEST(DiskArtifactStore, WarmEngineRunExecutesNothingAndMatchesColdBytes) {
   EXPECT_EQ(deterministic_csv(recovered), deterministic_csv(reference));
   EXPECT_EQ(recovered.stage_stats.solve.disk_hits, 0u);
   EXPECT_GT(recovered.stage_stats.solve.executed, 0u);
+}
+
+// tests/runner/fixtures/store_v1 was written by an earlier build of the
+// engine over a 4-cell grid with attack and metrics blocks, so all six
+// stages have records in it.
+const std::string kFixtures = ICSDIV_TEST_FIXTURES;
+
+ScenarioGrid fixture_grid() {
+  return ScenarioGrid::from_json(
+      support::Json::parse(file_bytes(kFixtures + "/store_v1_grid.json")));
+}
+
+/// A private copy of the fixture store (runs write records and rewrite
+/// the manifest).
+void copy_fixture_store(const std::string& dir) {
+  std::filesystem::copy(kFixtures + "/store_v1", dir, std::filesystem::copy_options::recursive);
+}
+
+/// Removes every record of one stage; record files are named
+/// "<stage tag>-<key>.art" (tags 1..6 in pipeline order).
+void drop_stage_records(const std::string& dir, int tag) {
+  const std::string prefix = std::to_string(tag) + "-";
+  for (const auto& entry : std::filesystem::directory_iterator(dir + "/objects")) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) {
+      std::filesystem::remove(entry.path());
+    }
+  }
+}
+
+/// The counter blocks in pipeline order (index + 1 is the stage tag).
+std::array<const StageCounters*, 6> pipeline_counters(const StageStats& s) {
+  return {&s.workload, &s.problem, &s.solve, &s.channels, &s.attack, &s.metric};
+}
+
+TEST(DiskArtifactStore, CommittedVersionOneStoreServesEveryStage) {
+  // Serving the fixture pins the record bytes: a codec change that alters
+  // any summary or payload layout without bumping kFormatVersion fails
+  // here, not in a user's warm store.
+  ASSERT_EQ(DiskArtifactStore::kFormatVersion, 1u);
+  const ScopedDir dir(unique_store_dir("fixture"));
+  copy_fixture_store(dir.path);
+
+  BatchOptions options;
+  options.threads = 1;
+  options.store_dir = dir.path;
+  const BatchReport report = BatchRunner(options).run(fixture_grid());
+
+  const auto counters = pipeline_counters(report.stage_stats);
+  for (std::size_t i = 0; i < counters.size(); ++i) {
+    EXPECT_GT(counters[i]->planned, 0u) << "tag " << i + 1;
+    EXPECT_EQ(counters[i]->executed, 0u) << "tag " << i + 1;
+    EXPECT_EQ(counters[i]->disk_hits, counters[i]->planned - counters[i]->hits) << "tag " << i + 1;
+  }
+  EXPECT_EQ(deterministic_csv(report), file_bytes(kFixtures + "/store_v1_report.csv"));
+}
+
+TEST(DiskArtifactStore, StoreMissingOneStageRecomputesItFromDecodedPayloads) {
+  // Without one stage's records that stage recomputes, so its parent's
+  // payload must be materialised: decoded from the parent's record
+  // (workload, solve, channels), or recomputed when the record carries
+  // only a summary (problem).  The report must not notice.  A workload
+  // recomputed under disk-served problem and solve records is no other
+  // task's parent, yet every cell's row reads it: the delay makes a row
+  // that does not wait for it lose that race every time.
+  struct DisarmAtExit {
+    ~DisarmAtExit() { support::failpoint::disarm_all(); }
+  } disarm;
+  support::failpoint::arm("stage.workload", {support::failpoint::Action::Delay, 1.0, 200});
+  for (int tag = 1; tag <= 6; ++tag) {
+    const ScopedDir dir(unique_store_dir("partial"));
+    copy_fixture_store(dir.path);
+    drop_stage_records(dir.path, tag);
+
+    BatchOptions options;
+    options.threads = 2;
+    options.store_dir = dir.path;
+    const BatchReport report = BatchRunner(options).run(fixture_grid());
+    EXPECT_EQ(report.failed_count(), 0u) << "tag " << tag << ": " << report.results[0].error;
+    EXPECT_GT(pipeline_counters(report.stage_stats)[tag - 1]->executed, 0u) << "tag " << tag;
+    EXPECT_EQ(deterministic_csv(report), file_bytes(kFixtures + "/store_v1_report.csv"))
+        << "tag " << tag;
+  }
 }
 
 TEST(DiskArtifactStore, UnusableStoreDegradesToPlainComputation) {

@@ -1,13 +1,14 @@
-// The staged scenario engine: artifact reuse across shared grid prefixes,
-// cached-vs-uncached bit-identity at several thread counts, deterministic
-// stage_stats, refcount eviction, and shared failure propagation.
+// The staged scenario engine behind BatchRunner::run: artifact reuse
+// across shared grid prefixes, cached-vs-uncached bit-identity at several
+// thread counts, deterministic stage_stats, refcount eviction, and shared
+// failure propagation.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <sstream>
 #include <stdexcept>
 
-#include "runner/scenario_engine.hpp"
+#include "runner/batch_runner.hpp"
 
 namespace icsdiv::runner {
 namespace {
@@ -43,7 +44,7 @@ std::string deterministic_csv(const BatchReport& report) {
   return out.str();
 }
 
-TEST(ScenarioEngine, CachedAndUncachedAreBitIdenticalAcrossThreadCounts) {
+TEST(StageEngine, CachedAndUncachedAreBitIdenticalAcrossThreadCounts) {
   const ScenarioGrid grid = shared_prefix_grid();
   const std::vector<ScenarioSpec> specs = grid.expand();
 
@@ -72,7 +73,7 @@ TEST(ScenarioEngine, CachedAndUncachedAreBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ScenarioEngine, StageStatsCountSharedPrefixes) {
+TEST(StageEngine, StageStatsCountSharedPrefixes) {
   const ScenarioGrid grid = shared_prefix_grid();
   const BatchReport report = BatchRunner(BatchOptions{.threads = 4}).run(grid);
   ASSERT_EQ(report.results.size(), 8u);
@@ -100,7 +101,7 @@ TEST(ScenarioEngine, StageStatsCountSharedPrefixes) {
   EXPECT_EQ(block.at("solve").as_object().at("hits").as_integer(), 6);
 }
 
-TEST(ScenarioEngine, RefcountEvictionReleasesEveryConsumedPayload) {
+TEST(StageEngine, RefcountEvictionReleasesEveryConsumedPayload) {
   const BatchReport report =
       BatchRunner(BatchOptions{.threads = 4}).run(shared_prefix_grid());
   const StageStats& stats = report.stage_stats;
@@ -124,7 +125,7 @@ TEST(ScenarioEngine, RefcountEvictionReleasesEveryConsumedPayload) {
   EXPECT_EQ(plain.stage_stats.solve.evicted, 2u);
 }
 
-TEST(ScenarioEngine, MetricEvaluationIsSharedAcrossAttackSiblings) {
+TEST(StageEngine, MetricEvaluationIsSharedAcrossAttackSiblings) {
   // Cells that differ only in the attack axes share one solve and one
   // metric evaluation — the metrics block never multiplied the grid, but
   // the monolithic runner still recomputed it per cell.
@@ -150,7 +151,7 @@ TEST(ScenarioEngine, MetricEvaluationIsSharedAcrossAttackSiblings) {
   }
 }
 
-TEST(ScenarioEngine, SharedFailedStageFailsEveryConsumerCell) {
+TEST(StageEngine, SharedFailedStageFailsEveryConsumerCell) {
   ScenarioGrid grid = shared_prefix_grid();
   grid.solvers = {"no-such-solver"};
   const BatchReport report = BatchRunner(BatchOptions{.threads = 2}).run(grid);
@@ -166,11 +167,11 @@ TEST(ScenarioEngine, SharedFailedStageFailsEveryConsumerCell) {
   }
 }
 
-TEST(ScenarioEngine, ThrowingOnResultPropagatesInsteadOfHanging) {
-  // The run_cells / parallel_for contract: exceptions propagate, first
-  // wins.  The DAG still drains (refcounts and sibling cells stay sound)
-  // before the rethrow — a regression here showed up as a permanent hang
-  // at threads > 1 while threads == 1 propagated.
+TEST(StageEngine, ThrowingOnResultPropagatesInsteadOfHanging) {
+  // The parallel_for contract: exceptions propagate, first wins.  The
+  // DAG still drains (refcounts and sibling cells stay sound) before the
+  // rethrow — a regression here showed up as a permanent hang at
+  // threads > 1 while threads == 1 propagated.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
     BatchOptions options;
     options.threads = threads;
@@ -182,16 +183,16 @@ TEST(ScenarioEngine, ThrowingOnResultPropagatesInsteadOfHanging) {
   }
 }
 
-TEST(ScenarioEngine, OnResultFiresOncePerCellFromTheEngine) {
+TEST(StageEngine, OnResultFiresOncePerCellFromTheEngine) {
   std::atomic<std::size_t> calls{0};
   BatchOptions options;
   options.threads = 3;
   options.on_result = [&](const ScenarioResult&) { ++calls; };
-  const BatchReport report = ScenarioEngine(std::move(options)).run(shared_prefix_grid().expand());
+  const BatchReport report = BatchRunner(std::move(options)).run(shared_prefix_grid().expand());
   EXPECT_EQ(calls.load(), report.results.size());
 }
 
-TEST(ScenarioEngine, KeyHasherSeparatesFieldsAndDomains) {
+TEST(StageEngine, KeyHasherSeparatesFieldsAndDomains) {
   // Order and field boundaries matter; permuted values must not collide.
   KeyHasher a;
   a.mix(std::uint64_t{1}).mix(std::uint64_t{2});

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "runner/scenario_engine.hpp"
+#include "runner/batch_runner.hpp"
 #include "support/error.hpp"
 
 namespace icsdiv::runner {
@@ -170,6 +170,13 @@ TEST(Shard, MergeRejectsInconsistentDocuments) {
                InvalidArgument);
   // A missing cell.
   EXPECT_THROW((void)merge_shards({d0, shard_to_json(s1, "key", 2, {})}), InvalidArgument);
+  // A declared cell count the rows do not back up is rejected before
+  // anything is sized from it, however large it is.
+  for (const std::size_t declared : {std::size_t{5'000'000}, std::size_t{1'000'000'000'000}}) {
+    EXPECT_THROW((void)merge_shards({shard_to_json({0, 1}, "key", declared, {cell0})}),
+                 InvalidArgument)
+        << declared;
+  }
   // Not a shard document at all.
   support::JsonObject stray;
   stray.set("hello", 1);

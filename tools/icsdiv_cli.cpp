@@ -49,7 +49,6 @@
 #include "api/session.hpp"
 #include "api/status.hpp"
 #include "mrf/registry.hpp"
-#include "runner/scenario_engine.hpp"
 #include "runner/shard.hpp"
 #include "support/table.hpp"
 
@@ -390,7 +389,7 @@ int render_text(const Arguments& args, const api::Response& response) {
 // Local batch paths (DESIGN.md §13).  `--shard K/N`, `--merge FILES` and
 // `--report deterministic` bypass the api session — a shard document or a
 // deterministic report is not a BatchResponse — and drive BatchRunner
-// directly, with the same fail-fast grid validation the session applies.
+// directly, through the session's fail-fast runner::expand_validated.
 
 std::string grid_fingerprint(const std::string& text) {
   runner::KeyHasher hasher;
@@ -400,21 +399,6 @@ std::string grid_fingerprint(const std::string& text) {
   std::snprintf(buffer, sizeof(buffer), "%016llx%016llx",
                 static_cast<unsigned long long>(key.hi), static_cast<unsigned long long>(key.lo));
   return buffer;
-}
-
-void validate_grid(const runner::ScenarioGrid& grid) {
-  for (const std::string& solver : grid.solvers) {
-    if (!mrf::SolverRegistry::instance().contains(solver)) {
-      throw InvalidArgument("unknown solver in grid: " + solver + " (registered: " +
-                            mrf::SolverRegistry::instance().names_joined(", ") + ")");
-    }
-  }
-  const std::vector<std::string> recipes = runner::constraint_recipe_names();
-  for (const std::string& recipe : grid.constraints) {
-    if (std::find(recipes.begin(), recipes.end(), recipe) == recipes.end()) {
-      throw InvalidArgument("unknown constraint recipe in grid: " + recipe);
-    }
-  }
 }
 
 /// Deterministic outputs: timing-free CSV/JSON (byte-stable across runs,
@@ -454,11 +438,8 @@ int run_batch_local(const Arguments& args) {
   const auto grid_it = args.options.find("grid");
   if (grid_it == args.options.end()) throw InvalidArgument("missing required --grid");
   const std::string grid_text = read_file(grid_it->second);
-  const runner::ScenarioGrid grid =
-      runner::ScenarioGrid::from_json(support::Json::parse(grid_text));
-  validate_grid(grid);
-  const std::vector<runner::ScenarioSpec> specs = grid.expand();
-  require(!specs.empty(), "batch", "grid expands to zero scenarios");
+  const std::vector<runner::ScenarioSpec> specs =
+      runner::expand_validated(runner::ScenarioGrid::from_json(support::Json::parse(grid_text)));
 
   runner::BatchOptions options;
   if (const auto it = args.options.find("threads"); it != args.options.end()) {

@@ -13,7 +13,7 @@
 #include "mrf/trws.hpp"
 #include "nvd/paper_tables.hpp"
 #include "runner/batch_runner.hpp"
-#include "sim/worm_sim.hpp"
+#include "sim/compiled.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 
@@ -267,11 +267,12 @@ void BM_WormTick(benchmark::State& state) {
   params.services = 3;
   const auto instance = bench::make_scalability_instance(params);
   const core::Assignment assignment = worm_bench_assignment(*instance.network);
-  const sim::WormSimulator simulator(assignment, sim::SimulationParams{});
+  const sim::CompiledPropagation simulator(assignment, sim::SimulationParams{});
   const auto target = static_cast<core::HostId>(params.hosts - 1);
   support::Rng rng(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(simulator.run_once(0, target, rng));
+    sim::SimState scratch;  // a one-off run sizes its own scratch
+    benchmark::DoNotOptimize(simulator.run_once(0, target, rng, scratch));
   }
 }
 BENCHMARK(BM_WormTick)->Apply(worm_scale_args);
@@ -283,7 +284,7 @@ void BM_Mttc(benchmark::State& state) {
   params.services = 3;
   const auto instance = bench::make_scalability_instance(params);
   const core::Assignment assignment = worm_bench_assignment(*instance.network);
-  const sim::WormSimulator simulator(assignment, sim::SimulationParams{});
+  const sim::CompiledPropagation simulator(assignment, sim::SimulationParams{});
   const auto target = static_cast<core::HostId>(params.hosts - 1);
   const auto runs = static_cast<std::size_t>(state.range(1));
   for (auto _ : state) {

@@ -9,7 +9,7 @@
 #include "casestudy/stuxnet_case.hpp"
 #include "core/baselines.hpp"
 #include "core/optimizer.hpp"
-#include "sim/worm_sim.hpp"
+#include "sim/compiled.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -47,9 +47,10 @@ int main(int argc, char** argv) {
   for (const auto& [name, assignment] :
        {std::pair<const char*, const core::Assignment*>{"mono    ", &mono},
         {"optimal ", &optimal}}) {
-    const sim::WormSimulator simulator(*assignment, sim::SimulationParams{});
+    const sim::CompiledPropagation simulator(*assignment, sim::SimulationParams{});
     support::Rng rng(4);
-    const auto curve = simulator.epidemic_curve(entry, 60, rng);
+    sim::SimState state;
+    const auto curve = simulator.epidemic_curve(entry, 60, rng, state);
     std::cout << "  " << name << " |" << sparkline(curve, hosts) << "|  final "
               << curve.back() << " hosts\n";
   }
@@ -63,8 +64,8 @@ int main(int argc, char** argv) {
     sim::SimulationParams greedy;
     sim::SimulationParams uniform;
     uniform.strategy = sim::AttackerStrategy::Uniform;
-    const auto fast = sim::WormSimulator(*assignment, greedy).mttc(entry, target, runs, 1);
-    const auto slow = sim::WormSimulator(*assignment, uniform).mttc(entry, target, runs, 1);
+    const auto fast = sim::CompiledPropagation(*assignment, greedy).mttc(entry, target, runs, 1);
+    const auto slow = sim::CompiledPropagation(*assignment, uniform).mttc(entry, target, runs, 1);
     strategies.add_row({name, support::TextTable::num(fast.mean, 1),
                         support::TextTable::num(slow.mean, 1)});
   }
@@ -79,8 +80,8 @@ int main(int argc, char** argv) {
     sim::SimulationParams params;
     params.detection_probability = detection;
     params.max_ticks = 2000;
-    const auto m = sim::WormSimulator(mono, params).mttc(entry, target, runs, 2);
-    const auto o = sim::WormSimulator(optimal, params).mttc(entry, target, runs, 2);
+    const auto m = sim::CompiledPropagation(mono, params).mttc(entry, target, runs, 2);
+    const auto o = sim::CompiledPropagation(optimal, params).mttc(entry, target, runs, 2);
     defender.add_row({support::TextTable::num(detection, 2),
                       support::TextTable::num(m.mean, 1), std::to_string(m.censored),
                       support::TextTable::num(o.mean, 1), std::to_string(o.censored)});

@@ -66,32 +66,6 @@ double number_or_nan(const support::Json& json) {
   return json.is_null() ? std::nan("") : json.as_double();
 }
 
-support::Json counters_to_json(const runner::StageCounters& counters) {
-  return counters.to_json();
-}
-
-runner::StageCounters counters_from_json(const support::Json& json) {
-  const support::JsonObject& object = json.as_object();
-  runner::StageCounters counters;
-  counters.planned = static_cast<std::size_t>(object.at("planned").as_integer());
-  counters.executed = static_cast<std::size_t>(object.at("executed").as_integer());
-  counters.hits = static_cast<std::size_t>(object.at("hits").as_integer());
-  counters.evicted = static_cast<std::size_t>(object.at("evicted").as_integer());
-  return counters;
-}
-
-runner::StageStats stage_stats_from_json(const support::Json& json) {
-  const support::JsonObject& object = json.as_object();
-  runner::StageStats stats;
-  stats.workload = counters_from_json(object.at("workload"));
-  stats.problem = counters_from_json(object.at("problem"));
-  stats.solve = counters_from_json(object.at("solve"));
-  stats.channels = counters_from_json(object.at("channels"));
-  stats.attack = counters_from_json(object.at("attack"));
-  stats.metric = counters_from_json(object.at("metric"));
-  return stats;
-}
-
 support::Json strings_to_json(const std::vector<std::string>& values) {
   support::JsonArray array;
   for (const std::string& value : values) array.emplace_back(value);
@@ -437,10 +411,10 @@ support::Json result_to_json(const StatusResponse& response) {
   requests.set("deadline", response.requests_deadline);
 
   support::JsonObject caches;
-  caches.set("model", counters_to_json(response.model_cache));
-  caches.set("solve", counters_to_json(response.solve_cache));
-  caches.set("eval", counters_to_json(response.eval_cache));
-  caches.set("batch", counters_to_json(response.batch_cache));
+  caches.set("model", response.model_cache.to_json());
+  caches.set("solve", response.solve_cache.to_json());
+  caches.set("eval", response.eval_cache.to_json());
+  caches.set("batch", response.batch_cache.to_json());
 
   support::JsonObject object;
   object.set("protocol", response.protocol);
@@ -472,11 +446,11 @@ StatusResponse status_result(const support::JsonObject& object) {
   response.solve_seconds_total = object.at("solve_seconds_total").as_double();
   response.batch_wall_seconds_total = object.at("batch_wall_seconds_total").as_double();
   const support::JsonObject& caches = object.at("stage_stats").as_object();
-  response.model_cache = counters_from_json(caches.at("model"));
-  response.solve_cache = counters_from_json(caches.at("solve"));
-  response.eval_cache = counters_from_json(caches.at("eval"));
-  response.batch_cache = counters_from_json(caches.at("batch"));
-  response.batch_stages = stage_stats_from_json(object.at("batch_stage_stats"));
+  response.model_cache = runner::StageCounters::from_json(caches.at("model"));
+  response.solve_cache = runner::StageCounters::from_json(caches.at("solve"));
+  response.eval_cache = runner::StageCounters::from_json(caches.at("eval"));
+  response.batch_cache = runner::StageCounters::from_json(caches.at("batch"));
+  response.batch_stages = runner::StageStats::from_json(object.at("batch_stage_stats"));
   return response;
 }
 

@@ -19,7 +19,7 @@
 #include "nvd/similarity.hpp"
 #include "runner/artifact_cache.hpp"
 #include "runner/scenario.hpp"
-#include "sim/worm_sim.hpp"
+#include "sim/compiled.hpp"
 #include "support/failpoint.hpp"
 #include "support/stopwatch.hpp"
 
@@ -106,6 +106,13 @@ std::size_t AdmissionGate::admitted_total() const {
 }
 
 namespace {
+
+/// Per-cache entry capacities (LRU beyond these).  perfbench's
+/// daemon_loop is built around the 128-entry solve cache.
+constexpr std::size_t kModelCacheCapacity = 32;
+constexpr std::size_t kSolveCacheCapacity = 128;
+constexpr std::size_t kEvalCacheCapacity = 128;
+constexpr std::size_t kBatchCacheCapacity = 8;
 
 // ---------------------------------------------------------------------------
 // Cache keys.  Domain constants separate the four key spaces; within one,
@@ -346,22 +353,6 @@ support::CancelToken request_token(const Request& request) {
       request);
 }
 
-void add_counters(runner::StageCounters& into, const runner::StageCounters& from) {
-  into.planned += from.planned;
-  into.executed += from.executed;
-  into.hits += from.hits;
-  into.evicted += from.evicted;
-}
-
-void add_stage_stats(runner::StageStats& into, const runner::StageStats& from) {
-  add_counters(into.workload, from.workload);
-  add_counters(into.problem, from.problem);
-  add_counters(into.solve, from.solve);
-  add_counters(into.channels, from.channels);
-  add_counters(into.attack, from.attack);
-  add_counters(into.metric, from.metric);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -373,10 +364,10 @@ struct Session::Impl {
         gate_(options_.max_concurrent != 0 ? options_.max_concurrent
                                            : std::max(1u, std::thread::hardware_concurrency()),
               options_.max_queued, options_.retry_after_seconds),
-        models_(options_.model_cache_capacity),
-        solves_(options_.solve_cache_capacity),
-        evals_(options_.eval_cache_capacity),
-        batches_(options_.batch_cache_capacity) {}
+        models_(kModelCacheCapacity),
+        solves_(kSolveCacheCapacity),
+        evals_(kEvalCacheCapacity),
+        batches_(kBatchCacheCapacity) {}
 
   Response execute(const Request& request) {
     {
@@ -561,8 +552,8 @@ struct Session::Impl {
         response.exploit_count = bayes::least_attack_effort(assignment, entry, target).exploit_count;
         sim::SimulationParams params;
         params.cancel = token;
-        const sim::WormSimulator simulator(assignment, params);
-        const sim::MttcResult mttc = simulator.mttc(entry, target, 500, 1);
+        const sim::MttcResult mttc =
+            sim::CompiledPropagation(assignment, params).mttc(entry, target, 500, 1);
         response.mttc_runs = mttc.runs;
         response.mttc_mean = mttc.mean;
         response.mttc_uncensored_mean = mttc.uncensored_mean;
@@ -678,7 +669,7 @@ struct Session::Impl {
           {
             const support::MutexLock lock(stats_mutex_);
             batch_wall_seconds_total_ += report.wall_seconds;
-            add_stage_stats(batch_stages_, report.stage_stats);
+            batch_stages_ += report.stage_stats;
           }
           return value;
         });

@@ -45,11 +45,6 @@
 namespace icsdiv::api {
 
 struct SessionOptions {
-  /// Per-cache entry capacities (LRU beyond these).
-  std::size_t model_cache_capacity = 32;
-  std::size_t solve_cache_capacity = 128;
-  std::size_t eval_cache_capacity = 128;
-  std::size_t batch_cache_capacity = 8;
   /// Admission bound: concurrent executing requests; 0 = hardware threads.
   std::size_t max_concurrent = 0;
   /// Requests allowed to wait for admission before rejection.

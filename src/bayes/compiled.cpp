@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "bayes/kernels.hpp"
-#include "support/simd.hpp"
 #include "support/thread_pool.hpp"
 
 namespace icsdiv::bayes {
@@ -29,10 +27,8 @@ struct McState {
   std::vector<std::uint32_t> fired;
   std::vector<std::uint32_t> burst_begin;  ///< per rank; valid for this
   std::vector<std::uint32_t> burst_end;    ///< sample's frontier vertices only
-  /// Batched-burst scratch (bayes/kernels.hpp): the serially-drawn
-  /// acceptance words and the packed fired-edge records of one vertex's
-  /// burst, both sized to the cone's widest out-fan.
-  std::vector<std::uint64_t> words;
+  /// One vertex's fired-edge records before they join `fired`, sized to
+  /// the cone's widest out-fan.
   std::vector<std::uint32_t> records;
   std::uint32_t epoch = 0;
 
@@ -41,7 +37,6 @@ struct McState {
         mark_baseline(ranks, 0),
         burst_begin(ranks, 0),
         burst_end(ranks, 0),
-        words(max_burst, 0),
         records(max_burst, 0) {
     frontier.reserve(ranks);
     baseline_frontier.reserve(ranks);
@@ -236,7 +231,6 @@ void CompiledReliability::monte_carlo_fill(std::span<const core::HostId> targets
     max_burst = std::max<std::size_t>(max_burst, cone_offsets[s + 1] - cone_offsets[s]);
   }
 
-  const support::simd::Kernels& k = support::simd::kernels();
   std::vector<std::uint64_t> hits_model(ranks, 0);
   std::vector<std::uint64_t> hits_baseline(ranks, 0);
   const std::size_t samples = options.mc_samples;
@@ -267,14 +261,17 @@ void CompiledReliability::monte_carlo_fill(std::span<const core::HostId> targets
         for (std::size_t head = 0; head < state.frontier.size(); ++head) {
           const std::uint32_t v = state.frontier[head];
           state.burst_begin[v] = static_cast<std::uint32_t>(state.fired.size());
-          // The whole burst fires in one batched kernel call: words drawn
-          // serially in cone-edge order (the seed-era sequence), the
-          // threshold compares and record packing wide.
-          const std::uint32_t burst_begin_edge = cone_offsets[v];
-          const std::size_t fired_count = kernels::fire_burst(
-              k, rng, cone_threshold.data() + burst_begin_edge,
-              cone_to.data() + burst_begin_edge, cone_offsets[v + 1] - burst_begin_edge,
-              baseline_threshold_, state.words.data(), state.records.data());
+          // The burst: one word per out-edge, drawn in cone-edge order (the
+          // seed-era sequence); each model-fired edge is recorded with its
+          // baseline bit.
+          std::size_t fired_count = 0;
+          const std::uint32_t burst_end_edge = cone_offsets[v + 1];
+          for (std::uint32_t e = cone_offsets[v]; e < burst_end_edge; ++e) {
+            const std::uint64_t word = rng() >> 11;
+            if (word >= cone_threshold[e]) continue;
+            state.records[fired_count++] =
+                (cone_to[e] << 1) | (word < baseline_threshold_ ? 1u : 0u);
+          }
           for (std::size_t f = 0; f < fired_count; ++f) {
             const std::uint32_t record = state.records[f];
             state.fired.push_back(record);

@@ -124,7 +124,11 @@ struct StageCounters {
   std::size_t disk_hits = 0;    ///< unique tasks served from the on-disk store
   std::size_t disk_writes = 0;  ///< records published to the on-disk store
 
+  /// Adds every counter of `other` (api::Session folds batch reports).
+  StageCounters& operator+=(const StageCounters& other);
   [[nodiscard]] support::Json to_json() const;
+  /// Inverse of to_json(); throws on a missing or mistyped field.
+  [[nodiscard]] static StageCounters from_json(const support::Json& json);
 };
 
 /// One counter block per pipeline stage ("channels" is the attack stage's
@@ -137,7 +141,9 @@ struct StageStats {
   StageCounters attack;
   StageCounters metric;
 
+  StageStats& operator+=(const StageStats& other);
   [[nodiscard]] support::Json to_json() const;
+  [[nodiscard]] static StageStats from_json(const support::Json& json);
 };
 
 /// The per-stage artifact store: planning interns keys into slots

@@ -4,17 +4,33 @@
 #include <cmath>
 #include <limits>
 
-#include "sim/kernels.hpp"
 #include "support/bytes.hpp"
-#include "support/simd.hpp"
 #include "support/thread_pool.hpp"
 
 namespace icsdiv::sim {
 
 using support::acceptance_threshold;
 
+namespace {
+
+// The host-mark bitset behind SimState::marked: one bit per host in
+// 32-bit words.
+[[nodiscard]] constexpr std::size_t bitset_words(std::size_t bits) noexcept {
+  return (bits + 31) / 32;
+}
+
+[[nodiscard]] bool bit_test(const std::uint32_t* words, std::uint32_t bit) noexcept {
+  return ((words[bit >> 5] >> (bit & 31u)) & 1u) != 0;
+}
+
+void bit_set(std::uint32_t* words, std::uint32_t bit) noexcept {
+  words[bit >> 5] |= (1u << (bit & 31u));
+}
+
+}  // namespace
+
 void SimState::begin_run(std::size_t host_count, core::HostId entry_host) {
-  const std::size_t word_count = support::simd::bitset_words(host_count);
+  const std::size_t word_count = bitset_words(host_count);
   if (marked.size() != word_count) {
     marked.assign(word_count, 0);
   } else {
@@ -163,7 +179,6 @@ CompiledPropagation::CompiledPropagation(std::shared_ptr<const PropagationChanne
 bool CompiledPropagation::tick(SimState& state, core::HostId target, support::Rng& rng,
                                bool& dead) const {
   const PropagationChannels& ch = *channels_;
-  const support::simd::Kernels& k = support::simd::kernels();
   const bool sophisticated = params_.strategy == AttackerStrategy::Sophisticated;
   // With the defender off, a host whose neighbours are all marked can
   // never draw from the RNG again (susceptibility only shrinks), so the
@@ -171,11 +186,9 @@ bool CompiledPropagation::tick(SimState& state, core::HostId target, support::Rn
   // `active` is also the detection-roll list and must stay complete.
   const bool prune = params_.detection_probability == 0.0;
   if (state.gather.size() < ch.max_degree_) state.gather.resize(ch.max_degree_);
-  if (state.words.size() < ch.max_degree_) state.words.resize(ch.max_degree_);
   if (state.fresh.size() < ch.link_to_.size()) state.fresh.resize(ch.link_to_.size());
   std::uint32_t* const marks = state.marked.data();
   std::uint32_t* const gather = state.gather.data();
-  std::uint64_t* const words = state.words.data();
   core::HostId* const fresh = state.fresh.data();
   std::size_t fresh_count = 0;
   bool any_susceptible = false;
@@ -187,23 +200,28 @@ bool CompiledPropagation::tick(SimState& state, core::HostId target, support::Rn
     const core::HostId attacker = state.active[a];
     const std::uint32_t begin = ch.offsets_[attacker];
     const std::uint32_t end = ch.offsets_[attacker + 1];
-    // Phase 1: compaction of this attacker's susceptible links over the
-    // mark bitset (the test is data-random; a branch here mispredicts
-    // constantly — the kernel tests and packs whole lane-groups at once).
-    const std::size_t frontier =
-        kernels::gather_frontier(k, ch.link_to_.data(), begin, end, marks, gather);
+    // Phase 1: branchless compaction of this attacker's susceptible links
+    // over the mark bitset (the test is data-random mid-epidemic, so a
+    // skip branch here would mispredict constantly).
+    std::size_t frontier = 0;
+    for (std::uint32_t l = begin; l < end; ++l) {
+      gather[frontier] = l;
+      frontier += bit_test(marks, ch.link_to_[l]) ? 0u : 1u;
+    }
     if (frontier == 0) continue;  // saturated (this tick): no draws either way
     any_susceptible = true;
     if (prune) state.active[kept++] = attacker;
     if (sophisticated) {
-      // Phase 2: one acceptance draw per gathered link, buffered in CSR
-      // link order — exactly the attempts the seed-era fused loop made,
-      // in its order — then a wide threshold compare; successes compact
-      // into `fresh` (a success is too rare to predict, too common to
-      // eat the mispredict).
-      fresh_count +=
-          kernels::accept_frontier(k, rng, gather, frontier, ch.link_to_.data(),
-                                   ch.link_best_threshold_.data(), words, fresh + fresh_count);
+      // Phase 2: one acceptance draw per gathered link in CSR link order —
+      // exactly the attempts the seed-era fused loop made, in its order;
+      // successes compact into `fresh` (a success is too rare to predict,
+      // too common to eat the mispredict).
+      for (std::size_t i = 0; i < frontier; ++i) {
+        const std::uint32_t l = gather[i];
+        const std::uint64_t word = rng() >> 11;
+        fresh[fresh_count] = ch.link_to_[l];
+        fresh_count += word < ch.link_best_threshold_[l] ? 1u : 0u;
+      }
     } else {
       // Uniform attacker: the silent roll and the exploit pick are
       // *conditional* draws — whether a word is consumed depends on the
@@ -226,8 +244,8 @@ bool CompiledPropagation::tick(SimState& state, core::HostId target, support::Rn
   bool hit_target = false;
   for (std::size_t f = 0; f < fresh_count; ++f) {
     const core::HostId host = fresh[f];
-    if (!support::simd::bit_test(marks, host)) {
-      support::simd::bit_set(marks, host);
+    if (!bit_test(marks, host)) {
+      bit_set(marks, host);
       state.active.push_back(host);
       ++state.ever_infected;
       hit_target = hit_target || host == target;
@@ -250,7 +268,7 @@ bool CompiledPropagation::tick(SimState& state, core::HostId target, support::Rn
 
 void CompiledPropagation::start_run(SimState& state, core::HostId entry) const {
   state.begin_run(host_count(), entry);
-  support::simd::bit_set(state.marked.data(), entry);
+  bit_set(state.marked.data(), entry);
   state.active.push_back(entry);
   state.ever_infected = 1;
 }

@@ -1,12 +1,32 @@
-// CompiledPropagation: the flat simulation substrate behind the worm
-// simulator (§VII-C2), mirroring mrf::CompiledMrf one pillar over.
+// Agent-based worm propagation simulator — the NetLogo substitute (§VII-C2).
 //
-// The seed-era WormSimulator kept a `vector<vector<DirectedLink>>` whose
-// per-link records each embedded their own `vector<double>` of channel
-// probabilities — three pointer hops per attack attempt — and every
-// Monte-Carlo run allocated two `vector<bool>(host_count)` marks plus the
-// active list from scratch.  The compiled layout resolves all of it once
-// per (assignment, params):
+// Discrete-tick SI dynamics on the diversified network: every tick, each
+// infected host attacks each of its uninfected neighbours once.  The
+// attacker picks which exploit to fire across the link:
+//
+//  * Sophisticated (the paper's default): reconnaissance first — always
+//    the channel with the highest success probability.  It never stays
+//    silent: `silent_probability` applies to the Uniform strategy only.
+//  * Uniform: "when multiple exploits are feasible, attackers evenly
+//    choose one to use" (the paper's BN assumption), including the chance
+//    to stay silent when `silent_probability` is set.
+//
+// Channels and probabilities come from bayes::PropagationModel; the
+// simulator's default similarity weight is per-*attempt* (an exploit that
+// targets a shared vulnerability usually works) while the baseline channel
+// stays the slow generic fallback, so mono-cultures fall in a few ticks
+// and diversified deployments hold out an order of magnitude longer —
+// Table VI's contrast.  Mean-Time-To-Compromise (MTTC) aggregates ticks
+// until the target falls over many runs (the paper uses 1 000).
+//
+// CompiledPropagation is the flat simulation substrate that runs these
+// dynamics, mirroring mrf::CompiledMrf one pillar over.  The seed-era
+// simulator kept a `vector<vector<DirectedLink>>` whose per-link records
+// each embedded their own `vector<double>` of channel probabilities —
+// three pointer hops per attack attempt — and every Monte-Carlo run
+// allocated two `vector<bool>(host_count)` marks plus the active list from
+// scratch.  The compiled layout resolves all of it once per
+// (assignment, params):
 //
 //   * CSR adjacency — `offsets_[host_count+1]` into packed per-link
 //     arrays, filled by a stable counting sort over the topology's edge
@@ -31,15 +51,13 @@
 //     `max(p_avg, channels...)` is precomputed per directed link.
 //
 // The tick scan is two phases per attacker: a branchless gather of the
-// susceptible link indices over the host-mark bitset (SIMD
-// gather-and-compact via sim/kernels.hpp — the susceptibility test is
-// data-random and would otherwise mispredict on every other neighbour),
-// then the RNG draws over the gathered frontier in CSR order: the words
-// are drawn serially (the stream cannot be vectorised without changing
-// results) and the threshold compare + success compaction go wide.
-// Marks only change after all attackers scanned (synchronous update), so
-// gather-then-draw sees exactly the state the seed-era fused loop saw
-// and consumes the RNG identically.
+// susceptible link indices over the host-mark bitset (the susceptibility
+// test is data-random and would otherwise mispredict on every other
+// neighbour), then the RNG draws over the gathered frontier in CSR order
+// with a branchless success compaction.  Marks only change after all
+// attackers scanned (synchronous update), so gather-then-draw sees
+// exactly the state the seed-era fused loop saw and consumes the RNG
+// identically.
 //
 // Per-run state lives in a reusable SimState: one mark *bit* per host
 // (a run boundary is a word-parallel clear of host_count/32 words —
@@ -144,18 +162,17 @@ struct MttcResult {
 /// buffers; every following run is a word-parallel bitset clear plus list
 /// clears.
 struct SimState {
-  /// Host-mark bitset (support::simd bit helpers): bit set ⇔ the host was
-  /// infected this run (and possibly remediated since) — i.e. no longer
+  /// Host-mark bitset (32-bit words): bit set ⇔ the host was infected
+  /// this run (and possibly remediated since) — i.e. no longer
   /// susceptible.  One bit per host instead of the earlier epoch-stamped
   /// u32: a 100k-host network's marks fit in 12.5 KB (L1-resident for the
-  /// tick scan, and gatherable eight hosts per vector lane-load).
+  /// tick scan).
   std::vector<std::uint32_t> marked;
   std::vector<core::HostId> active;
   /// Scratch for this tick's new infections (sized to the link count; the
   /// logical length lives inside the tick).
   std::vector<core::HostId> fresh;
   std::vector<std::uint32_t> gather;  ///< scratch: one attacker's frontier links
-  std::vector<std::uint64_t> words;   ///< scratch: buffered acceptance draws
   std::size_t ever_infected = 0;
   core::HostId entry = 0;
 

@@ -1,14 +1,13 @@
 // Portable SIMD kernel layer (DESIGN.md §14).
 //
-// Every hot inner loop of the three compiled substrates — TRW-S/BP
+// The hot inner loops of the two message-passing solvers — TRW-S and BP
 // min-plus message updates and reparameterisation folds over the flat
-// label pools, the worm simulator's frontier gather and Bernoulli
-// acceptance over the CSR link arrays, and the reliability sampler's
-// per-burst edge firing — is an elementwise pass over flat arrays.  This
-// header names those passes once, as a table of kernel function pointers,
-// and `simd.cpp` provides runtime-dispatched implementations: a scalar
-// reference, an AVX2 path (x86-64, selected when the CPU reports the
-// feature), and a NEON path (aarch64).
+// label pools — are elementwise passes over flat arrays.  This header
+// names those passes once, as a table of kernel function pointers, and
+// `simd.cpp` provides two runtime-dispatched implementations: a scalar
+// reference and an AVX2 path (x86-64, selected when the CPU reports the
+// feature).  Every other target runs the scalar table (DESIGN.md §14 says
+// why there is no NEON table).
 //
 // The contract every implementation must honour is **bit-identity**: for
 // any input, every dispatch target returns byte-for-byte the same output
@@ -30,11 +29,11 @@
 //     `std::min(a, b)` keeps `a` on ties exactly as `vminpd(b, a)` does,
 //     and the scalar kernels are written in that form.
 //
-// Inputs must be NaN-free (solver costs and probabilities always are);
-// behaviour on NaN is unspecified but consistent per dispatch.
+// Inputs must be NaN-free (solver costs always are); behaviour on NaN is
+// unspecified but consistent per dispatch.
 //
 // Dispatch is process-global: detected once at first use, overridable by
-// the `ICSDIV_SIMD` environment variable (`scalar`, `avx2`, `neon`) or
+// the `ICSDIV_SIMD` environment variable (`scalar`, `avx2`) or
 // programmatically via `set_active()` (the property tests iterate all
 // supported targets this way).  Raw vendor intrinsics are allowed ONLY in
 // `src/support/simd.hpp` / `src/support/simd.cpp` — the invariant linter
@@ -44,39 +43,25 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace icsdiv::support::simd {
 
-enum class Dispatch : int { Scalar = 0, Avx2 = 1, Neon = 2 };
+enum class Dispatch : int { Scalar = 0, Avx2 = 1 };
 
 /// The kernel table.  All pointers are always non-null; `kernels(d)` for
 /// an unsupported dispatch returns the scalar table.
 struct Kernels {
-  // ---- double kernels (elementwise over flat label pools) ----
+  // ---- elementwise kernels over flat label pools ----
 
-  /// dst[i] += src[i] — message/unary aggregation (TRW-S, BP, ICM polish).
+  /// dst[i] += src[i] — message/unary aggregation (TRW-S, ICM polish).
   void (*add)(double* dst, const double* src, std::size_t n);
 
-  /// dst[i] = a[i] - b[i] — BP's aggregate-subtract reparameterisation.
-  void (*sub)(double* dst, const double* a, const double* b, std::size_t n);
-
-  /// dst[i] = s * a[i] - b[i] — TRW-S's γ-scaled reparameterisation.
-  void (*scale_sub)(double* dst, double s, const double* a, const double* b, std::size_t n);
-
-  /// out[i] = std::min(out[i], base + row[i]) — one row of the min-plus
-  /// (min-convolution) message update.  Tie-keeps out[i], like std::min.
-  void (*min_plus_row)(double* out, const double* row, double base, std::size_t n);
-
-  /// min over v[0..n), +0.0-canonicalised (∞ for n == 0) — message
-  /// normalisation and the lower-bound root fold.
+  /// min over v[0..n), +0.0-canonicalised (∞ for n == 0) — the
+  /// lower-bound root fold.
   double (*min_value)(const double* v, std::size_t n);
 
   /// v[i] -= c — message normalisation to min 0.
   void (*sub_scalar)(double* v, double c, std::size_t n);
-
-  /// dst[i] = (base + a[i]) + b[i] — the pair-sweep joint-cost row.
-  void (*add_rows2)(double* dst, const double* a, double base, const double* b, std::size_t n);
 
   /// BP damping: out[i] = damping * old_msg[i] + keep * (out[i] - delta)
   /// (keep = 1 - damping, hoisted); returns max |out[i] - old_msg[i]|,
@@ -108,49 +93,19 @@ struct Kernels {
   /// instead of one add() per incident edge.
   void (*sum_rows)(double* dst, const double* const* rows, std::size_t row_count, std::size_t n);
 
-  /// Fused min-plus convolution: out[j] = min over i of
-  /// (base[i] + rows[i·out_count + j]), ties keeping the earlier i;
-  /// returns the +0.0-canonicalised min over out (∞ when in_count is 0).
-  double (*min_convolve)(double* out, const double* rows, const double* base,
-                         std::size_t in_count, std::size_t out_count);
-
   /// Fused pair-sweep joint block:
   /// dst[a·cols + b] = (row_add[a] + col_add[b]) + m[a·cols + b].
   void (*joint_block)(double* dst, const double* col_add, const double* row_add, const double* m,
                       std::size_t rows, std::size_t cols);
 
-  /// min_convolve with the reparameterised base computed inline:
-  /// out[j] = min over i of ((s·a[i] − b[i]) + rows[i·out_count + j]),
+  /// Fused min-plus message update with the reparameterised base computed
+  /// inline: out[j] = min over i of ((s·a[i] − b[i]) + rows[i·out_count + j]),
   /// ties keeping the earlier i; returns the +0.0-canonicalised min over
-  /// out.  s = γ for the TRW-S update, s = 1.0 (an exact multiply) for
-  /// BP's plain aggregate-subtract — both skip the reduced-aggregate
-  /// scratch buffer entirely.
+  /// out (∞ when in_count is 0).  s = γ for the TRW-S update, s = 1.0 (an
+  /// exact multiply) for BP's plain aggregate-subtract — both skip the
+  /// reduced-aggregate scratch buffer entirely.
   double (*min_convolve2)(double* out, const double* rows, double s, const double* a,
                           const double* b, std::size_t in_count, std::size_t out_count);
-
-  // ---- integer kernels (word-parallel frontier / acceptance) ----
-
-  /// Frontier gather over a bitset: writes base+i (in order of i) to `out`
-  /// for every i < n whose target bit `to[i]` is UNSET in `bits`, returns
-  /// how many were written.  `out` needs n writable slots; slots past the
-  /// returned count hold garbage.
-  std::size_t (*gather_unset)(const std::uint32_t* to, std::size_t n, const std::uint32_t* bits,
-                              std::uint32_t base, std::uint32_t* out);
-
-  /// Indexed Bernoulli acceptance: for each i < n, accepts when
-  /// words[i] < threshold[idx[i]] and writes to[idx[i]] to `out` in order;
-  /// returns the accepted count.  words must be < 2^63 (they are 53-bit
-  /// RNG draws).  `out` needs n writable slots.
-  std::size_t (*accept_indexed)(const std::uint32_t* idx, std::size_t n, const std::uint32_t* to,
-                                const std::uint64_t* threshold, const std::uint64_t* words,
-                                std::uint32_t* out);
-
-  /// Burst edge firing: for each i < n, fires when words[i] < threshold[i]
-  /// and writes (to[i] << 1) | (words[i] < baseline) to `out` in order;
-  /// returns the fired count.  `out` needs n writable slots.
-  std::size_t (*fire_record)(const std::uint64_t* words, const std::uint64_t* threshold,
-                             const std::uint32_t* to, std::size_t n, std::uint64_t baseline,
-                             std::uint32_t* out);
 };
 
 /// The active kernel table (cheap: one relaxed atomic load).
@@ -159,8 +114,9 @@ struct Kernels {
 /// The table of a specific dispatch; the scalar table when unsupported.
 [[nodiscard]] const Kernels& kernels(Dispatch dispatch) noexcept;
 
-/// Currently active dispatch.  First call resolves the default: the best
-/// supported target, downgraded by `ICSDIV_SIMD` when set.
+/// Currently active dispatch.  First call resolves the default: AVX2 when
+/// compiled in and the CPU reports it, else scalar, downgraded by
+/// `ICSDIV_SIMD` when set.
 [[nodiscard]] Dispatch active() noexcept;
 
 /// Forces the active dispatch; returns false (and changes nothing) when
@@ -170,27 +126,11 @@ bool set_active(Dispatch dispatch) noexcept;
 /// Whether a dispatch target is compiled in and runtime-supported.
 [[nodiscard]] bool supported(Dispatch dispatch) noexcept;
 
-/// Stable lowercase name ("scalar", "avx2", "neon") — also the accepted
+/// Stable lowercase name ("scalar", "avx2") — also the accepted
 /// `ICSDIV_SIMD` values.
 [[nodiscard]] const char* name(Dispatch dispatch) noexcept;
 
 /// Parses an `ICSDIV_SIMD` value; returns false on unknown names.
 bool parse_dispatch(const char* text, Dispatch& out) noexcept;
-
-// ---- bitset helpers (the word-parallel frontier marks) ----
-
-/// Words needed for a bitset of `bits` bits (32-bit words: the AVX2
-/// gather path reads them with 32-bit lane gathers).
-[[nodiscard]] constexpr std::size_t bitset_words(std::size_t bits) noexcept {
-  return (bits + 31) / 32;
-}
-
-[[nodiscard]] inline bool bit_test(const std::uint32_t* words, std::uint32_t bit) noexcept {
-  return ((words[bit >> 5] >> (bit & 31u)) & 1u) != 0;
-}
-
-inline void bit_set(std::uint32_t* words, std::uint32_t bit) noexcept {
-  words[bit >> 5] |= (1u << (bit & 31u));
-}
 
 }  // namespace icsdiv::support::simd

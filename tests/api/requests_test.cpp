@@ -180,6 +180,19 @@ TEST(ResponseWire, RoundTripsEveryResponseType) {
   expect_response_round_trip(version);
 }
 
+TEST(ResponseWire, StatusKeepsTheDiskTierCounters) {
+  StatusResponse status;
+  status.solve_cache.disk_hits = 4;
+  status.solve_cache.disk_writes = 5;
+  status.batch_stages.solve.disk_hits = 2;
+  status.batch_stages.solve.disk_writes = 3;
+  const auto decoded = std::get<StatusResponse>(response_from_wire(response_to_wire(status)));
+  EXPECT_EQ(decoded.solve_cache.disk_hits, 4u);
+  EXPECT_EQ(decoded.solve_cache.disk_writes, 5u);
+  EXPECT_EQ(decoded.batch_stages.solve.disk_hits, 2u);
+  EXPECT_EQ(decoded.batch_stages.solve.disk_writes, 3u);
+}
+
 TEST(ResponseWire, NonFiniteNumbersTravelAsNull) {
   EvaluateResponse evaluate;
   evaluate.pair_evaluated = true;

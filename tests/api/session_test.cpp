@@ -4,9 +4,11 @@
 #include "api/session.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <set>
 #include <string>
@@ -184,6 +186,39 @@ TEST(Session, IdenticalBatchRequestsCoalesce) {
   // The executed batch ran its cells once; coalesced callers added none.
   EXPECT_EQ(status.batch_stages.solve.planned, 2u);
   EXPECT_GT(status.batch_wall_seconds_total, 0.0);
+}
+
+TEST(Session, StatusFoldsTheDiskTierCountersOfStoreBackedBatches) {
+  const std::string store_name = "icsdiv_session_store_" + std::to_string(::getpid());
+  const std::filesystem::path store = std::filesystem::temp_directory_path() / store_name;
+  std::filesystem::remove_all(store);
+  Session session;
+  BatchRequest batch;
+  batch.grid = support::Json::parse(R"({
+    "name": "session-store",
+    "hosts": [12], "degrees": [3], "services": [2], "products_per_service": [3],
+    "solvers": ["icm"], "constraints": ["none"], "seeds": [1, 2],
+    "max_iterations": 20, "tolerance": 1e-6
+  })");
+  batch.store_dir = store.string();
+
+  // Cold, then warm: the thread count is part of the batch cache key, so
+  // the second request runs again and reads its stages from the store.
+  runner::StageStats reported;
+  for (const std::size_t threads : {1u, 2u}) {
+    batch.threads = threads;
+    const BatchResponse response = std::get<BatchResponse>(session.execute(batch));
+    ASSERT_FALSE(response.cached);
+    reported += runner::StageStats::from_json(response.report.as_object().at("stage_stats"));
+    EXPECT_EQ(session.status().batch_stages.to_json().dump(), reported.to_json().dump())
+        << threads << " threads";
+  }
+  std::filesystem::remove_all(store);
+
+  const runner::StageCounters solve = session.status().batch_stages.solve;
+  EXPECT_EQ(solve.disk_writes, 2u);  // the cold pass publishes both solves
+  EXPECT_EQ(solve.disk_hits, 2u);    // the warm pass reads them back
+  EXPECT_EQ(solve.planned, solve.executed + solve.hits + solve.disk_hits);
 }
 
 TEST(Session, BatchValidatesGridBeforeRunning) {

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "bayes/metric.hpp"
 #include "core/optimizer.hpp"
@@ -62,6 +64,43 @@ core::Assignment workload_assignment(runner::WorkloadInstance& instance, std::si
   options.solver = "icm";
   return core::Optimizer(*instance.network).optimize({}, options).assignment;
 }
+
+/// Hub-and-line network: host 0 links to the 48 spokes h1…h48, and the
+/// spokes plus a two-host tail form the line h1—h2—…—h50.  The hub's
+/// 48-edge burst takes the pins past a burst of 32, from which the sampler
+/// once ran a separate vectorised edge-firing path; the values were
+/// recorded with that path in place.
+struct WideHubFixture {
+  static constexpr int kSpokes = 48;
+  static constexpr int kHosts = 1 + kSpokes + 2;
+  core::ProductCatalog catalog;
+  std::unique_ptr<core::Network> network;
+  core::ServiceId service;
+  core::ProductId a;
+  core::ProductId b;
+
+  WideHubFixture() {
+    service = catalog.add_service("OS");
+    a = catalog.add_product(service, "A");
+    b = catalog.add_product(service, "B");
+    catalog.set_similarity(a, b, 0.5);
+    network = std::make_unique<core::Network>(catalog);
+    for (int i = 0; i < kHosts; ++i) {
+      const core::HostId h = network->add_host("h" + std::to_string(i));
+      network->add_service(h, service, {a, b});
+    }
+    for (core::HostId h = 1; h <= kSpokes; ++h) network->add_link(0, h);
+    for (core::HostId h = 1; h + 1 < kHosts; ++h) network->add_link(h, h + 1);
+  }
+
+  [[nodiscard]] core::Assignment alternating() const {
+    core::Assignment assignment(*network);
+    for (core::HostId h = 0; h < kHosts; ++h) {
+      assignment.assign(h, service, h % 2 == 0 ? a : b);
+    }
+    return assignment;
+  }
+};
 
 // ---------------------------------------------------------------------------
 // InferenceOptions boundary validation (rejected with Infeasible, not
@@ -134,6 +173,55 @@ TEST(CompiledVsSeed, GenericMonteCarloStreamBitIdentical) {
   support::Rng rng(99);
   EXPECT_DOUBLE_EQ(reliability_monte_carlo(bn.reliability_problem(3), 400'000, rng),
                    0.095612500000000003);
+}
+
+TEST(CompiledVsSeed, WideHubSweepBitsPinned) {
+  const WideHubFixture f;
+  ASSERT_EQ(f.network->topology().degree(0), 48u);
+  InferenceOptions options;
+  options.engine = InferenceEngine::MonteCarlo;
+  options.mc_samples = 20000;
+  options.seed = 5;
+  options.parallel = false;
+  const CompiledReliability compiled(f.alternating(), 0, PropagationModel{});
+  const ReliabilitySweep sweep = compiled.solve_all(options);
+  const std::vector<std::uint64_t> expected_p = {
+      0x3ff0000000000000, 0x3fb9a6b50b0f27bc, 0x3fc18adab9f559b4, 0x3fbd810624dd2f1b,
+      0x3fc2f9db22d0e561, 0x3fbe1b089a027526, 0x3fc3020c49ba5e36, 0x3fbecf41f212d774,
+      0x3fc2cf41f212d773, 0x3fbd916872b020c5, 0x3fc23a29c779a6b5, 0x3fbd21ff2e48e8a8,
+      0x3fc27d566cf41f21, 0x3fbdb573eab367a1, 0x3fc264c2f837b4a2, 0x3fbd77318fc50482,
+      0x3fc25fd8adab9f56, 0x3fbebb98c7e28241, 0x3fc27ef9db22d0e6, 0x3fbdc5d63886594b,
+      0x3fc2b020c49ba5e4, 0x3fbce3bcd35a8588, 0x3fc2dfa43fe5c91d, 0x3fbd8793dd97f62c,
+      0x3fc2786c226809d5, 0x3fbe4f765fd8adac, 0x3fc2a64c2f837b4a, 0x3fbd5cfaacd9e83f,
+      0x3fc28240b780346e, 0x3fbd66cf41f212d8, 0x3fc292a305532618, 0x3fbe17c1bda5119d,
+      0x3fc2cbfb15b573eb, 0x3fbe8a71de69ad43, 0x3fc2f0068db8bac7, 0x3fbdd2f1a9fbe76d,
+      0x3fc29c779a6b50b1, 0x3fbd2f1a9fbe76c9, 0x3fc346dc5d638866, 0x3fbe76c8b4395811,
+      0x3fc2e147ae147ae2, 0x3fbdc28f5c28f5c3, 0x3fc24f765fd8adac, 0x3fbeae7d566cf420,
+      0x3fc257a786c22681, 0x3fbcfdf3b645a1cb, 0x3fc269ad42c3c9ef, 0x3fbd5cfaacd9e83f,
+      0x3fc23a29c779a6b5, 0x3f8dcc63f141205c, 0x3f589374bc6a7efa,
+  };
+  const std::vector<std::uint64_t> expected_p_baseline = {
+      0x3ff0000000000000, 0x3fb16bb98c7e2824, 0x3fb205bc01a36e2f, 0x3fb32fec56d5cfab,
+      0x3fb3851eb851eb85, 0x3fb3851eb851eb85, 0x3fb39c0ebedfa440, 0x3fb44d013a92a306,
+      0x3fb3dd97f62b6ae8, 0x3fb32ca57a786c23, 0x3fb2e7d566cf41f2, 0x3fb3020c49ba5e36,
+      0x3fb2f1a9fbe76c8c, 0x3fb30be0ded288cf, 0x3fb35dcc63f14121, 0x3fb305532617c1be,
+      0x3fb31f8a0902de01, 0x3fb3fe5c91d14e3c, 0x3fb2d77318fc5048, 0x3fb34d6a161e4f77,
+      0x3fb36e2eb1c432cb, 0x3fb2dab9f559b3d1, 0x3fb3851eb851eb85, 0x3fb2e147ae147ae2,
+      0x3fb2dab9f559b3d1, 0x3fb37e90ff972475, 0x3fb3020c49ba5e36, 0x3fb30be0ded288cf,
+      0x3fb31c432ca57a79, 0x3fb30be0ded288cf, 0x3fb322d0e5604189, 0x3fb381d7dbf487fd,
+      0x3fb2c083126e978e, 0x3fb3b2fec56d5cfb, 0x3fb367a0f9096bba, 0x3fb3295e9e1b089a,
+      0x3fb353f7ced91687, 0x3fb28c154c985f07, 0x3fb4083126e978d5, 0x3fb3404ea4a8c155,
+      0x3fb381d7dbf487fd, 0x3fb34a2339c0ebee, 0x3fb2bd3c36113405, 0x3fb3da5119ce0760,
+      0x3fb2a9930be0ded3, 0x3fb2617c1bda511a, 0x3fb2e7d566cf41f2, 0x3fb3295e9e1b089a,
+      0x3fb2c710cb295e9e, 0x3f7758e219652bd4, 0x3f36f0068db8bac7,
+  };
+  ASSERT_EQ(sweep.p.size(), expected_p.size());
+  ASSERT_EQ(sweep.p_baseline.size(), expected_p_baseline.size());
+  for (std::size_t h = 0; h < expected_p.size(); ++h) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sweep.p[h]), expected_p[h]) << "p[" << h << "]";
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sweep.p_baseline[h]), expected_p_baseline[h])
+        << "p_baseline[" << h << "]";
+  }
 }
 
 TEST(CompiledVsSeed, CoupledSamplerWithinSeedBands) {

@@ -5,7 +5,7 @@
 
 #include "bayes/metric.hpp"
 #include "core/baselines.hpp"
-#include "sim/worm_sim.hpp"
+#include "sim/compiled.hpp"
 
 namespace icsdiv {
 namespace {
@@ -163,7 +163,7 @@ TEST(DiversityMetric, UnreachableTargetThrows) {
 TEST(WormSim, DeterministicPerSeed) {
   LineFixture f(0.5);
   const auto mono = f.assign({f.a, f.a, f.a, f.a});
-  const sim::WormSimulator simulator(mono, sim::SimulationParams{});
+  const sim::CompiledPropagation simulator(mono, sim::SimulationParams{});
   const auto r1 = simulator.mttc(0, 3, 50, /*seed=*/11, /*parallel=*/true);
   const auto r2 = simulator.mttc(0, 3, 50, /*seed=*/11, /*parallel=*/false);
   EXPECT_DOUBLE_EQ(r1.mean, r2.mean);
@@ -178,8 +178,8 @@ TEST(WormSim, MonoFallsFasterThanDiverse) {
   sim::SimulationParams params;
   params.model.p_avg = 0.05;
   params.model.similarity_weight = 1.0;
-  const sim::WormSimulator sim_mono(mono, params);
-  const sim::WormSimulator sim_div(alternating, params);
+  const sim::CompiledPropagation sim_mono(mono, params);
+  const sim::CompiledPropagation sim_div(alternating, params);
   const auto mttc_mono = sim_mono.mttc(0, 3, 400, 1);
   const auto mttc_div = sim_div.mttc(0, 3, 400, 1);
   EXPECT_LT(mttc_mono.mean * 1.5, mttc_div.mean);
@@ -189,9 +189,10 @@ TEST(WormSim, MonoFallsFasterThanDiverse) {
 TEST(WormSim, TargetEqualsEntry) {
   LineFixture f(0.5);
   const auto mono = f.assign({f.a, f.a, f.a, f.a});
-  const sim::WormSimulator simulator(mono, sim::SimulationParams{});
+  const sim::CompiledPropagation simulator(mono, sim::SimulationParams{});
   support::Rng rng(1);
-  const auto result = simulator.run_once(0, 0, rng);
+  sim::SimState state;
+  const auto result = simulator.run_once(0, 0, rng, state);
   EXPECT_TRUE(result.target_reached);
   EXPECT_EQ(result.ticks, 0u);
 }
@@ -203,7 +204,7 @@ TEST(WormSim, CensoringAtHorizon) {
   params.model.p_avg = 0.0005;  // nearly impossible propagation
   params.model.similarity_weight = 0.0;
   params.max_ticks = 20;
-  const sim::WormSimulator simulator(diverse, params);
+  const sim::CompiledPropagation simulator(diverse, params);
   const auto result = simulator.mttc(0, 3, 50, 3);
   EXPECT_GT(result.censored, 40u);
   EXPECT_LE(result.mean, 20.0);
@@ -212,9 +213,10 @@ TEST(WormSim, CensoringAtHorizon) {
 TEST(WormSim, EpidemicCurveMonotoneAndBounded) {
   LineFixture f(0.8);
   const auto mono = f.assign({f.a, f.a, f.a, f.a});
-  const sim::WormSimulator simulator(mono, sim::SimulationParams{});
+  const sim::CompiledPropagation simulator(mono, sim::SimulationParams{});
   support::Rng rng(5);
-  const auto curve = simulator.epidemic_curve(0, 50, rng);
+  sim::SimState state;
+  const auto curve = simulator.epidemic_curve(0, 50, rng, state);
   ASSERT_EQ(curve.size(), 51u);
   EXPECT_EQ(curve.front(), 1u);
   for (std::size_t t = 1; t < curve.size(); ++t) EXPECT_GE(curve[t], curve[t - 1]);
@@ -228,8 +230,8 @@ TEST(WormSim, UniformStrategySlowerThanSophisticated) {
   greedy.strategy = sim::AttackerStrategy::Sophisticated;
   sim::SimulationParams uniform;
   uniform.strategy = sim::AttackerStrategy::Uniform;
-  const auto fast = sim::WormSimulator(mixed, greedy).mttc(0, 3, 400, 7);
-  const auto slow = sim::WormSimulator(mixed, uniform).mttc(0, 3, 400, 7);
+  const auto fast = sim::CompiledPropagation(mixed, greedy).mttc(0, 3, 400, 7);
+  const auto slow = sim::CompiledPropagation(mixed, uniform).mttc(0, 3, 400, 7);
   EXPECT_LE(fast.mean, slow.mean + 1.0);
 }
 
@@ -238,10 +240,10 @@ TEST(WormSim, ParameterValidation) {
   const auto mono = f.assign({f.a, f.a, f.a, f.a});
   sim::SimulationParams bad;
   bad.silent_probability = 1.0;
-  EXPECT_THROW(sim::WormSimulator(mono, bad), InvalidArgument);
+  EXPECT_THROW(sim::CompiledPropagation(mono, bad), InvalidArgument);
   sim::SimulationParams zero_ticks;
   zero_ticks.max_ticks = 0;
-  EXPECT_THROW(sim::WormSimulator(mono, zero_ticks), InvalidArgument);
+  EXPECT_THROW(sim::CompiledPropagation(mono, zero_ticks), InvalidArgument);
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 #include "core/report.hpp"
 #include "core/upgrade.hpp"
 #include "graph/algorithms.hpp"
-#include "sim/worm_sim.hpp"
+#include "sim/compiled.hpp"
 
 namespace icsdiv::cases {
 namespace {
@@ -171,8 +171,8 @@ TEST_F(StuxnetTest, TableViMttcOrdering) {
   const auto mono = core::mono_assignment(study().network());
 
   const sim::SimulationParams params;
-  const sim::WormSimulator sim_optimal(optimal, params);
-  const sim::WormSimulator sim_mono(mono, params);
+  const sim::CompiledPropagation sim_optimal(optimal, params);
+  const sim::CompiledPropagation sim_mono(mono, params);
   const auto target = study().default_target();
 
   for (const char* entry : {"c1", "c4"}) {
@@ -280,8 +280,8 @@ TEST_F(StuxnetTest, DefenderExtendsMttc) {
   undefended.max_ticks = 5000;
   const auto entry = study().host("c1");
   const auto target = study().default_target();
-  const auto with_defense = sim::WormSimulator(mono, defended).mttc(entry, target, 300, 3);
-  const auto without = sim::WormSimulator(mono, undefended).mttc(entry, target, 300, 3);
+  const auto with_defense = sim::CompiledPropagation(mono, defended).mttc(entry, target, 300, 3);
+  const auto without = sim::CompiledPropagation(mono, undefended).mttc(entry, target, 300, 3);
   EXPECT_GT(with_defense.mean, without.mean);
 }
 

@@ -12,7 +12,7 @@
 #include "core/serialization.hpp"
 #include "core/upgrade.hpp"
 #include "graph/generators.hpp"
-#include "sim/worm_sim.hpp"
+#include "sim/compiled.hpp"
 
 namespace icsdiv {
 namespace {
@@ -133,8 +133,8 @@ TEST(DefendedSimulation, DetectionSlowsOrStopsTheWorm) {
 
   const core::HostId entry = 0;
   const core::HostId target = static_cast<core::HostId>(estate.network->host_count() - 1);
-  const auto base = sim::WormSimulator(mono, undefended).mttc(entry, target, 300, 5);
-  const auto guarded = sim::WormSimulator(mono, defended).mttc(entry, target, 300, 5);
+  const auto base = sim::CompiledPropagation(mono, undefended).mttc(entry, target, 300, 5);
+  const auto guarded = sim::CompiledPropagation(mono, defended).mttc(entry, target, 300, 5);
   EXPECT_GT(guarded.mean + static_cast<double>(guarded.censored),
             base.mean);  // slower, possibly eradicated
   EXPECT_EQ(base.censored, 0u);
@@ -161,7 +161,7 @@ TEST(DefendedSimulation, StrongDefenderEradicatesOnALine) {
   params.model.similarity_weight = 0.05;  // slow worm
   params.detection_probability = 0.5;     // fast defender
   params.max_ticks = 500;
-  const auto result = sim::WormSimulator(mono, params).mttc(0, 5, 200, 9);
+  const auto result = sim::CompiledPropagation(mono, params).mttc(0, 5, 200, 9);
   EXPECT_GT(result.censored, 150u);
 }
 
@@ -170,7 +170,7 @@ TEST(DefendedSimulation, ValidatesProbability) {
   const auto mono = core::mono_assignment(*estate.network);
   sim::SimulationParams bad;
   bad.detection_probability = 1.5;
-  EXPECT_THROW(sim::WormSimulator(mono, bad), InvalidArgument);
+  EXPECT_THROW(sim::CompiledPropagation(mono, bad), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
-// The compiled propagation substrate and the WormSimulator facade:
+// The compiled propagation substrate (sim::CompiledPropagation):
 // seed-era golden pins (bit-for-bit stream preservation), detection-mode
 // infection accounting, dead-state early exit, thread-count determinism,
 // censoring-bias reporting, and the integer-threshold Bernoulli identity.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
-#include "sim/worm_sim.hpp"
+#include "sim/compiled.hpp"
 
 namespace icsdiv {
 namespace {
@@ -55,7 +57,7 @@ TEST(CompiledGolden, SophisticatedMonoMatchesSeedEra) {
   sim::SimulationParams params;
   params.model.p_avg = 0.08;
   params.model.similarity_weight = 0.5;
-  const sim::WormSimulator simulator(mono, params);
+  const sim::CompiledPropagation simulator(mono, params);
   const auto r = simulator.mttc(0, 5, 200, 11, /*parallel=*/false);
   EXPECT_DOUBLE_EQ(r.mean, 9.9749999999999996);
   EXPECT_DOUBLE_EQ(r.std_dev, 3.2227793180209074);
@@ -71,7 +73,7 @@ TEST(CompiledGolden, UniformSilentMixedMatchesSeedEra) {
   params.model.similarity_weight = 0.5;
   params.strategy = sim::AttackerStrategy::Uniform;
   params.silent_probability = 0.25;
-  const sim::WormSimulator simulator(mixed, params);
+  const sim::CompiledPropagation simulator(mixed, params);
   const auto r = simulator.mttc(0, 5, 200, 5, /*parallel=*/false);
   EXPECT_DOUBLE_EQ(r.mean, 39.905000000000001);
   EXPECT_DOUBLE_EQ(r.std_dev, 17.132530255768526);
@@ -86,7 +88,7 @@ TEST(CompiledGolden, DetectionModeMatchesSeedEra) {
   params.model.similarity_weight = 0.5;
   params.detection_probability = 0.3;
   params.max_ticks = 400;
-  const sim::WormSimulator simulator(mono, params);
+  const sim::CompiledPropagation simulator(mono, params);
   const auto r = simulator.mttc(0, 5, 200, 9, /*parallel=*/false);
   EXPECT_DOUBLE_EQ(r.mean, 362.75999999999999);
   EXPECT_DOUBLE_EQ(r.std_dev, 115.23060732427653);
@@ -99,18 +101,66 @@ TEST(CompiledGolden, EpidemicCurveAndRunOnceMatchSeedEra) {
   sim::SimulationParams params;
   params.model.p_avg = 0.2;
   params.model.similarity_weight = 0.8;
-  const sim::WormSimulator simulator(mono, params);
+  const sim::CompiledPropagation simulator(mono, params);
   support::Rng rng(5);
-  const auto curve = simulator.epidemic_curve(0, 30, rng);
+  sim::SimState state;
+  const auto curve = simulator.epidemic_curve(0, 30, rng, state);
   const std::vector<std::size_t> expected{1, 2, 3, 4, 4, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6,
                                           6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6};
   EXPECT_EQ(curve, expected);
 
   support::Rng rng2(2);
-  const auto run = simulator.run_once(0, 5, rng2);
+  const auto run = simulator.run_once(0, 5, rng2, state);
   EXPECT_TRUE(run.target_reached);
   EXPECT_EQ(run.ticks, 5u);
   EXPECT_EQ(run.infected_count, 6u);
+}
+
+/// Hub-and-line network: host 0 links to the 48 spokes h1…h48, and the
+/// spokes plus a two-host tail form the line h1—h2—…—h50.  The hub's 48
+/// links take the pins past a span of 32, from which the tick once ran a
+/// separate vectorised gather/accept path; the values were recorded with
+/// that path in place.
+struct WideHubFixture {
+  static constexpr int kSpokes = 48;
+  static constexpr int kHosts = 1 + kSpokes + 2;
+  core::ProductCatalog catalog;
+  std::unique_ptr<core::Network> network;
+  core::ServiceId service;
+  core::ProductId a;
+  core::ProductId b;
+
+  WideHubFixture() {
+    service = catalog.add_service("OS");
+    a = catalog.add_product(service, "A");
+    b = catalog.add_product(service, "B");
+    catalog.set_similarity(a, b, 0.5);
+    network = std::make_unique<core::Network>(catalog);
+    for (int i = 0; i < kHosts; ++i) {
+      const HostId h = network->add_host("h" + std::to_string(i));
+      network->add_service(h, service, {a, b});
+    }
+    for (HostId h = 1; h <= kSpokes; ++h) network->add_link(0, h);
+    for (HostId h = 1; h + 1 < kHosts; ++h) network->add_link(h, h + 1);
+  }
+
+  [[nodiscard]] core::Assignment alternating() const {
+    core::Assignment assignment(*network);
+    for (HostId h = 0; h < kHosts; ++h) assignment.assign(h, service, h % 2 == 0 ? a : b);
+    return assignment;
+  }
+};
+
+TEST(CompiledGolden, WideHubSophisticatedMttcPinned) {
+  const WideHubFixture f;
+  ASSERT_EQ(f.network->topology().degree(0), 48u);
+  sim::SimulationParams params;
+  params.model.p_avg = 0.06;
+  const sim::CompiledPropagation simulator(f.alternating(), params);
+  const auto r = simulator.mttc(0, WideHubFixture::kHosts - 1, 300, 31, /*parallel=*/false);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.mean), 0x4030a9d0369d036aULL);  // 16.663333…
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.std_dev), 0x402246cdfd4a948aULL);  // 9.138290…
+  EXPECT_EQ(r.censored, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -128,9 +178,10 @@ TEST(DetectionAccounting, RemediatedHostsStayInInfectedCount) {
   params.model.p_avg = 1.0;
   params.detection_probability = 1.0;
   params.max_ticks = 50;
-  const sim::WormSimulator simulator(mono, params);
+  const sim::CompiledPropagation simulator(mono, params);
   support::Rng rng(7);
-  const auto result = simulator.run_once(0, 3, rng);
+  sim::SimState state;
+  const auto result = simulator.run_once(0, 3, rng, state);
   EXPECT_FALSE(result.target_reached);
   EXPECT_TRUE(result.extinct);
   EXPECT_EQ(result.ticks, 50u);          // censoring contract: horizon reported
@@ -143,9 +194,10 @@ TEST(DetectionAccounting, EpidemicCurveIsCumulativeUnderRemediation) {
   sim::SimulationParams params;
   params.model.p_avg = 1.0;
   params.detection_probability = 1.0;
-  const sim::WormSimulator simulator(mono, params);
+  const sim::CompiledPropagation simulator(mono, params);
   support::Rng rng(3);
-  const auto curve = simulator.epidemic_curve(0, 10, rng);
+  sim::SimState state;
+  const auto curve = simulator.epidemic_curve(0, 10, rng, state);
   // Tick 1 infects h1 (cumulative 2); remediation then walls the worm
   // off, and the curve must hold at 2 — the seed-era active.size() curve
   // dropped back to 1.
@@ -159,9 +211,10 @@ TEST(DetectionAccounting, CurveStaysMonotoneWithPartialDetection) {
   sim::SimulationParams params;
   params.model.p_avg = 0.4;
   params.detection_probability = 0.35;
-  const sim::WormSimulator simulator(mono, params);
+  const sim::CompiledPropagation simulator(mono, params);
   support::Rng rng(17);
-  const auto curve = simulator.epidemic_curve(0, 40, rng);
+  sim::SimState state;
+  const auto curve = simulator.epidemic_curve(0, 40, rng, state);
   ASSERT_EQ(curve.size(), 41u);
   EXPECT_EQ(curve.front(), 1u);
   for (std::size_t t = 1; t < curve.size(); ++t) EXPECT_GE(curve[t], curve[t - 1]);
@@ -191,9 +244,10 @@ TEST(DeadState, WalledOffWormExitsImmediately) {
   sim::SimulationParams params;
   params.model.p_avg = 1.0;
   params.max_ticks = 200'000'000;  // hostile without the early exit
-  const sim::WormSimulator simulator(assignment, params);
+  const sim::CompiledPropagation simulator(assignment, params);
   support::Rng rng(1);
-  const auto result = simulator.run_once(0, 2, rng);
+  sim::SimState state;
+  const auto result = simulator.run_once(0, 2, rng, state);
   EXPECT_FALSE(result.target_reached);
   EXPECT_TRUE(result.extinct);
   EXPECT_EQ(result.ticks, 200'000'000u);
@@ -205,9 +259,10 @@ TEST(DeadState, ReachedTargetIsNotExtinct) {
   const auto mono = f.assign({f.a, f.a, f.a, f.a, f.a, f.a});
   sim::SimulationParams params;
   params.model.p_avg = 0.9;
-  const sim::WormSimulator simulator(mono, params);
+  const sim::CompiledPropagation simulator(mono, params);
   support::Rng rng(2);
-  const auto result = simulator.run_once(0, 5, rng);
+  sim::SimState state;
+  const auto result = simulator.run_once(0, 5, rng, state);
   EXPECT_TRUE(result.target_reached);
   EXPECT_FALSE(result.extinct);
 }
@@ -223,7 +278,7 @@ TEST(Mttc, BitIdenticalAcross1And2And8Threads) {
   params.model.similarity_weight = 0.6;
   params.detection_probability = 0.05;
   params.max_ticks = 500;
-  const sim::WormSimulator simulator(mixed, params);
+  const sim::CompiledPropagation simulator(mixed, params);
 
   const auto sequential = simulator.mttc(0, 5, 120, 23, /*parallel=*/false);
   for (const std::size_t threads : {1u, 2u, 8u}) {
@@ -242,7 +297,7 @@ TEST(Mttc, UncensoredMeanEqualsMeanWithoutCensoring) {
   const auto mono = f.assign({f.a, f.a, f.a, f.a, f.a, f.a});
   sim::SimulationParams params;
   params.model.p_avg = 0.3;
-  const sim::WormSimulator simulator(mono, params);
+  const sim::CompiledPropagation simulator(mono, params);
   const auto r = simulator.mttc(0, 5, 100, 13);
   ASSERT_EQ(r.censored, 0u);
   EXPECT_DOUBLE_EQ(r.uncensored_mean, r.mean);
@@ -256,7 +311,7 @@ TEST(Mttc, UncensoredMeanStripsTheHorizonBias) {
   params.model.similarity_weight = 0.5;
   params.detection_probability = 0.3;
   params.max_ticks = 400;
-  const sim::WormSimulator simulator(mono, params);
+  const sim::CompiledPropagation simulator(mono, params);
   const auto r = simulator.mttc(0, 5, 200, 9);
   ASSERT_GT(r.censored, 0u);
   ASSERT_LT(r.censored, r.runs);
@@ -280,7 +335,7 @@ TEST(Mttc, AllCensoredReportsNaNUncensoredMean) {
   assignment.assign(1, service, a);
   sim::SimulationParams params;
   params.max_ticks = 10;
-  const sim::WormSimulator simulator(assignment, params);
+  const sim::CompiledPropagation simulator(assignment, params);
   const auto r = simulator.mttc(0, 1, 20, 4);
   EXPECT_EQ(r.censored, 20u);
   EXPECT_DOUBLE_EQ(r.mean, 10.0);
@@ -297,7 +352,7 @@ TEST(SimState, ScratchReuseMatchesFreshStates) {
   params.model.p_avg = 0.2;
   params.detection_probability = 0.1;
   params.max_ticks = 300;
-  const sim::WormSimulator simulator(mixed, params);
+  const sim::CompiledPropagation simulator(mixed, params);
   sim::SimState reused;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     support::Rng rng_a(seed);
@@ -320,8 +375,8 @@ TEST(SimState, ScratchSurvivesSwitchingSimulators) {
       {large.a, large.a, large.a, large.a, large.a, large.a, large.a, large.a});
   sim::SimulationParams params;
   params.model.p_avg = 0.5;
-  const sim::WormSimulator sim_small(small_mono, params);
-  const sim::WormSimulator sim_large(large_mono, params);
+  const sim::CompiledPropagation sim_small(small_mono, params);
+  const sim::CompiledPropagation sim_large(large_mono, params);
   sim::SimState state;
   support::Rng rng(6);
   const auto a = sim_small.run_once(0, 3, rng, state);
@@ -354,10 +409,10 @@ TEST(Compiled, ExposesShapeAndParams) {
   const auto mono = f.assign({f.a, f.a, f.a, f.a, f.a, f.a});
   sim::SimulationParams params;
   params.model.p_avg = 0.1;
-  const sim::WormSimulator simulator(mono, params);
-  EXPECT_EQ(simulator.compiled().host_count(), 6u);
-  EXPECT_EQ(simulator.compiled().link_count(), 10u);  // 5 edges, both ways
-  EXPECT_DOUBLE_EQ(simulator.compiled().params().model.p_avg, 0.1);
+  const sim::CompiledPropagation simulator(mono, params);
+  EXPECT_EQ(simulator.host_count(), 6u);
+  EXPECT_EQ(simulator.link_count(), 10u);  // 5 edges, both ways
+  EXPECT_DOUBLE_EQ(simulator.params().model.p_avg, 0.1);
 }
 
 }  // namespace

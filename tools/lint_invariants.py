@@ -87,8 +87,6 @@ class Config:
         "src/support/simd.hpp",
         "src/support/simd.cpp",
         "src/mrf/kernels.hpp",
-        "src/sim/kernels.hpp",
-        "src/bayes/kernels.hpp",
     )
     # Files allowed to touch ambient randomness / wall clocks.
     randomness_approved: Tuple[str, ...] = (

@@ -1,13 +1,13 @@
 // A3 — decomposition/parallelism ablation (the §V-C "multi-level ...
 // parallel computation" claim): one monolithic MRF vs the per-service
-// decomposition, serial vs thread-pool parallel, plus the multilevel
-// coarsening wrapper.  On a single-core host the parallel rows match the
-// serial ones; on multi-core they show the speed-up the paper attributes
-// to its GPU.
+// decomposition, serial vs thread-pool parallel.  On a single-core host
+// the parallel rows match the serial ones; on multi-core they show the
+// speed-up the paper attributes to its GPU.
 #include <iostream>
 
 #include "bench_util.hpp"
 #include "core/optimizer.hpp"
+#include "mrf/trws.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
@@ -28,25 +28,29 @@ int main() {
             << " services; thread pool size " << support::global_thread_pool().size()
             << "\n\n";
 
+  mrf::SolveOptions solve;
+  solve.max_iterations = 50;
+  solve.tolerance = 1e-6;
   TextTable table({"configuration", "energy", "seconds"});
-  const auto run = [&](const char* name, const std::string& solver, bool decompose,
-                       bool parallel) {
-    core::OptimizeOptions options;
-    options.solver = solver;
-    options.decompose = decompose;
-    options.parallel = parallel;
-    options.solve.max_iterations = 50;
-    options.solve.tolerance = 1e-6;
+  const auto run = [&](const char* name, const auto& energy_of) {
     support::Stopwatch watch;
-    const auto outcome = optimizer.optimize({}, options);
-    table.add_row({name, TextTable::num(outcome.solve.energy, 3),
-                   TextTable::num(watch.seconds(), 3)});
+    const double energy = energy_of();
+    table.add_row({name, TextTable::num(energy, 3), TextTable::num(watch.seconds(), 3)});
+  };
+  const auto decomposed = [&](bool parallel) {
+    core::OptimizeOptions options;
+    options.solve = solve;
+    options.parallel = parallel;
+    return optimizer.optimize({}, options).solve.energy;
   };
 
-  run("monolithic TRW-S", "trws", /*decompose=*/false, /*parallel=*/false);
-  run("decomposed TRW-S, serial", "trws", true, false);
-  run("decomposed TRW-S, parallel", "trws", true, true);
-  run("decomposed multilevel TRW-S", "multilevel", true, true);
+  run("monolithic TRW-S", [&] {
+    // One TRW-S solve over the whole MRF, every service at once.
+    const core::DiversificationProblem problem(*instance.network);
+    return mrf::TrwsSolver().solve(problem.mrf(), solve).energy;
+  });
+  run("decomposed TRW-S, serial", [&] { return decomposed(false); });
+  run("decomposed TRW-S, parallel", [&] { return decomposed(true); });
   table.print(std::cout);
   std::cout << "\nThe decomposition is exact (identical energies): without intra-host\n"
                "constraints Eq. 1 splits into one independent MRF per service, so\n"

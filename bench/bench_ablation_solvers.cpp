@@ -1,5 +1,4 @@
-// A1 — solver ablation: TRW-S (the paper's choice) vs loopy BP (the
-// alternative §V-C dismisses as non-convergent) vs ICM vs the greedy
+// A1 — solver ablation: TRW-S (the paper's choice) vs ICM vs the greedy
 // colouring baseline [13] vs random/mono assignment, on random networks.
 // Reports final energy, the TRW-S duality gap, and wall-clock.
 #include <iostream>
@@ -62,12 +61,11 @@ int main() {
     table.add_row({name, TextTable::num(problem.energy_of(assignment), 3), "-", "-", "-", "-"});
   }
   table.print(std::cout);
-  std::cout << "\nExpected shape (paper §V-C): TRW-S reaches the lowest energy; damped BP\n"
-               "oscillates or stalls on these label-symmetric energies (its row carries\n"
-               "tie-breaking noise and still trails); ICM/greedy land close but above;\n"
-               "random and mono are far off.  TRW-S's spanning-forest dual bound ("
+  std::cout << "\nExpected shape (paper §V-C): TRW-S reaches the lowest energy; ICM/greedy\n"
+               "land close but above; random and mono are far off.  TRW-S's spanning-forest\n"
+               "dual bound ("
             << TextTable::num(trws_bound, 1)
-            << ")\nis exact on trees but loose on dense loopy graphs — near-optimality on\n"
-               "small instances is established against brute force in the test suite.\n";
+            << ") is exact on trees but loose on dense loopy graphs — near-optimality\n"
+               "on small instances is established against brute force in the test suite.\n";
   return 0;
 }

@@ -1,13 +1,12 @@
 // M1 — google-benchmark micro-benchmarks of the library's hot kernels:
-// Jaccard set intersection, TRW-S sweeps, exact/MC reliability, the worm
-// simulator tick loop, and JSON feed parsing.
+// Jaccard set intersection, TRW-S and ICM sweeps, exact and sampled
+// reliability, the worm simulator tick loop, and JSON feed parsing.
 #include <benchmark/benchmark.h>
 
 #include "bayes/metric.hpp"
 #include "bayes/reliability.hpp"
 #include "bench_util.hpp"
 #include "core/optimizer.hpp"
-#include "mrf/bp.hpp"
 #include "mrf/compiled.hpp"
 #include "mrf/icm.hpp"
 #include "mrf/trws.hpp"
@@ -79,25 +78,6 @@ void BM_TrwsIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_TrwsIteration)->Apply(solver_scale_args)->Arg(1000)->Arg(4000);
 
-void BM_BpIteration(benchmark::State& state) {
-  bench::ScalabilityParams params;
-  params.hosts = static_cast<std::size_t>(state.range(0));
-  params.average_degree = 16.0;
-  params.services = 1;
-  const auto instance = bench::make_scalability_instance(params);
-  const core::DiversificationProblem problem(*instance.network);
-  const mrf::CompiledMrf compiled(problem.mrf());
-  const mrf::BpSolver solver;
-  mrf::SolveOptions options;
-  options.max_iterations = 1;  // one Jacobi pass + decode, single-threaded
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve_compiled(compiled, options));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(problem.mrf().edge_count()));
-}
-BENCHMARK(BM_BpIteration)->Apply(solver_scale_args);
-
 void BM_IcmSweep(benchmark::State& state) {
   bench::ScalabilityParams params;
   params.hosts = static_cast<std::size_t>(state.range(0));
@@ -150,17 +130,6 @@ void BM_ReliabilityExact(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReliabilityExact)->Arg(4)->Arg(8)->Arg(12);
-
-void BM_ReliabilityMonteCarlo(benchmark::State& state) {
-  bayes::ReliabilityProblem diamond{
-      4, {{0, 1, 0.9}, {1, 3, 0.9}, {0, 2, 0.5}, {2, 3, 0.5}}, 0, 3};
-  support::Rng rng(5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        bayes::reliability_monte_carlo(diamond, static_cast<std::size_t>(state.range(0)), rng));
-  }
-}
-BENCHMARK(BM_ReliabilityMonteCarlo)->Arg(1000)->Arg(10000);
 
 // The compiled Bayesian pillar shares the worm-simulator workload shape
 // (500 hosts, average degree 10, 3 services): ~2.5k attack-DAG edges, the

@@ -455,14 +455,20 @@ struct Session::Impl {
   }
 
   [[nodiscard]] Response run(const OptimizeRequest& request, const support::CancelToken& cancel) {
+    // Defaults are filled in before hashing, so an omitted field and its
+    // default value share one key.  An unknown solver fails here, before
+    // any model parse or cache entry.
     const std::string solver =
         request.solver.empty() ? core::OptimizeOptions{}.solver : request.solver;
+    mrf::SolverRegistry::instance().require_known(solver);
+    const std::size_t max_iterations =
+        request.max_iterations != 0 ? request.max_iterations : mrf::SolveOptions{}.max_iterations;
     runner::KeyHasher hasher = domain_hasher(CacheDomain::Solve);
     const runner::ArtifactKey model = model_key(request.catalog, request.network);
     hasher.mix(model.hi).mix(model.lo).mix(solver);
     // Different iteration caps are different solves; the deadline is NOT
     // part of the key (it never changes a completed result).
-    hasher.mix(static_cast<std::uint64_t>(request.max_iterations));
+    hasher.mix(static_cast<std::uint64_t>(max_iterations));
     const auto outcome = solves_.get_or_compute(
         hasher.key(), cancel,
         [&](const support::CancelToken& token) {
@@ -471,7 +477,7 @@ struct Session::Impl {
               get_model(request.catalog, request.network);
           core::OptimizeOptions options;
           options.solver = solver;
-          if (request.max_iterations != 0) options.solve.max_iterations = request.max_iterations;
+          options.solve.max_iterations = max_iterations;
           options.solve.cancel = token;
           const support::Stopwatch watch;
           const core::Optimizer optimizer(artifact->network);

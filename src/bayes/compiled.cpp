@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace icsdiv::bayes {
@@ -411,69 +412,6 @@ ReliabilitySweep CompiledReliability::solve_targets(std::span<const core::HostId
 
 ReliabilitySweep CompiledReliability::solve_all(const InferenceOptions& options) const {
   return solve_targets(host_of_rank_, options);
-}
-
-CompiledConnectivity::CompiledConnectivity(const ReliabilityProblem& problem) {
-  problem.validate();
-  node_count_ = problem.node_count;
-  source_ = problem.source;
-  target_ = problem.target;
-
-  // Stable counting sort over the edge list: per-node adjacency order
-  // matches the historical per-node push_back order, so trials draw from
-  // the RNG in the seed-era sequence.
-  offsets_.assign(node_count_ + 1, 0);
-  for (const ReliabilityEdge& edge : problem.edges) ++offsets_[edge.from + 1];
-  for (std::size_t v = 0; v < node_count_; ++v) offsets_[v + 1] += offsets_[v];
-  to_.resize(problem.edges.size());
-  threshold_.resize(problem.edges.size());
-  std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const ReliabilityEdge& edge : problem.edges) {
-    const std::uint32_t slot = cursor[edge.from]++;
-    to_[slot] = edge.to;
-    threshold_[slot] = support::acceptance_threshold(edge.probability);
-  }
-}
-
-double CompiledConnectivity::estimate(std::size_t samples, support::Rng& rng) const {
-  require(samples > 0, "reliability_monte_carlo", "need at least one sample");
-
-  // Epoch-stamped marks + a flat FIFO frontier; coins are flipped lazily on
-  // first traversal with an early exit at the target, exactly the seed-era
-  // loop (reached nodes are skipped *before* any draw, preserving the
-  // stream bit-for-bit).
-  std::vector<std::uint32_t> marked(node_count_, 0);
-  std::vector<std::uint32_t> frontier;
-  frontier.reserve(node_count_);
-  std::uint32_t epoch = 0;
-  std::size_t hits = 0;
-  for (std::size_t trial = 0; trial < samples; ++trial) {
-    if (++epoch == 0) {
-      std::fill(marked.begin(), marked.end(), 0);
-      epoch = 1;
-    }
-    marked[source_] = epoch;
-    frontier.clear();
-    frontier.push_back(source_);
-    std::size_t head = 0;
-    bool found = source_ == target_;
-    while (head < frontier.size() && !found) {
-      const std::uint32_t u = frontier[head++];
-      const std::uint32_t end = offsets_[u + 1];
-      for (std::uint32_t e = offsets_[u]; e < end; ++e) {
-        const std::uint32_t v = to_[e];
-        if (marked[v] == epoch || (rng() >> 11) >= threshold_[e]) continue;
-        marked[v] = epoch;
-        if (v == target_) {
-          found = true;
-          break;
-        }
-        frontier.push_back(v);
-      }
-    }
-    if (found) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(samples);
 }
 
 }  // namespace icsdiv::bayes

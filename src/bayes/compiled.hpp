@@ -44,9 +44,7 @@
 //
 // Callers construct it directly for single queries and multi-target
 // sweeps; bn_diversity_metric (metric.hpp) is the one-pair Def. 6
-// convenience over it.  reliability_monte_carlo's generic-digraph loop
-// runs on the sibling CompiledConnectivity substrate below, preserving the
-// seed-era RNG stream bit-for-bit.
+// convenience over it.
 #pragma once
 
 #include <span>
@@ -173,31 +171,6 @@ class CompiledReliability {
   std::vector<std::uint32_t> out_to_;        ///< per CSR edge, head rank
   std::vector<std::uint64_t> out_threshold_; ///< ceil(rate·2^53) per CSR edge
   std::uint64_t baseline_threshold_ = 0;     ///< ceil(P_avg·2^53), every edge
-};
-
-/// Generic-digraph connectivity substrate: the same CSR + integer-threshold
-/// + epoch-mark layout for an arbitrary ReliabilityProblem (cycles
-/// allowed).  `estimate` consumes the caller's RNG in exactly the seed-era
-/// reliability_monte_carlo order — lazy per-edge coins during a FIFO BFS
-/// with early exit at the target — so per-seed results are preserved
-/// bit-for-bit while each trial runs allocation-free.
-class CompiledConnectivity {
- public:
-  explicit CompiledConnectivity(const ReliabilityProblem& problem);
-
-  [[nodiscard]] std::size_t node_count() const noexcept { return node_count_; }
-
-  /// Monte-Carlo estimate of P(source reaches target) over `samples`
-  /// trials driven by `rng`.
-  [[nodiscard]] double estimate(std::size_t samples, support::Rng& rng) const;
-
- private:
-  std::size_t node_count_ = 0;
-  std::uint32_t source_ = 0;
-  std::uint32_t target_ = 0;
-  std::vector<std::uint32_t> offsets_;    ///< node_count+1
-  std::vector<std::uint32_t> to_;         ///< per CSR edge
-  std::vector<std::uint64_t> threshold_;  ///< ceil(p·2^53) per CSR edge
 };
 
 }  // namespace icsdiv::bayes

@@ -4,8 +4,6 @@
 #include <deque>
 #include <map>
 
-#include "bayes/compiled.hpp"
-
 namespace icsdiv::bayes {
 
 void ReliabilityProblem::validate() const {
@@ -202,16 +200,6 @@ double reliability_exact(const ReliabilityProblem& problem, std::size_t max_edge
   } catch (const InvalidArgument& e) {
     throw Infeasible(e.what());
   }
-}
-
-double reliability_monte_carlo(const ReliabilityProblem& problem, std::size_t samples,
-                               support::Rng& rng) {
-  // Facade over the compiled generic-digraph substrate (see compiled.hpp):
-  // the CSR adjacency preserves the historical per-node edge order and the
-  // lazy per-edge coins consume `rng` in the seed-era sequence, so per-seed
-  // estimates are bit-identical to the pre-compiled implementation.
-  const CompiledConnectivity compiled(problem);
-  return compiled.estimate(samples, rng);
 }
 
 }  // namespace icsdiv::bayes

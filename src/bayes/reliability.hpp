@@ -5,17 +5,15 @@
 // exactly two-terminal (s,t) reliability.  Exact computation is #P-hard in
 // general; our exact engine runs the classic factoring algorithm with
 // series/parallel/irrelevant-branch reductions, which handles the
-// case-study-sized attack DAGs (tens of edges) instantly.  A Monte-Carlo
-// engine covers arbitrary sizes and cross-validates the exact one in tests;
-// its sampling loop runs on the compiled substrate (compiled.hpp) while
-// preserving the seed-era RNG stream bit-for-bit.
+// case-study-sized attack DAGs (tens of edges) instantly.  Larger attack
+// DAGs go to CompiledReliability's Monte-Carlo sampler (compiled.hpp),
+// which the tests cross-validate against this engine.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "support/error.hpp"
-#include "support/rng.hpp"
 
 namespace icsdiv::bayes {
 
@@ -40,9 +38,5 @@ struct ReliabilityProblem {
 /// factoring recursion is exponential in the residual edge count).
 [[nodiscard]] double reliability_exact(const ReliabilityProblem& problem,
                                        std::size_t max_edges = 40);
-
-/// Monte-Carlo estimate with `samples` independent trials.
-[[nodiscard]] double reliability_monte_carlo(const ReliabilityProblem& problem,
-                                             std::size_t samples, support::Rng& rng);
 
 }  // namespace icsdiv::bayes

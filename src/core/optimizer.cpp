@@ -6,10 +6,6 @@
 
 namespace icsdiv::core {
 
-std::unique_ptr<mrf::Solver> make_solver(const std::string& name) {
-  return mrf::SolverRegistry::instance().create(name);
-}
-
 OptimizeOutcome Optimizer::optimize(const ConstraintSet& constraints,
                                     const OptimizeOptions& options) const {
   const DiversificationProblem problem(*network_, constraints, options.problem);
@@ -18,18 +14,9 @@ OptimizeOutcome Optimizer::optimize(const ConstraintSet& constraints,
 
 OptimizeOutcome Optimizer::optimize_problem(const DiversificationProblem& problem,
                                             const OptimizeOptions& options) const {
-  const std::unique_ptr<mrf::Solver> base = make_solver(options.solver);
-
-  mrf::SolveResult solve_result;
-  if (options.decompose) {
-    const mrf::DecomposedSolver decomposed(*base, options.parallel);
-    solve_result = decomposed.solve(problem.mrf(), options.solve);
-  } else {
-    // Whole-problem solves share the problem's cached compiled view, so a
-    // repeated optimize_problem call (solver comparisons, option sweeps)
-    // pays the CSR/transpose compilation once.
-    solve_result = base->solve_compiled(problem.compiled(), options.solve);
-  }
+  const std::unique_ptr<mrf::Solver> base = mrf::SolverRegistry::instance().create(options.solver);
+  mrf::SolveResult solve_result =
+      mrf::DecomposedSolver(*base, options.parallel).solve(problem.mrf(), options.solve);
 
   OptimizeOutcome outcome{problem.decode(solve_result.labels), std::move(solve_result), 0.0,
                           false};

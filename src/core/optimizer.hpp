@@ -15,13 +15,13 @@ namespace icsdiv::core {
 
 struct OptimizeOptions {
   /// Solver name resolved through mrf::SolverRegistry ("trws" is the
-  /// paper's choice; "bp", "icm", "multilevel" and "exhaustive" ship too).
+  /// paper's choice; "icm" and "exhaustive" ship too).
   std::string solver = "trws";
   mrf::SolveOptions solve;
   ProblemOptions problem;
-  /// Solve independent MRF components separately (exact; mandatory for the
-  /// paper's parallel scaling) and concurrently when `parallel`.
-  bool decompose = true;
+  /// Independent MRF components (one per service without intra-host
+  /// constraints) are always solved separately — exact, and the paper's
+  /// parallel scaling; `parallel` solves them concurrently.
   bool parallel = true;
 };
 
@@ -58,9 +58,5 @@ class Optimizer {
   const Network* network_;
   std::shared_ptr<const Network> network_owner_;  ///< keepalive; may be null
 };
-
-/// Builds a solver by registry name (thin alias for
-/// mrf::SolverRegistry::instance().create, shared with benches).
-[[nodiscard]] std::unique_ptr<mrf::Solver> make_solver(const std::string& name);
 
 }  // namespace icsdiv::core

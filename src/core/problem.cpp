@@ -160,11 +160,6 @@ void DiversificationProblem::build_constraint_factors() {
   }
 }
 
-const mrf::CompiledMrf& DiversificationProblem::compiled() const {
-  std::call_once(compiled_once_, [this] { compiled_ = std::make_unique<mrf::CompiledMrf>(mrf_); });
-  return *compiled_;
-}
-
 mrf::VariableId DiversificationProblem::variable_of(HostId host, std::size_t slot) const {
   require(host < variable_of_slot_.size(), "DiversificationProblem::variable_of",
           "unknown host id");

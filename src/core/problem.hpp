@@ -18,11 +18,9 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <span>
 
 #include "core/constraints.hpp"
-#include "mrf/compiled.hpp"
 #include "mrf/model.hpp"
 
 namespace icsdiv::core {
@@ -55,14 +53,6 @@ class DiversificationProblem {
                          ProblemOptions options = {});
 
   [[nodiscard]] const mrf::Mrf& mrf() const noexcept { return mrf_; }
-
-  /// Compiled (flat CSR) view of the MRF, built lazily on first use and
-  /// cached: repeated solves of the same problem — solver comparisons,
-  /// benches, re-solves under different options — share one compilation.
-  /// The MRF is immutable after construction, so the view never goes
-  /// stale, and the lazy build is guarded by a once_flag: concurrent
-  /// first calls from different threads are safe (one build, all wait).
-  [[nodiscard]] const mrf::CompiledMrf& compiled() const;
   [[nodiscard]] const Network& network() const noexcept { return *network_; }
   [[nodiscard]] const ConstraintSet& constraints() const noexcept { return constraints_; }
   [[nodiscard]] const ProblemOptions& options() const noexcept { return options_; }
@@ -98,8 +88,6 @@ class DiversificationProblem {
   ConstraintSet constraints_;
   ProblemOptions options_;
   mrf::Mrf mrf_;
-  mutable std::unique_ptr<mrf::CompiledMrf> compiled_;
-  mutable std::once_flag compiled_once_;
 
   std::vector<std::vector<mrf::VariableId>> variable_of_slot_;  ///< [host][slot]
   std::vector<std::vector<ProductId>> labels_;                  ///< [variable][label]

@@ -1,7 +1,7 @@
 // Graph algorithms shared by the optimisation, evaluation and baseline
 // layers: BFS distances (attack-DAG layering), connectivity, greedy
 // colouring (the O'Donnell & Sethu baseline assigns products like colours),
-// maximal matching (multilevel MRF coarsening) and degree statistics.
+// maximal matching and degree statistics.
 #pragma once
 
 #include <cstddef>

@@ -98,14 +98,7 @@ SolveResult DecomposedSolver::solve(const Mrf& mrf, const SolveOptions& options)
   std::vector<SolveResult> results(components.size());
   const auto solve_component = [&](std::size_t c) {
     SubProblem sub = extract_subproblem(mrf, components[c]);
-    SolveOptions sub_options = options;
-    if (!options.initial_labels.empty()) {
-      sub_options.initial_labels.resize(sub.parent_variable.size());
-      for (std::size_t i = 0; i < sub.parent_variable.size(); ++i) {
-        sub_options.initial_labels[i] = options.initial_labels[sub.parent_variable[i]];
-      }
-    }
-    results[c] = base_.solve(sub.mrf, sub_options);
+    results[c] = base_.solve(sub.mrf, options);
     // Write-back is per-component disjoint, so no synchronisation needed.
     for (std::size_t i = 0; i < sub.parent_variable.size(); ++i) {
       merged.labels[sub.parent_variable[i]] = results[c].labels[i];

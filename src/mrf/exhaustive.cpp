@@ -11,8 +11,11 @@ SolveResult ExhaustiveSolver::solve(const Mrf& mrf, const SolveOptions& options)
   double combinations = 1.0;
   for (VariableId i = 0; i < n; ++i) {
     combinations *= static_cast<double>(mrf.label_count(i));
-    require(combinations <= kMaxCombinations, "ExhaustiveSolver",
-            "label space too large for brute force");
+    // A well-formed request this solver cannot run: Infeasible, like
+    // reliability_exact's size refusal, not a malformed argument.
+    if (combinations > kMaxCombinations) {
+      throw Infeasible("ExhaustiveSolver: label space too large for brute force");
+    }
   }
 
   SolveResult result;

@@ -18,10 +18,6 @@ SolveResult IcmSolver::solve_compiled(const CompiledMrf& compiled,
   SolveResult result;
   const std::size_t n = compiled.variable_count();
   result.labels.assign(n, 0);
-  if (!options.initial_labels.empty()) {
-    mrf.check_labeling(options.initial_labels);
-    result.labels = options.initial_labels;
-  }
   if (n == 0) {
     result.energy = 0;
     result.converged = true;
@@ -60,7 +56,6 @@ SolveResult IcmSolver::solve_compiled(const CompiledMrf& compiled,
         changed = true;
       }
     }
-    if (options.time_limit_seconds > 0 && watch.seconds() > options.time_limit_seconds) break;
   }
 
   result.energy = mrf.energy(result.labels);

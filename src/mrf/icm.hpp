@@ -1,8 +1,8 @@
 // Iterated Conditional Modes: greedy coordinate descent over labels.
 //
 // A classic baseline for MRF energy minimisation — fast, monotone, but
-// easily stuck in local minima.  Used (a) as an ablation baseline against
-// TRW-S and (b) as the refinement step of the multilevel scheme.
+// easily stuck in local minima.  The grids, the benches and bench A1 run
+// it beside TRW-S as the baseline.
 #pragma once
 
 #include "mrf/solver.hpp"

@@ -1,92 +1,74 @@
 #include "mrf/registry.hpp"
 
-#include <algorithm>
+#include <iterator>
 
-#include "mrf/bp.hpp"
 #include "mrf/exhaustive.hpp"
 #include "mrf/icm.hpp"
-#include "mrf/multilevel.hpp"
 #include "mrf/trws.hpp"
 
 namespace icsdiv::mrf {
 
 namespace {
 
-/// MultilevelSolver refines around a base solver it only references; this
-/// wrapper owns the TRW-S base so the registry can hand out a self-contained
-/// instance.
-class OwningMultilevelSolver final : public Solver {
- public:
-  OwningMultilevelSolver() : multilevel_(base_) {}
-
-  [[nodiscard]] std::string name() const override { return multilevel_.name(); }
-  [[nodiscard]] SolveResult solve(const Mrf& mrf, const SolveOptions& options) const override {
-    return multilevel_.solve(mrf, options);
-  }
-
- private:
-  TrwsSolver base_;
-  MultilevelSolver multilevel_;
+struct Entry {
+  std::string_view name;
+  std::unique_ptr<Solver> (*make)();
 };
+
+template <typename S>
+std::unique_ptr<Solver> make() {
+  return std::make_unique<S>();
+}
+
+/// Sorted by name, the order names() reports.
+constexpr Entry kSolvers[] = {
+    {"exhaustive", make<ExhaustiveSolver>},
+    {"icm", make<IcmSolver>},
+    {"trws", make<TrwsSolver>},
+};
+
+const Entry* find(std::string_view name) noexcept {
+  for (const Entry& entry : kSolvers) {
+    if (entry.name == name) return &entry;
+  }
+  return nullptr;
+}
 
 }  // namespace
 
-SolverRegistry& SolverRegistry::instance() {
-  static SolverRegistry registry;
+const SolverRegistry& SolverRegistry::instance() {
+  static const SolverRegistry registry{};
   return registry;
 }
 
-SolverRegistry::SolverRegistry() {
-  register_solver("trws", [] { return std::make_unique<TrwsSolver>(); });
-  register_solver("bp", [] { return std::make_unique<BpSolver>(); });
-  register_solver("icm", [] { return std::make_unique<IcmSolver>(); });
-  register_solver("multilevel", [] { return std::make_unique<OwningMultilevelSolver>(); });
-  register_solver("exhaustive", [] { return std::make_unique<ExhaustiveSolver>(); });
-}
-
-void SolverRegistry::register_solver(std::string name, Factory factory) {
-  require(!name.empty(), "SolverRegistry::register_solver", "empty solver name");
-  require(factory != nullptr, "SolverRegistry::register_solver", "null factory");
-  const auto position = std::lower_bound(
-      factories_.begin(), factories_.end(), name,
-      [](const auto& entry, const std::string& key) { return entry.first < key; });
-  if (position != factories_.end() && position->first == name) {
-    position->second = std::move(factory);
-  } else {
-    factories_.insert(position, {std::move(name), std::move(factory)});
-  }
-}
-
 std::unique_ptr<Solver> SolverRegistry::create(std::string_view name) const {
-  const auto position = std::lower_bound(
-      factories_.begin(), factories_.end(), name,
-      [](const auto& entry, std::string_view key) { return entry.first < key; });
-  if (position == factories_.end() || position->first != name) {
+  require_known(name);
+  return find(name)->make();
+}
+
+void SolverRegistry::require_known(std::string_view name) const {
+  if (find(name) == nullptr) {
     throw InvalidArgument("unknown solver: " + std::string(name) +
                           " (registered: " + names_joined(", ") + ")");
   }
-  return position->second();
 }
 
 bool SolverRegistry::contains(std::string_view name) const noexcept {
-  const auto position = std::lower_bound(
-      factories_.begin(), factories_.end(), name,
-      [](const auto& entry, std::string_view key) { return entry.first < key; });
-  return position != factories_.end() && position->first == name;
+  return find(name) != nullptr;
 }
 
 std::vector<std::string> SolverRegistry::names() const {
   std::vector<std::string> result;
-  result.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) result.push_back(name);
+  result.reserve(std::size(kSolvers));
+  for (const Entry& entry : kSolvers) result.emplace_back(entry.name);
   return result;
 }
 
 std::string SolverRegistry::names_joined(std::string_view separator) const {
   std::string result;
-  for (const auto& [name, factory] : factories_) {
+  for (const Entry& entry : kSolvers) {
     if (!result.empty()) result += separator;
-    result += name;
+    result += entry.name;
   }
   return result;
 }

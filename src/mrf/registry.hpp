@@ -3,12 +3,12 @@
 //
 // The CLI's --solver flag, the batch runner's scenario grids, the benches
 // and the tests all resolve solvers through this registry instead of
-// keeping their own name→constructor tables.  Future backends (GPU
-// kernels, external ILP solvers, remote services) plug in by registering a
-// factory under a new name — no call site changes.
+// keeping their own name→constructor tables.  The table is fixed: "trws"
+// (the paper's method), "icm" (the baseline the grids run beside it) and
+// "exhaustive" (the test oracle); DESIGN.md §6 says why no other solver
+// earns a slot.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -20,32 +20,26 @@ namespace icsdiv::mrf {
 
 class SolverRegistry {
  public:
-  using Factory = std::function<std::unique_ptr<Solver>()>;
-
-  /// The process-wide registry, pre-populated with the built-in solvers:
-  /// "trws", "bp", "icm", "multilevel" and "exhaustive".
-  [[nodiscard]] static SolverRegistry& instance();
-
-  /// Registers `factory` under `name`.  Re-registering an existing name
-  /// replaces the factory (latest wins, so tests can inject doubles).
-  void register_solver(std::string name, Factory factory);
+  /// The process-wide registry of the built-in solvers.
+  [[nodiscard]] static const SolverRegistry& instance();
 
   /// Builds a fresh solver.  Throws InvalidArgument for unknown names,
   /// listing the registered ones.
   [[nodiscard]] std::unique_ptr<Solver> create(std::string_view name) const;
+
+  /// Throws what `create` throws for an unknown name; a no-op otherwise.
+  void require_known(std::string_view name) const;
 
   [[nodiscard]] bool contains(std::string_view name) const noexcept;
 
   /// Registered names in sorted order (stable for menus and sweeps).
   [[nodiscard]] std::vector<std::string> names() const;
 
-  /// Convenience for usage strings: "bp|exhaustive|icm|multilevel|trws".
+  /// Convenience for usage strings: "exhaustive|icm|trws".
   [[nodiscard]] std::string names_joined(std::string_view separator = "|") const;
 
  private:
-  SolverRegistry();  ///< registers the built-ins
-
-  std::vector<std::pair<std::string, Factory>> factories_;  ///< sorted by name
+  SolverRegistry() = default;
 };
 
 }  // namespace icsdiv::mrf

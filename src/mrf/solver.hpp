@@ -17,14 +17,10 @@ struct SolveOptions {
   /// Convergence threshold on the lower-bound / energy improvement per
   /// iteration (absolute).
   Cost tolerance = 1e-9;
-  /// Wall-clock budget in seconds; 0 disables the limit.
-  double time_limit_seconds = 0.0;
-  /// Cooperative cancellation, polled once per iteration.  Solvers that
-  /// track a best primal stop and return it tagged `truncated`; the
-  /// default token never fires.
+  /// Cooperative cancellation, polled once per iteration: the one way to
+  /// bound a solve's wall time.  Solvers stop and return their best
+  /// assignment so far tagged `truncated`; the default token never fires.
   support::CancelToken cancel;
-  /// Optional warm start; must match variable_count or be empty.
-  std::vector<Label> initial_labels;
 };
 
 struct SolveResult {
@@ -54,9 +50,9 @@ class Solver {
   [[nodiscard]] virtual SolveResult solve(const Mrf& mrf, const SolveOptions& options) const = 0;
 
   /// Solves on an already-compiled view, skipping the per-solve compile for
-  /// callers that hold one (repeated solves of the same model, benches,
-  /// the multilevel refiner).  The default falls back to the Mrf path;
-  /// compiled-aware solvers override it.
+  /// callers that hold one (repeated solves of the same model, benches).
+  /// The default falls back to the Mrf path; compiled-aware solvers
+  /// override it.
   [[nodiscard]] virtual SolveResult solve_compiled(const CompiledMrf& compiled,
                                                    const SolveOptions& options) const {
     return solve(compiled.mrf(), options);

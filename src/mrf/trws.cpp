@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "mrf/kernels.hpp"
 #include "support/logging.hpp"
 #include "support/simd.hpp"
 #include "support/stopwatch.hpp"
@@ -12,6 +11,19 @@
 namespace icsdiv::mrf {
 
 namespace {
+
+/// θ̂ aggregation: d = unary + Σ incoming messages of variable i, fused
+/// into one sum_rows call (the accumulator stays in registers across the
+/// incident list).  `rows` is caller scratch with room for the variable's
+/// incident count + 1 pointers.
+void aggregate(const support::simd::Kernels& k, const CompiledMrf& compiled, VariableId i,
+               const Cost* messages, Cost* d, const Cost** rows) {
+  const std::size_t count = compiled.label_count(i);
+  std::size_t r = 0;
+  rows[r++] = compiled.unary(i);
+  for (const CompiledIncident& in : compiled.incident(i)) rows[r++] = messages + in.msg_in;
+  k.sum_rows(d, rows, r, count);
+}
 
 /// Message storage and sweep machinery for one solve, running entirely on
 /// the flat CompiledMrf view: CSR incidence, per-incident resolved matrix
@@ -88,8 +100,7 @@ class Machine {
     std::fill(node_cost_.begin(), node_cost_.end(), Cost{0});
     for (VariableId i = 0; i < n_; ++i) {
       Cost* d = node_cost_.data() + static_cast<std::size_t>(i) * max_labels;
-      kernels::aggregate(k_, compiled_, i, compiled_.unary(i), messages_.data(), d,
-                         rows_.data());
+      aggregate(k_, compiled_, i, messages_.data(), d, rows_.data());
     }
 
     const auto edges = compiled_.edges();
@@ -184,7 +195,7 @@ class Machine {
   /// bump, so a mover always rescans itself once — conservative, and
   /// immune to self-influence via parallel edges).  The stamps assume
   /// every sweep on this Machine polishes the same evolving labels vector,
-  /// which solve_trws guarantees (one polish block, fresh Machine per
+  /// which solve_compiled guarantees (one polish block, fresh Machine per
   /// solve).
   bool pair_sweep(std::vector<Label>& labels) const {
     bool changed = false;
@@ -363,7 +374,7 @@ class Machine {
   void process(VariableId i, bool send_to_later) {
     const std::size_t count = compiled_.label_count(i);
     Cost* d = scratch_d_.data();
-    kernels::aggregate(k_, compiled_, i, compiled_.unary(i), messages_.data(), d, rows_.data());
+    aggregate(k_, compiled_, i, messages_.data(), d, rows_.data());
     const double gamma = gamma_[i];
 
     for (const CompiledIncident& in : compiled_.incident(i)) {
@@ -420,25 +431,12 @@ class Machine {
 }  // namespace
 
 SolveResult TrwsSolver::solve(const Mrf& mrf, const SolveOptions& options) const {
-  TrwsOptions extended = defaults_;
-  static_cast<SolveOptions&>(extended) = options;
-  return solve_trws(mrf, extended);
+  const CompiledMrf compiled(mrf);
+  return solve_compiled(compiled, options);
 }
 
 SolveResult TrwsSolver::solve_compiled(const CompiledMrf& compiled,
                                        const SolveOptions& options) const {
-  TrwsOptions extended = defaults_;
-  static_cast<SolveOptions&>(extended) = options;
-  return solve_trws(compiled, extended);
-}
-
-SolveResult TrwsSolver::solve_trws(const Mrf& mrf, const TrwsOptions& options) const {
-  const CompiledMrf compiled(mrf);
-  return solve_trws(compiled, options);
-}
-
-SolveResult TrwsSolver::solve_trws(const CompiledMrf& compiled,
-                                   const TrwsOptions& options) const {
   support::Stopwatch watch;
   const Mrf& mrf = compiled.mrf();
   SolveResult result;
@@ -448,11 +446,6 @@ SolveResult TrwsSolver::solve_trws(const CompiledMrf& compiled,
     result.lower_bound = 0;
     result.converged = true;
     return result;
-  }
-
-  if (!options.initial_labels.empty()) {
-    mrf.check_labeling(options.initial_labels);
-    result.labels = options.initial_labels;
   }
   result.energy = mrf.energy(result.labels);
 
@@ -474,13 +467,11 @@ SolveResult TrwsSolver::solve_trws(const CompiledMrf& compiled,
     const Cost bound = machine.lower_bound();
     result.lower_bound = std::max(result.lower_bound, bound);
 
-    if (options.track_best_primal || iteration == options.max_iterations) {
-      std::vector<Label> labels = machine.extract();
-      const Cost energy = mrf.energy(labels);
-      if (energy < result.energy) {
-        result.energy = energy;
-        result.labels = std::move(labels);
-      }
+    std::vector<Label> labels = machine.extract();
+    const Cost energy = mrf.energy(labels);
+    if (energy < result.energy) {
+      result.energy = energy;
+      result.labels = std::move(labels);
     }
     result.iterations = iteration;
 
@@ -498,25 +489,13 @@ SolveResult TrwsSolver::solve_trws(const CompiledMrf& compiled,
       break;
     }
     previous_bound = bound;
-
-    if (options.time_limit_seconds > 0 && watch.seconds() > options.time_limit_seconds) break;
   }
 
-  // Ensure a final extraction happened even when track_best_primal is off
-  // and the loop exited early.  Skipped on truncation — extract/energy and
-  // the polish below are full passes over the model, exactly the work an
-  // expired deadline says we no longer have time for.
+  // No polish on truncation: it is a full pass over the model, exactly the
+  // work an expired deadline says we no longer have time for.
   if (result.truncated) {
     result.seconds = watch.seconds();
     return result;
-  }
-  if (!options.track_best_primal) {
-    std::vector<Label> labels = machine.extract();
-    const Cost energy = mrf.energy(labels);
-    if (energy < result.energy) {
-      result.energy = energy;
-      result.labels = std::move(labels);
-    }
   }
 
   // Polish the best rounding once: coordinate descent, then joint edge

@@ -23,32 +23,14 @@
 
 namespace icsdiv::mrf {
 
-struct TrwsOptions : SolveOptions {
-  /// Evaluate the primal (greedy conditioned extraction) every pass and
-  /// keep the best labeling seen; disable to save a little time on huge
-  /// sweeps where only the final extraction matters.
-  bool track_best_primal = true;
-};
-
 class TrwsSolver final : public Solver {
  public:
-  TrwsSolver() = default;
-  explicit TrwsSolver(TrwsOptions defaults) : defaults_(std::move(defaults)) {}
-
   using Solver::solve;
 
   [[nodiscard]] std::string name() const override { return "trws"; }
   [[nodiscard]] SolveResult solve(const Mrf& mrf, const SolveOptions& options) const override;
   [[nodiscard]] SolveResult solve_compiled(const CompiledMrf& compiled,
                                            const SolveOptions& options) const override;
-
-  /// Extended entry points exposing TRW-S-specific options.
-  [[nodiscard]] SolveResult solve_trws(const Mrf& mrf, const TrwsOptions& options) const;
-  [[nodiscard]] SolveResult solve_trws(const CompiledMrf& compiled,
-                                       const TrwsOptions& options) const;
-
- private:
-  TrwsOptions defaults_;
 };
 
 }  // namespace icsdiv::mrf

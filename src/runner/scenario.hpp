@@ -87,10 +87,9 @@ struct ScenarioSpec {
   std::string constraints = "none";
   std::uint64_t seed = 2020;
   mrf::SolveOptions solve;
-  /// Solve independent MRF components separately, and concurrently when
-  /// `parallel` (the in-cell fan-out; BatchRunner forces it on when it
-  /// runs cells on a single worker, see BatchOptions::inner_parallel).
-  bool decompose = true;
+  /// Solve the independent MRF components concurrently (the in-cell
+  /// fan-out; BatchRunner forces it on when it runs cells on a single
+  /// worker, see BatchOptions::inner_parallel).
   bool parallel = false;
   /// Attack evaluation to run on the solved cell, when present.
   std::optional<AttackSpec> attack;

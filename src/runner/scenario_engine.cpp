@@ -189,8 +189,7 @@ struct ProblemStage {
     /// Co-owns the network through DiversificationProblem's
     /// shared-ownership ctor (aliased into the workload artifact), so the
     /// problem — and the assignments decoded from it — stay valid after
-    /// the workload slot evicts.  In-place construction: the problem is
-    /// not movable (its lazy compiled() cache holds a once_flag).
+    /// the workload slot evicts.
     Payload(std::shared_ptr<const core::Network> network, core::ConstraintSet constraints)
         : problem(std::move(network), std::move(constraints)) {}
 
@@ -248,15 +247,16 @@ struct SolveStage {
   static StageCounters& stats(StageStats& all) { return all.solve; }
 
   static void mix_key(KeyHasher& hasher, const ScenarioSpec& spec) {
+    // The three constants stand where the key once hashed a time limit, a
+    // warm start's length and a decompose flag (options since removed), so
+    // --store directories written before keep hitting and --shard keeps
+    // assigning every cell to the same shard.
     hasher.mix(spec.solver)
         .mix(spec.solve.max_iterations)
         .mix(spec.solve.tolerance)
-        .mix(spec.solve.time_limit_seconds)
-        .mix(static_cast<std::uint64_t>(spec.solve.initial_labels.size()))
-        .mix(spec.decompose);
-    for (const mrf::Label label : spec.solve.initial_labels) {
-      hasher.mix(static_cast<std::uint64_t>(label));
-    }
+        .mix(0.0)
+        .mix(std::uint64_t{0})
+        .mix(true);
     // ScenarioSpec::parallel is deliberately absent: the decomposed solve
     // is bit-identical at any fan-out (pinned by the batch determinism
     // tests), so cells differing only in the flag share the artifact.
@@ -269,7 +269,6 @@ struct SolveStage {
     options.solver = in.spec.solver;
     options.solve = in.spec.solve;
     options.solve.cancel = in.cancel;
-    options.decompose = in.spec.decompose;
     options.parallel = in.parallel;
 
     // Shared-ownership optimizer: aliases the problem artifact, so the

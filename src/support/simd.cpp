@@ -19,7 +19,6 @@
 #include "support/simd.hpp"
 
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -53,19 +52,6 @@ double min_value_scalar(const double* v, std::size_t n) {
 
 void sub_scalar_scalar(double* v, double c, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) v[i] -= c;
-}
-
-double damp_update_scalar(double* out, const double* old_msg, double delta, double damping,
-                          double keep, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double shifted = out[i] - delta;
-    const double mixed = damping * old_msg[i] + keep * shifted;
-    out[i] = mixed;
-    const double diff = std::abs(mixed - old_msg[i]);
-    acc = diff > acc ? diff : acc;
-  }
-  return acc;
 }
 
 double fold_chord_scalar(const double* row, const double* msg, double c, std::size_t n) {
@@ -134,9 +120,9 @@ double min_convolve2_scalar(double* out, const double* rows, double s, const dou
 }
 
 constexpr Kernels kScalarTable = {
-    add_scalar,          min_value_scalar,    sub_scalar_scalar,   damp_update_scalar,
-    fold_chord_scalar,   fold_tree_cm_scalar, fold_tree_mc_scalar, sum_rows_scalar,
-    joint_block_scalar,  min_convolve2_scalar,
+    add_scalar,          min_value_scalar,    sub_scalar_scalar,
+    fold_chord_scalar,   fold_tree_cm_scalar, fold_tree_mc_scalar,
+    sum_rows_scalar,     joint_block_scalar,  min_convolve2_scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -180,38 +166,6 @@ ICSDIV_AVX2 void sub_scalar_avx2(double* v, double c, std::size_t n) {
     _mm256_storeu_pd(v + i, _mm256_sub_pd(_mm256_loadu_pd(v + i), vc));
   }
   for (; i < n; ++i) v[i] -= c;
-}
-
-ICSDIV_AVX2 double damp_update_avx2(double* out, const double* old_msg, double delta,
-                                    double damping, double keep, std::size_t n) {
-  const __m256d vdelta = _mm256_set1_pd(delta);
-  const __m256d vdamp = _mm256_set1_pd(damping);
-  const __m256d vkeep = _mm256_set1_pd(keep);
-  const __m256d vsign = _mm256_set1_pd(-0.0);
-  __m256d vacc = _mm256_setzero_pd();
-  double acc = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vold = _mm256_loadu_pd(old_msg + i);
-    const __m256d shifted = _mm256_sub_pd(_mm256_loadu_pd(out + i), vdelta);
-    const __m256d mixed =
-        _mm256_add_pd(_mm256_mul_pd(vdamp, vold), _mm256_mul_pd(vkeep, shifted));
-    _mm256_storeu_pd(out + i, mixed);
-    vacc = _mm256_max_pd(_mm256_andnot_pd(vsign, _mm256_sub_pd(mixed, vold)), vacc);
-  }
-  if (i != 0) {
-    __m128d m = _mm_max_pd(_mm256_castpd256_pd128(vacc), _mm256_extractf128_pd(vacc, 1));
-    m = _mm_max_sd(m, _mm_unpackhi_pd(m, m));
-    acc = _mm_cvtsd_f64(m);
-  }
-  for (; i < n; ++i) {
-    const double shifted = out[i] - delta;
-    const double mixed = damping * old_msg[i] + keep * shifted;
-    out[i] = mixed;
-    const double diff = std::abs(mixed - old_msg[i]);
-    acc = diff > acc ? diff : acc;
-  }
-  return acc;
 }
 
 ICSDIV_AVX2 double fold_chord_avx2(const double* row, const double* msg, double c, std::size_t n) {
@@ -340,9 +294,9 @@ ICSDIV_AVX2 double min_convolve2_avx2(double* out, const double* rows, double s,
 }
 
 constexpr Kernels kAvx2Table = {
-    add_avx2,          min_value_avx2,    sub_scalar_avx2,   damp_update_avx2,
-    fold_chord_avx2,   fold_tree_cm_avx2, fold_tree_mc_avx2, sum_rows_avx2,
-    joint_block_avx2,  min_convolve2_avx2,
+    add_avx2,          min_value_avx2,    sub_scalar_avx2,
+    fold_chord_avx2,   fold_tree_cm_avx2, fold_tree_mc_avx2,
+    sum_rows_avx2,     joint_block_avx2,  min_convolve2_avx2,
 };
 
 #endif  // ICSDIV_SIMD_AVX2

@@ -1,8 +1,8 @@
 // Portable SIMD kernel layer (DESIGN.md §14).
 //
-// The hot inner loops of the two message-passing solvers — TRW-S and BP
-// min-plus message updates and reparameterisation folds over the flat
-// label pools — are elementwise passes over flat arrays.  This header
+// The hot inner loops of TRW-S — min-plus message updates and
+// reparameterisation folds over the flat label pools — are elementwise
+// passes over flat arrays.  This header
 // names those passes once, as a table of kernel function pointers, and
 // `simd.cpp` provides two runtime-dispatched implementations: a scalar
 // reference and an AVX2 path (x86-64, selected when the CPU reports the
@@ -63,12 +63,6 @@ struct Kernels {
   /// v[i] -= c — message normalisation to min 0.
   void (*sub_scalar)(double* v, double c, std::size_t n);
 
-  /// BP damping: out[i] = damping * old_msg[i] + keep * (out[i] - delta)
-  /// (keep = 1 - damping, hoisted); returns max |out[i] - old_msg[i]|,
-  /// the shard's convergence delta (max over nonnegatives: order-free).
-  double (*damp_update)(double* out, const double* old_msg, double delta, double damping,
-                        double keep, std::size_t n);
-
   /// min over (row[i] - msg[i]) - c — the TRW-S chord-edge bound fold,
   /// +0.0-canonicalised.
   double (*fold_chord)(const double* row, const double* msg, double c, std::size_t n);
@@ -101,9 +95,8 @@ struct Kernels {
   /// Fused min-plus message update with the reparameterised base computed
   /// inline: out[j] = min over i of ((s·a[i] − b[i]) + rows[i·out_count + j]),
   /// ties keeping the earlier i; returns the +0.0-canonicalised min over
-  /// out (∞ when in_count is 0).  s = γ for the TRW-S update, s = 1.0 (an
-  /// exact multiply) for BP's plain aggregate-subtract — both skip the
-  /// reduced-aggregate scratch buffer entirely.
+  /// out (∞ when in_count is 0).  s is TRW-S's node weight γ; the fused
+  /// form skips the reduced-aggregate scratch buffer entirely.
   double (*min_convolve2)(double* out, const double* rows, double s, const double* a,
                           const double* b, std::size_t in_count, std::size_t out_count);
 };

@@ -15,7 +15,9 @@
 #include <thread>
 #include <vector>
 
+#include "api/status.hpp"
 #include "core/serialization.hpp"
+#include "mrf/solver.hpp"
 #include "runner/workload.hpp"
 #include "support/cancel.hpp"
 #include "support/error.hpp"
@@ -105,6 +107,55 @@ TEST(Session, WarmCacheServesRepeatsAndDistinguishesSolvers) {
   const StatusResponse status = session.status();
   EXPECT_EQ(status.solve_cache.executed, 2u);  // icm once, trws once
   EXPECT_EQ(status.model_cache.executed, 1u);  // same documents throughout
+}
+
+TEST(Session, OptimizeRejectsUnknownSolversBeforeTheCaches) {
+  // The retired solvers are unknown names like any other, rejected with the
+  // registry's message before the model is parsed or a solve is planned.
+  const Documents documents = make_documents();
+  Session session;
+  for (const std::string solver : {"bp", "multilevel"}) {
+    try {
+      (void)session.execute(optimize_request(documents, solver));
+      ADD_FAILURE() << solver << " was accepted";
+    } catch (const InvalidArgument& error) {
+      EXPECT_EQ(error.what(), "unknown solver: " + solver + " (registered: exhaustive, icm, trws)");
+    }
+  }
+  const StatusResponse status = session.status();
+  EXPECT_EQ(status.model_cache.planned, 0u);
+  EXPECT_EQ(status.model_cache.executed, 0u);
+  EXPECT_EQ(status.solve_cache.planned, 0u);
+  EXPECT_EQ(status.requests_failed, 2u);
+}
+
+TEST(Session, OmittedMaxIterationsSharesTheDefaultsCacheKey) {
+  const Documents documents = make_documents();
+  Session session;
+  const OptimizeRequest omitted = optimize_request(documents);
+  OptimizeRequest spelled_out = omitted;
+  spelled_out.max_iterations = mrf::SolveOptions{}.max_iterations;
+
+  const auto first = std::get<OptimizeResponse>(session.execute(omitted));
+  EXPECT_FALSE(first.cached);
+  const auto second = std::get<OptimizeResponse>(session.execute(spelled_out));
+  EXPECT_TRUE(second.cached);
+  EXPECT_EQ(second.assignment.dump(), first.assignment.dump());
+  EXPECT_EQ(session.status().solve_cache.executed, 1u);
+}
+
+TEST(Session, OversizedExhaustiveOptimizeIsInfeasible) {
+  // 40 hosts, 3 products per slot: each service's component has far more
+  // than the oracle's 16M labelings.  A well-formed request the solver
+  // cannot run maps to Infeasible, not to a usage error.
+  const Documents documents = make_documents(40);
+  Session session;
+  try {
+    (void)session.execute(optimize_request(documents, "exhaustive"));
+    FAIL() << "expected Infeasible";
+  } catch (const std::exception& error) {
+    EXPECT_EQ(status_code_for(error), StatusCode::Infeasible) << error.what();
+  }
 }
 
 TEST(Session, EvaluateIsCachedAndChecksHosts) {

@@ -164,17 +164,6 @@ TEST(CompiledVsSeed, ExactPinsBitIdentical) {
   EXPECT_DOUBLE_EQ(bn_diversity_metric(mixed, 0, 3).d_bn, 0.2414167736495032);
 }
 
-TEST(CompiledVsSeed, GenericMonteCarloStreamBitIdentical) {
-  // reliability_monte_carlo kept the seed-era RNG consumption exactly: the
-  // pinned value is what the pre-compiled loop produced for Rng(99).
-  LineFixture f(0.5);
-  const auto mixed = f.assign({f.a, f.b, f.b, f.a});
-  const CompiledReliability bn(mixed, 0, PropagationModel{0.2, 0.5, true});
-  support::Rng rng(99);
-  EXPECT_DOUBLE_EQ(reliability_monte_carlo(bn.reliability_problem(3), 400'000, rng),
-                   0.095612500000000003);
-}
-
 TEST(CompiledVsSeed, WideHubSweepBitsPinned) {
   const WideHubFixture f;
   ASSERT_EQ(f.network->topology().degree(0), 48u);

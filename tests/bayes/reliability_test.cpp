@@ -1,4 +1,4 @@
-// Two-terminal reliability: exact factoring vs brute force vs Monte Carlo.
+// Two-terminal reliability: exact factoring vs brute force.
 #include "bayes/reliability.hpp"
 
 #include <gtest/gtest.h>
@@ -107,23 +107,6 @@ TEST_P(ReliabilityRandomSweep, ExactMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReliabilityRandomSweep,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u));
-
-TEST(ReliabilityMonteCarlo, AgreesWithExact) {
-  const ReliabilityProblem diamond{
-      4, {{0, 1, 0.9}, {1, 3, 0.9}, {0, 2, 0.5}, {2, 3, 0.5}}, 0, 3};
-  const double exact = reliability_exact(diamond);
-  support::Rng rng(2024);
-  const double estimate = reliability_monte_carlo(diamond, 200'000, rng);
-  EXPECT_NEAR(estimate, exact, 0.005);
-}
-
-TEST(ReliabilityMonteCarlo, DeterministicPerSeed) {
-  const ReliabilityProblem problem = series(0.3, 0.7);
-  support::Rng a(9);
-  support::Rng b(9);
-  EXPECT_DOUBLE_EQ(reliability_monte_carlo(problem, 10'000, a),
-                   reliability_monte_carlo(problem, 10'000, b));
-}
 
 TEST(ReliabilityProblem, Validation) {
   ReliabilityProblem bad{2, {{0, 5, 0.5}}, 0, 1};

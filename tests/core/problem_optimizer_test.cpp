@@ -6,6 +6,7 @@
 #include "core/optimizer.hpp"
 #include "mrf/exhaustive.hpp"
 #include "mrf/registry.hpp"
+#include "mrf/trws.hpp"
 
 namespace icsdiv::core {
 namespace {
@@ -205,13 +206,10 @@ TEST(Optimizer, AllRegisteredSolversProduceValidAssignments) {
 TEST(Optimizer, DecomposedEqualsMonolithicSolve) {
   Instance inst;
   const Optimizer optimizer(*inst.network);
-  OptimizeOptions decomposed;
-  decomposed.decompose = true;
-  OptimizeOptions monolithic;
-  monolithic.decompose = false;
-  const auto a = optimizer.optimize({}, decomposed);
-  const auto b = optimizer.optimize({}, monolithic);
-  EXPECT_NEAR(a.solve.energy, b.solve.energy, 1e-9);
+  const DiversificationProblem problem(*inst.network);
+  const OptimizeOutcome decomposed = optimizer.optimize_problem(problem);
+  const mrf::SolveResult monolithic = mrf::TrwsSolver().solve(problem.mrf());
+  EXPECT_NEAR(decomposed.solve.energy, monolithic.energy, 1e-9);
 }
 
 TEST(Baselines, MonoUsesOneProductPerService) {

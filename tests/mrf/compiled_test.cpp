@@ -3,19 +3,14 @@
 // solvers reproduce the pre-refactor implementations bit-for-bit.
 //
 // The golden constants below were captured from the solver implementations
-// as of PR 1 (commit d26b826, private per-solve adjacency, column-strided
-// matrix reads) on the exact fixtures built here; the compiled solvers must
-// keep matching them exactly.  For TRW-S/ICM/multilevel the equivalence is
-// structural (identical accumulation order); for BP the rewritten
-// total-then-subtract aggregation changes one summation order, so these
-// fixtures are the empirical pin for it.
+// as of commit d26b826 (private per-solve adjacency, column-strided matrix
+// reads) on the exact fixtures built here; the compiled solvers must keep
+// matching them exactly.  For TRW-S and ICM the equivalence is structural
+// (identical accumulation order).
 #include <gtest/gtest.h>
 
-#include "mrf/bp.hpp"
 #include "mrf/compiled.hpp"
-#include "mrf/decompose.hpp"
 #include "mrf/icm.hpp"
-#include "mrf/multilevel.hpp"
 #include "mrf/trws.hpp"
 #include "support/rng.hpp"
 
@@ -142,30 +137,20 @@ TEST(CompiledMrf, UnariesAreContiguousCopies) {
 
 struct Golden {
   std::uint64_t seed;
-  Cost bp_energy;
-  std::uint64_t bp_hash;
   Cost icm_energy;
   std::uint64_t icm_hash;
   Cost trws_energy;
   std::uint64_t trws_hash;
   Cost trws_lower_bound;
-  Cost multilevel_energy;
-  std::uint64_t multilevel_hash;
 };
 
 constexpr Golden kGolden[] = {
-    {21, 18.835029178385653, 1798003893920182304ull,   //
-     21.417118278884494, 9216432359739790803ull,       //
-     18.893468549549439, 11982879093967365140ull, 14.203311768016356,
-     22.275845119403932, 1237415561618307337ull},
-    {22, 35.350589055044175, 7172931579615072251ull,  //
-     35.282897497168875, 8870153028926327800ull,      //
-     34.200414201120005, 13473393985086935269ull, 4.6974858484007278,
-     36.28542317386394, 8272138459928927339ull},
-    {23, 24.722461795055647, 3797554743512485921ull,  //
-     25.186543978887048, 15634347368458235664ull,     //
-     24.952067912097558, 5712356870810852754ull, 6.5430097489081298,
-     28.781361947615768, 17261309359500306692ull},
+    {21, 21.417118278884494, 9216432359739790803ull,  //
+     18.893468549549439, 11982879093967365140ull, 14.203311768016356},
+    {22, 35.282897497168875, 8870153028926327800ull,  //
+     34.200414201120005, 13473393985086935269ull, 4.6974858484007278},
+    {23, 25.186543978887048, 15634347368458235664ull,  //
+     24.952067912097558, 5712356870810852754ull, 6.5430097489081298},
 };
 
 class GoldenEquivalence : public ::testing::TestWithParam<Golden> {};
@@ -177,10 +162,6 @@ TEST_P(GoldenEquivalence, SolversMatchPreRefactorPathExactly) {
   SolveOptions options;
   options.max_iterations = 30;
 
-  const SolveResult bp = BpSolver().solve(mrf, options);
-  EXPECT_DOUBLE_EQ(bp.energy, golden.bp_energy);
-  EXPECT_EQ(label_hash(bp.labels), golden.bp_hash);
-
   const SolveResult icm = IcmSolver().solve(mrf, options);
   EXPECT_DOUBLE_EQ(icm.energy, golden.icm_energy);
   EXPECT_EQ(label_hash(icm.labels), golden.icm_hash);
@@ -189,12 +170,6 @@ TEST_P(GoldenEquivalence, SolversMatchPreRefactorPathExactly) {
   EXPECT_DOUBLE_EQ(trws.energy, golden.trws_energy);
   EXPECT_EQ(label_hash(trws.labels), golden.trws_hash);
   EXPECT_DOUBLE_EQ(trws.lower_bound, golden.trws_lower_bound);
-
-  const TrwsSolver base;
-  const MultilevelSolver multilevel(base, MultilevelOptions{.min_variables = 8});
-  const SolveResult ml = multilevel.solve(mrf, options);
-  EXPECT_DOUBLE_EQ(ml.energy, golden.multilevel_energy);
-  EXPECT_EQ(label_hash(ml.labels), golden.multilevel_hash);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GoldenEquivalence, ::testing::ValuesIn(kGolden),
@@ -203,7 +178,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GoldenEquivalence, ::testing::ValuesIn(kGolden),
                          });
 
 // ---------------------------------------------------------------------------
-// Compiled entry points and the multithreaded BP update.
+// Compiled entry points.
 
 TEST(SolveCompiled, MatchesMrfEntryPointExactly) {
   support::Rng rng(51);
@@ -212,11 +187,9 @@ TEST(SolveCompiled, MatchesMrfEntryPointExactly) {
   SolveOptions options;
   options.max_iterations = 20;
 
-  const BpSolver bp;
   const IcmSolver icm;
   const TrwsSolver trws;
-  const MultilevelSolver multilevel(trws, MultilevelOptions{.min_variables = 8});
-  const Solver* solvers[] = {&bp, &icm, &trws, &multilevel};
+  const Solver* solvers[] = {&icm, &trws};
   for (const Solver* solver : solvers) {
     const SolveResult via_mrf = solver->solve(mrf, options);
     const SolveResult via_compiled = solver->solve_compiled(compiled, options);
@@ -225,94 +198,6 @@ TEST(SolveCompiled, MatchesMrfEntryPointExactly) {
     EXPECT_DOUBLE_EQ(via_compiled.lower_bound, via_mrf.lower_bound) << solver->name();
     EXPECT_EQ(via_compiled.iterations, via_mrf.iterations) << solver->name();
   }
-}
-
-TEST(BpThreads, JacobiUpdateIsBitIdenticalAcrossThreadCounts) {
-  // Mirrors the batch-determinism test: the Jacobi update is
-  // order-independent, so sharding it over threads must not change a single
-  // bit of the messages, labels or energy.
-  support::Rng rng(91);
-  const Mrf mrf = random_mrf(60, 4, 0.12, rng);
-
-  BpOptions serial;
-  serial.max_iterations = 40;
-  serial.threads = 1;
-  const SolveResult one = BpSolver().solve_bp(mrf, serial);
-
-  for (const std::size_t threads : {std::size_t{4}, std::size_t{0}}) {
-    BpOptions sharded = serial;
-    sharded.threads = threads;
-    const SolveResult many = BpSolver().solve_bp(mrf, sharded);
-    EXPECT_EQ(many.labels, one.labels) << "threads=" << threads;
-    EXPECT_EQ(many.energy, one.energy) << "threads=" << threads;  // exact, not NEAR
-    EXPECT_EQ(many.iterations, one.iterations) << "threads=" << threads;
-    EXPECT_EQ(many.converged, one.converged) << "threads=" << threads;
-  }
-}
-
-TEST(BpThreads, ShardedBpNestsInsideDecomposedSolver) {
-  // The decomposed fan-out runs components on the global pool; a sharded BP
-  // inside a component then calls parallel_for on the same pool, which must
-  // degrade to inline execution (nested submits would deadlock) and still
-  // produce the serial result bit-for-bit.
-  support::Rng rng(17);
-  Mrf mrf;
-  for (int i = 0; i < 12; ++i) {
-    const VariableId v = mrf.add_variable(3);
-    for (auto& cost : mrf.unary(v)) cost = rng.uniform();
-  }
-  std::vector<Cost> data(9);
-  for (auto& c : data) c = rng.uniform();
-  const MatrixId m = mrf.add_matrix(3, 3, std::move(data));
-  for (VariableId v = 0; v < 5; ++v) mrf.add_edge(v, v + 1, m);    // component 1
-  for (VariableId v = 6; v < 11; ++v) mrf.add_edge(v, v + 1, m);   // component 2
-
-  BpOptions serial_options;
-  serial_options.threads = 1;
-  BpOptions sharded_options;
-  sharded_options.threads = 4;
-
-  const BpSolver serial_bp(serial_options);
-  const BpSolver sharded_bp(sharded_options);
-  const SolveResult serial =
-      DecomposedSolver(serial_bp, /*parallel=*/true).solve(mrf, SolveOptions{});
-  const SolveResult sharded =
-      DecomposedSolver(sharded_bp, /*parallel=*/true).solve(mrf, SolveOptions{});
-  EXPECT_EQ(sharded.labels, serial.labels);
-  EXPECT_EQ(sharded.energy, serial.energy);
-}
-
-TEST(BpDecodeInterval, AmortisedDecodeKeepsChainOptimum) {
-  // On a chain BP converges to the exact optimum; decoding only every k-th
-  // iteration must still report it (the final/converged iteration always
-  // decodes).
-  support::Rng rng(33);
-  Mrf mrf = random_mrf(9, 3, 0.0, rng);
-  std::vector<Cost> data(9);
-  for (auto& c : data) c = rng.uniform();
-  const MatrixId m = mrf.add_matrix(3, 3, std::move(data));
-  for (VariableId v = 0; v + 1 < 9; ++v) mrf.add_edge(v, v + 1, m);
-
-  BpOptions every;
-  every.decode_interval = 1;
-  const SolveResult dense = BpSolver().solve_bp(mrf, every);
-
-  BpOptions sparse;
-  sparse.decode_interval = 7;
-  const SolveResult amortised = BpSolver().solve_bp(mrf, sparse);
-
-  EXPECT_TRUE(dense.converged);
-  EXPECT_TRUE(amortised.converged);
-  EXPECT_DOUBLE_EQ(amortised.energy, dense.energy);
-  EXPECT_EQ(amortised.labels, dense.labels);
-}
-
-TEST(BpDecodeInterval, ZeroIsRejected) {
-  Mrf mrf;
-  mrf.add_variable(2);
-  BpOptions options;
-  options.decode_interval = 0;
-  EXPECT_THROW(BpSolver().solve_bp(mrf, options), icsdiv::InvalidArgument);
 }
 
 }  // namespace

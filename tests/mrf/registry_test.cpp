@@ -1,5 +1,5 @@
 // SolverRegistry: every registered name round-trips to a working solver,
-// unknown names error cleanly, and custom factories can be plugged in.
+// and unknown names (the retired ones included) error cleanly.
 #include <gtest/gtest.h>
 
 #include "mrf/registry.hpp"
@@ -25,12 +25,12 @@ Mrf small_mrf() {
 }
 
 TEST(SolverRegistry, ListsTheBuiltInsSorted) {
-  const auto names = SolverRegistry::instance().names();
-  const std::vector<std::string> expected{"bp", "exhaustive", "icm", "multilevel", "trws"};
+  const std::vector<std::string> expected{"exhaustive", "icm", "trws"};
+  EXPECT_EQ(SolverRegistry::instance().names(), expected);
   for (const std::string& name : expected) {
     EXPECT_TRUE(SolverRegistry::instance().contains(name)) << name;
   }
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  EXPECT_EQ(SolverRegistry::instance().names_joined(), "exhaustive|icm|trws");
 }
 
 TEST(SolverRegistry, EveryRegisteredNameConstructsAWorkingSolver) {
@@ -39,7 +39,7 @@ TEST(SolverRegistry, EveryRegisteredNameConstructsAWorkingSolver) {
     SCOPED_TRACE(name);
     const std::unique_ptr<Solver> solver = SolverRegistry::instance().create(name);
     ASSERT_NE(solver, nullptr);
-    EXPECT_FALSE(solver->name().empty());
+    EXPECT_EQ(solver->name(), name);
     const SolveResult result = solver->solve(mrf);
     ASSERT_EQ(result.labels.size(), mrf.variable_count());
     // The reported energy must be the energy of the returned labelling.
@@ -63,34 +63,19 @@ TEST(SolverRegistry, UnknownNameErrorsCleanlyAndListsOptions) {
   }
 }
 
-TEST(SolverRegistry, CustomFactoriesPlugIn) {
-  class FixedSolver final : public Solver {
-   public:
-    [[nodiscard]] std::string name() const override { return "fixed"; }
-    [[nodiscard]] SolveResult solve(const Mrf& mrf, const SolveOptions&) const override {
-      SolveResult result;
-      result.labels.assign(mrf.variable_count(), 0);
-      result.energy = mrf.energy(result.labels);
-      result.converged = true;
-      return result;
+TEST(SolverRegistry, RetiredSolversAreUnknown) {
+  for (const std::string name : {"bp", "multilevel"}) {
+    SCOPED_TRACE(name);
+    EXPECT_FALSE(SolverRegistry::instance().contains(name));
+    try {
+      SolverRegistry::instance().require_known(name);
+      FAIL() << "expected InvalidArgument";
+    } catch (const InvalidArgument& error) {
+      EXPECT_EQ(error.what(), "unknown solver: " + name + " (registered: exhaustive, icm, trws)");
     }
-  };
-  // The instance is process-wide; register under a test-only name and rely
-  // on latest-wins semantics for idempotence across repeats.
-  SolverRegistry::instance().register_solver("test-fixed",
-                                             [] { return std::make_unique<FixedSolver>(); });
-  EXPECT_TRUE(SolverRegistry::instance().contains("test-fixed"));
-  const auto solver = SolverRegistry::instance().create("test-fixed");
-  const Mrf mrf = small_mrf();
-  EXPECT_EQ(solver->solve(mrf).labels, std::vector<Label>(mrf.variable_count(), 0));
-}
-
-TEST(SolverRegistry, RejectsEmptyNameAndNullFactory) {
-  EXPECT_THROW(
-      SolverRegistry::instance().register_solver("", [] { return std::unique_ptr<Solver>{}; }),
-      InvalidArgument);
-  EXPECT_THROW(SolverRegistry::instance().register_solver("null-factory", nullptr),
-               InvalidArgument);
+    EXPECT_THROW((void)SolverRegistry::instance().create(name), InvalidArgument);
+  }
+  EXPECT_NO_THROW(SolverRegistry::instance().require_known("trws"));
 }
 
 }  // namespace

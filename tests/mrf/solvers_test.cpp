@@ -1,12 +1,10 @@
-// Solver correctness: TRW-S, BP, ICM against the exhaustive oracle, plus
-// decomposition and multilevel wrappers.
+// Solver correctness: TRW-S and ICM against the exhaustive oracle, plus
+// the decomposition wrapper.
 #include <gtest/gtest.h>
 
-#include "mrf/bp.hpp"
 #include "mrf/decompose.hpp"
 #include "mrf/exhaustive.hpp"
 #include "mrf/icm.hpp"
-#include "mrf/multilevel.hpp"
 #include "mrf/trws.hpp"
 #include "support/rng.hpp"
 
@@ -39,7 +37,7 @@ Mrf random_mrf(std::size_t n, std::size_t labels, double edge_probability,
   return mrf;
 }
 
-/// Chain MRF (a tree): TRW-S and BP must both be exact here.
+/// Chain MRF (a tree): TRW-S must be exact here.
 Mrf chain_mrf(std::size_t n, std::size_t labels, support::Rng& rng) {
   Mrf mrf = random_mrf(n, labels, 0.0, rng);
   std::vector<Cost> data(labels * labels);
@@ -66,7 +64,9 @@ TEST(Exhaustive, FindsKnownOptimum) {
 TEST(Exhaustive, RefusesHugeLabelSpaces) {
   Mrf mrf;
   for (int i = 0; i < 40; ++i) mrf.add_variable(10);
-  EXPECT_THROW(ExhaustiveSolver().solve(mrf), icsdiv::InvalidArgument);
+  // A well-formed model the oracle cannot enumerate: Infeasible, not a
+  // malformed argument.
+  EXPECT_THROW(ExhaustiveSolver().solve(mrf), icsdiv::Infeasible);
 }
 
 class SolverOracleSweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -96,30 +96,24 @@ TEST_P(SolverOracleSweep, TrwsExactOnChains) {
   EXPECT_TRUE(trws.converged);
 }
 
-TEST_P(SolverOracleSweep, BpExactOnChains) {
-  support::Rng rng(GetParam() * 13 + 5);
-  const Mrf mrf = chain_mrf(7, 3, rng);
-  const SolveResult exact = ExhaustiveSolver().solve(mrf);
-  const SolveResult bp = BpSolver().solve(mrf);
-  EXPECT_NEAR(bp.energy, exact.energy, 1e-9);
-}
-
 TEST_P(SolverOracleSweep, IcmNeverWorseThanItsStart) {
   support::Rng rng(GetParam() * 3 + 2);
   const Mrf mrf = random_mrf(12, 3, 0.3, rng);
-  std::vector<Label> start(mrf.variable_count());
-  for (auto& label : start) label = static_cast<Label>(rng.index(3));
-  const Cost start_energy = mrf.energy(start);
+  // ICM descends from the all-zero labeling.
+  const Cost start_energy = mrf.energy(std::vector<Label>(mrf.variable_count(), 0));
 
-  SolveOptions options;
-  options.initial_labels = start;
-  const SolveResult icm = IcmSolver().solve(mrf, options);
+  const SolveResult icm = IcmSolver().solve(mrf);
   EXPECT_LE(icm.energy, start_energy + 1e-12);
   EXPECT_TRUE(icm.converged);
 
-  // And TRW-S should do at least as well as ICM on these instances.
+  // Neither heuristic beats the exact optimum, and TRW-S's bound stays
+  // below it.  (Zero-start ICM is not dominated by TRW-S here: on seed 8
+  // it finds the optimum, 10.847, where TRW-S stops at 11.272.)
+  const SolveResult exact = ExhaustiveSolver().solve(mrf);
   const SolveResult trws = TrwsSolver().solve(mrf);
-  EXPECT_LE(trws.energy, icm.energy + 0.1);
+  EXPECT_GE(icm.energy, exact.energy - 1e-9);
+  EXPECT_GE(trws.energy, exact.energy - 1e-9);
+  EXPECT_LE(trws.lower_bound, exact.energy + 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverOracleSweep,
@@ -152,14 +146,6 @@ TEST(Trws, RespectsForbiddenCosts) {
   const SolveResult result = TrwsSolver().solve(mrf);
   EXPECT_EQ(result.labels, (std::vector<Label>{1, 0}));
   EXPECT_LT(result.energy, 1.0);
-}
-
-TEST(Bp, DampingValidation) {
-  support::Rng rng(1);
-  const Mrf mrf = random_mrf(3, 2, 0.5, rng);
-  BpOptions bad;
-  bad.damping = 1.0;
-  EXPECT_THROW(BpSolver().solve_bp(mrf, bad), icsdiv::InvalidArgument);
 }
 
 TEST(Decompose, ComponentsFoundCorrectly) {
@@ -205,46 +191,6 @@ TEST(Decompose, SubproblemExtractionValidatesClosure) {
   const MatrixId m = mrf.add_matrix(2, 2, {0, 1, 1, 0});
   mrf.add_edge(0, 1, m);
   EXPECT_THROW(extract_subproblem(mrf, {0}), icsdiv::InvalidArgument);
-}
-
-TEST(Multilevel, SolvesAndMatchesEnergyEvaluation) {
-  support::Rng rng(31);
-  const Mrf mrf = random_mrf(40, 3, 0.15, rng);
-  const TrwsSolver base;
-  const MultilevelSolver solver(base, MultilevelOptions{.min_variables = 8});
-  const SolveResult result = solver.solve(mrf, SolveOptions{});
-  EXPECT_EQ(result.labels.size(), mrf.variable_count());
-  EXPECT_NEAR(mrf.energy(result.labels), result.energy, 1e-9);
-
-  // Multilevel should stay in the same quality band as plain ICM.  Note:
-  // same-label coarsening is a weak fit for anti-ferromagnetic (diversity)
-  // energies — merged pairs are forced onto one label, which these
-  // energies penalise — so we assert a band, not dominance (bench A3
-  // quantifies the trade-off).
-  const SolveResult icm = IcmSolver().solve(mrf);
-  EXPECT_LE(result.energy, icm.energy * 1.2);
-}
-
-TEST(Multilevel, FallsBackWhenNothingContractable) {
-  // Variables with differing label counts cannot be matched.
-  Mrf mrf;
-  mrf.add_variable(2);
-  mrf.add_variable(3);
-  const MatrixId m = mrf.add_matrix(2, 3, {0, 1, 2, 3, 4, 5});
-  mrf.add_edge(0, 1, m);
-  const TrwsSolver base;
-  const MultilevelSolver solver(base, MultilevelOptions{.min_variables = 1});
-  const SolveResult result = solver.solve(mrf, SolveOptions{});
-  EXPECT_DOUBLE_EQ(result.energy, 0.0);  // labels (0, 0)
-}
-
-TEST(SolveOptions, InitialLabelsValidated) {
-  Mrf mrf;
-  mrf.add_variable(2);
-  SolveOptions options;
-  options.initial_labels = {5};
-  EXPECT_THROW(TrwsSolver().solve(mrf, options), icsdiv::InvalidArgument);
-  EXPECT_THROW(IcmSolver().solve(mrf, options), icsdiv::InvalidArgument);
 }
 
 }  // namespace

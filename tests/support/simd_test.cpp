@@ -3,8 +3,8 @@
 // output for every kernel — property-checked here over randomized inputs
 // at every size class (vector blocks, tails, empty), with per-kernel
 // golden pins, the dispatch-override plumbing (ICSDIV_SIMD parsing and
-// set_active forced-scalar fallback), and cross-dispatch end-to-end runs
-// of the two solvers that call the kernels (TRW-S, BP).
+// set_active forced-scalar fallback), and a cross-dispatch end-to-end run
+// of TRW-S, the solver that calls the kernels.
 #include "support/simd.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <limits>
 #include <vector>
 
-#include "mrf/bp.hpp"
 #include "mrf/trws.hpp"
 #include "support/rng.hpp"
 
@@ -184,29 +183,17 @@ TEST(SimdBitIdentity, MinValue) {
   }
 }
 
-TEST(SimdBitIdentity, DampUpdateAndFolds) {
+TEST(SimdBitIdentity, Folds) {
   const Kernels& scalar = kernels(Dispatch::Scalar);
   for (const Dispatch d : supported_dispatches()) {
     const Kernels& k = kernels(d);
     Rng rng(43);
     for (const std::size_t n : kSizes) {
       for (int trial = 0; trial < 8; ++trial) {
-        const std::vector<double> old_msg = random_costs(rng, n);
         const std::vector<double> row = random_costs(rng, n);
         const std::vector<double> msg = random_costs(rng, n);
         const std::vector<double> depth = random_costs(rng, n);
-        const double delta = random_cost(rng);
         const double c = random_cost(rng);
-        const double damping = trial % 2 == 0 ? 0.0 : 0.5;
-        const double keep = 1.0 - damping;
-
-        std::vector<double> lhs = random_costs(rng, n);
-        std::vector<double> rhs = lhs;
-        const double max_scalar =
-            scalar.damp_update(lhs.data(), old_msg.data(), delta, damping, keep, n);
-        const double max_simd = k.damp_update(rhs.data(), old_msg.data(), delta, damping, keep, n);
-        expect_bitwise_equal(lhs, rhs, "damp_update", d);
-        ASSERT_EQ(bits(max_scalar), bits(max_simd)) << "damp_update max under " << name(d);
 
         ASSERT_EQ(bits(scalar.fold_chord(row.data(), msg.data(), c, n)),
                   bits(k.fold_chord(row.data(), msg.data(), c, n)))
@@ -303,16 +290,9 @@ TEST(SimdGolden, ArithmeticKernelPins) {
   }
 }
 
-TEST(SimdGolden, DampUpdateAndFoldPins) {
+TEST(SimdGolden, FoldPins) {
   for (const Dispatch d : supported_dispatches()) {
     const Kernels& k = kernels(d);
-    std::vector<double> out = {2.0};
-    const std::vector<double> old_msg = {1.0};
-    const double max_delta = k.damp_update(out.data(), old_msg.data(), /*delta=*/0.5,
-                                           /*damping=*/0.25, /*keep=*/0.75, 1);
-    EXPECT_EQ(bits(out[0]), bits(1.375)) << name(d);  // 0.25·1 + 0.75·1.5
-    EXPECT_EQ(bits(max_delta), bits(0.375)) << name(d);
-
     const std::vector<double> row = {5.0, 1.0};
     const std::vector<double> msg = {1.0, 2.0};
     const std::vector<double> depth = {1.0, 2.0};
@@ -392,7 +372,7 @@ mrf::Mrf random_mrf(std::size_t n, std::size_t labels, double edge_probability, 
   return model;
 }
 
-TEST(SimdEndToEnd, TrwsAndBpBitIdenticalAcrossDispatches) {
+TEST(SimdEndToEnd, TrwsBitIdenticalAcrossDispatches) {
   DispatchGuard guard;
   Rng rng(2024);
   const mrf::Mrf model = random_mrf(24, 5, 0.25, rng);
@@ -401,7 +381,6 @@ TEST(SimdEndToEnd, TrwsAndBpBitIdenticalAcrossDispatches) {
 
   ASSERT_TRUE(set_active(Dispatch::Scalar));
   const mrf::SolveResult trws_ref = mrf::TrwsSolver().solve(model, options);
-  const mrf::SolveResult bp_ref = mrf::BpSolver().solve(model, options);
   for (const Dispatch d : supported_dispatches()) {
     ASSERT_TRUE(set_active(d));
     const mrf::SolveResult trws = mrf::TrwsSolver().solve(model, options);
@@ -409,10 +388,6 @@ TEST(SimdEndToEnd, TrwsAndBpBitIdenticalAcrossDispatches) {
     EXPECT_EQ(bits(trws.lower_bound), bits(trws_ref.lower_bound)) << name(d);
     EXPECT_EQ(trws.labels, trws_ref.labels) << name(d);
     EXPECT_EQ(trws.iterations, trws_ref.iterations) << name(d);
-    const mrf::SolveResult bp = mrf::BpSolver().solve(model, options);
-    EXPECT_EQ(bits(bp.energy), bits(bp_ref.energy)) << name(d);
-    EXPECT_EQ(bp.labels, bp_ref.labels) << name(d);
-    EXPECT_EQ(bp.iterations, bp_ref.iterations) << name(d);
   }
 }
 

@@ -86,7 +86,6 @@ class Config:
         # must be deterministic.
         "src/support/simd.hpp",
         "src/support/simd.cpp",
-        "src/mrf/kernels.hpp",
     )
     # Files allowed to touch ambient randomness / wall clocks.
     randomness_approved: Tuple[str, ...] = (
@@ -97,9 +96,7 @@ class Config:
     solver_files: Tuple[str, ...] = (
         "src/mrf/exhaustive.cpp",
         "src/mrf/icm.cpp",
-        "src/mrf/bp.cpp",
         "src/mrf/trws.cpp",
-        "src/mrf/multilevel.cpp",
         "src/sim/compiled.cpp",
         "src/bayes/compiled.cpp",
         "src/runner/scenario_engine.cpp",

@@ -182,12 +182,12 @@ void BM_DbnMetric(benchmark::State& state) {
   const auto instance = bench::make_scalability_instance(params);
   const core::Optimizer optimizer(*instance.network);
   const auto assignment = optimizer.optimize().assignment;
-  bayes::DiversityMetricOptions options;
-  options.inference.engine = bayes::InferenceEngine::MonteCarlo;
-  options.inference.mc_samples = static_cast<std::size_t>(state.range(0));
-  options.inference.parallel = false;
+  bayes::InferenceOptions inference;
+  inference.engine = bayes::InferenceEngine::MonteCarlo;
+  inference.mc_samples = static_cast<std::size_t>(state.range(0));
+  inference.parallel = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bayes::bn_diversity_metric(assignment, 0, 499, options).d_bn);
+    benchmark::DoNotOptimize(bayes::bn_diversity_metric(assignment, 0, 499, inference).d_bn);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }

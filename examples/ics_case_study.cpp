@@ -48,11 +48,10 @@ int main(int argc, char** argv) {
   // --- Table V analogue: BN diversity metric.
   const core::HostId entry = study.default_entry();
   const core::HostId target = study.default_target();
-  bayes::DiversityMetricOptions metric_options;
 
   support::TextTable table5({"assignment", "log10 P'", "log10 P", "d_bn", "edge sim"});
   const auto metric_row = [&](const char* name, const core::Assignment& assignment) {
-    const auto metric = bayes::bn_diversity_metric(assignment, entry, target, metric_options);
+    const auto metric = bayes::bn_diversity_metric(assignment, entry, target);
     table5.add_row({name, support::TextTable::num(metric.log10_without(), 3),
                     support::TextTable::num(metric.log10_with(), 3),
                     support::TextTable::num(metric.d_bn, 5),

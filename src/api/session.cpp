@@ -548,10 +548,10 @@ struct Session::Impl {
       if (!request.entry.empty()) {
         const core::HostId entry = model->network.host_id(request.entry);
         const core::HostId target = model->network.host_id(request.target);
-        bayes::DiversityMetricOptions metric_options;
-        metric_options.inference.cancel = token;
+        bayes::InferenceOptions inference;
+        inference.cancel = token;
         const bayes::DiversityMetricResult metric =
-            bayes::bn_diversity_metric(assignment, entry, target, metric_options);
+            bayes::bn_diversity_metric(assignment, entry, target, inference);
         response.pair_evaluated = true;
         response.d_bn = metric.d_bn;
         response.log10_p_with = metric.log10_with();
@@ -581,10 +581,8 @@ struct Session::Impl {
       token.check("session.report");
       const core::Assignment assignment =
           core::Assignment::from_json(model->network, request.assignment);
-      core::ReportOptions options;
-      options.include_full_listing = true;
       ReportResponse response;
-      response.text = core::diversification_report(assignment, {}, options);
+      response.text = core::diversification_report(assignment);
       return response;
     });
   }
@@ -626,11 +624,11 @@ struct Session::Impl {
           get_model(request.catalog, request.network);
       const core::Assignment assignment =
           core::Assignment::from_json(model->network, request.assignment);
-      bayes::DiversityMetricOptions metric_options;
-      metric_options.inference.cancel = token;
+      bayes::InferenceOptions inference;
+      inference.cancel = token;
       const bayes::DiversityMetricResult metric =
           bayes::bn_diversity_metric(assignment, model->network.host_id(request.entry),
-                                     model->network.host_id(request.target), metric_options);
+                                     model->network.host_id(request.target), inference);
       MetricResponse response;
       response.d_bn = metric.d_bn;
       response.p_with = metric.p_with_similarity;

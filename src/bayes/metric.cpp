@@ -8,16 +8,13 @@ double DiversityMetricResult::log10_with() const { return std::log10(p_with_simi
 double DiversityMetricResult::log10_without() const { return std::log10(p_without_similarity); }
 
 DiversityMetricResult bn_diversity_metric(const core::Assignment& assignment, core::HostId entry,
-                                          core::HostId target,
-                                          const DiversityMetricOptions& options) {
+                                          core::HostId target, const InferenceOptions& inference) {
   // One compiled substrate resolves both nets: the model's noisy-OR rates
   // (P) and the flat P_avg baseline (P') share the build — and, under the
   // Monte-Carlo engine, a single coupled sampling pass.
-  PropagationModel model = options.model;
-  model.consider_similarity = true;
-  const CompiledReliability compiled(assignment, entry, model);
+  const CompiledReliability compiled(assignment, entry);
   const core::HostId targets[] = {target};
-  const ReliabilitySweep sweep = compiled.solve_targets(targets, options.inference);
+  const ReliabilitySweep sweep = compiled.solve_targets(targets, inference);
 
   DiversityMetricResult result;
   result.p_with_similarity = sweep.p[target];

@@ -14,11 +14,6 @@
 
 namespace icsdiv::bayes {
 
-struct DiversityMetricOptions {
-  PropagationModel model;  ///< `consider_similarity` is managed internally
-  InferenceOptions inference;
-};
-
 struct DiversityMetricResult {
   double p_with_similarity = 0.0;     ///< P_{h_t = T}
   double p_without_similarity = 0.0;  ///< P'_{h_t = T}
@@ -28,9 +23,10 @@ struct DiversityMetricResult {
   [[nodiscard]] double log10_without() const;
 };
 
-/// Evaluates Def. 6 for (entry → target) under `assignment`.
+/// Evaluates Def. 6 for (entry → target) under `assignment`, with the
+/// default PropagationModel.
 [[nodiscard]] DiversityMetricResult bn_diversity_metric(const core::Assignment& assignment,
                                                         core::HostId entry, core::HostId target,
-                                                        const DiversityMetricOptions& options = {});
+                                                        const InferenceOptions& inference = {});
 
 }  // namespace icsdiv::bayes

@@ -5,14 +5,20 @@
 
 namespace icsdiv::core {
 
+namespace {
+
+/// Pr_const of Eq. 2: flat preference cost per assigned product.
+constexpr double kUnaryConstant = 0.01;
+/// Soft co-occurrence penalty of the ConditionalUnary encoding when the
+/// trigger is not pinned (split across the trigger and partner labels).
+constexpr double kConditionalUnaryPenalty = 2.0;
+
+}  // namespace
+
 DiversificationProblem::DiversificationProblem(const Network& network, ConstraintSet constraints,
                                                ProblemOptions options)
     : network_(&network), constraints_(std::move(constraints)), options_(std::move(options)) {
   constraints_.validate(network);
-  require(options_.unary_constant >= 0.0, "DiversificationProblem",
-          "unary constant must be non-negative");
-  require(options_.forbidden_cost > 0.0, "DiversificationProblem",
-          "forbidden cost must be positive");
   build_variables();
   build_service_edges();
   build_constraint_factors();
@@ -52,7 +58,7 @@ void DiversificationProblem::build_variables() {
 
       const mrf::VariableId variable = mrf_.add_variable(candidates.size());
       // Eq. 2: flat preference cost Pr_const for every choice.
-      for (auto& cost : mrf_.unary(variable)) cost = options_.unary_constant;
+      for (auto& cost : mrf_.unary(variable)) cost = kUnaryConstant;
       variable_of_slot_[host][slot] = variable;
       labels_.push_back(std::move(candidates));
       slot_of_variable_.emplace_back(host, slot);
@@ -121,7 +127,7 @@ void DiversificationProblem::build_constraint_factors() {
       std::vector<mrf::Cost> data(trigger_labels.size() * partner_labels.size(), 0.0);
       for (std::size_t b = 0; b < partner_labels.size(); ++b) {
         if (forbidden_partner(partner_labels[b])) {
-          data[*trigger_index * partner_labels.size() + b] = options_.forbidden_cost;
+          data[*trigger_index * partner_labels.size() + b] = mrf::kForbidden;
         }
       }
       const mrf::MatrixId matrix =
@@ -135,14 +141,14 @@ void DiversificationProblem::build_constraint_factors() {
     if (trigger_labels.size() == 1) {
       for (std::size_t b = 0; b < partner_labels.size(); ++b) {
         if (forbidden_partner(partner_labels[b])) {
-          mrf_.add_to_unary(partner_var, static_cast<mrf::Label>(b), options_.forbidden_cost);
+          mrf_.add_to_unary(partner_var, static_cast<mrf::Label>(b), mrf::kForbidden);
         }
       }
       return;
     }
     // Soft approximation: discourage the trigger label and the banned
     // partner labels independently.
-    const double half = options_.conditional_unary_penalty / 2.0;
+    const double half = kConditionalUnaryPenalty / 2.0;
     mrf_.add_to_unary(trigger_var, static_cast<mrf::Label>(*trigger_index), half);
     for (std::size_t b = 0; b < partner_labels.size(); ++b) {
       if (forbidden_partner(partner_labels[b])) {

@@ -28,14 +28,7 @@ namespace icsdiv::core {
 enum class ConstraintEncoding { IntraHostPairwise, ConditionalUnary };
 
 struct ProblemOptions {
-  /// Pr_const of Eq. 2: flat preference cost per assigned product.
-  double unary_constant = 0.01;
   ConstraintEncoding encoding = ConstraintEncoding::IntraHostPairwise;
-  /// Cost for hard-forbidden combinations.
-  double forbidden_cost = mrf::kForbidden;
-  /// Soft co-occurrence penalty used by ConditionalUnary when the trigger
-  /// is not pinned (split across the trigger and partner labels).
-  double conditional_unary_penalty = 2.0;
 };
 
 class DiversificationProblem {
@@ -55,7 +48,6 @@ class DiversificationProblem {
   [[nodiscard]] const mrf::Mrf& mrf() const noexcept { return mrf_; }
   [[nodiscard]] const Network& network() const noexcept { return *network_; }
   [[nodiscard]] const ConstraintSet& constraints() const noexcept { return constraints_; }
-  [[nodiscard]] const ProblemOptions& options() const noexcept { return options_; }
 
   [[nodiscard]] std::size_t variable_count() const noexcept { return mrf_.variable_count(); }
 

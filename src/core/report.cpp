@@ -10,6 +10,9 @@ namespace icsdiv::core {
 
 namespace {
 
+/// How many of the most-similar links a report lists.
+constexpr std::size_t kRiskiestLinks = 5;
+
 struct RiskyLink {
   HostId u;
   HostId v;
@@ -41,8 +44,7 @@ std::vector<RiskyLink> riskiest_links(const Assignment& assignment, std::size_t 
 }  // namespace
 
 std::string diversification_report(const Assignment& assignment,
-                                   const ConstraintSet& constraints,
-                                   const ReportOptions& options) {
+                                   const ConstraintSet& constraints) {
   const Network& network = assignment.network();
   const ProductCatalog& catalog = network.catalog();
   std::ostringstream out;
@@ -71,7 +73,7 @@ std::string diversification_report(const Assignment& assignment,
         << support::TextTable::num(effective_richness(assignment, service), 2) << ")\n";
   }
 
-  const auto risky = riskiest_links(assignment, options.worst_links);
+  const auto risky = riskiest_links(assignment, kRiskiestLinks);
   if (!risky.empty()) {
     out << "\nRiskiest links (residual similarity):\n";
     for (const RiskyLink& link : risky) {
@@ -89,9 +91,7 @@ std::string diversification_report(const Assignment& assignment,
     for (const std::string& violation : violations) out << "  ! " << violation << "\n";
   }
 
-  if (options.include_full_listing) {
-    out << "\nFull assignment:\n" << assignment.to_string();
-  }
+  out << "\nFull assignment:\n" << assignment.to_string();
   return out.str();
 }
 

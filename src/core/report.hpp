@@ -13,17 +13,10 @@
 
 namespace icsdiv::core {
 
-struct ReportOptions {
-  /// How many of the most-similar links to list.
-  std::size_t worst_links = 5;
-  /// Include the full per-host assignment listing.
-  bool include_full_listing = false;
-};
-
-/// Renders a report for one assignment (optionally checking `constraints`).
+/// Renders a report for one assignment (optionally checking `constraints`):
+/// the five riskiest links, then the full per-host listing.
 [[nodiscard]] std::string diversification_report(const Assignment& assignment,
-                                                 const ConstraintSet& constraints = {},
-                                                 const ReportOptions& options = {});
+                                                 const ConstraintSet& constraints = {});
 
 /// Renders the migration work order from `current` to `planned`: one line
 /// per host whose products change, with the per-service before → after.

@@ -6,6 +6,9 @@ namespace icsdiv::core {
 
 namespace {
 
+/// The greedy loop stops once the best single-host step gains less.
+constexpr double kMinGain = 1e-9;
+
 /// All (host, slot) products of `assignment` for one host.
 std::vector<ProductId> host_products(const Network& network, const Assignment& assignment,
                                      HostId host) {
@@ -68,7 +71,7 @@ UpgradePlan plan_upgrade(const Network& network, const Assignment& current,
   // Energy bookkeeping via the *unconstrained* problem compiler: the start
   // assignment may still violate constraints (that is why the operator is
   // upgrading), and constraint handling happens in candidate enumeration.
-  const DiversificationProblem problem(network, {}, options.problem);
+  const DiversificationProblem problem(network);
 
   UpgradePlan plan{.steps = {}, .result = current, .initial_energy = 0.0, .final_energy = 0.0};
   plan.initial_energy = problem.energy_of(current);
@@ -115,7 +118,7 @@ UpgradePlan plan_upgrade(const Network& network, const Assignment& current,
       options.budget == 0 ? network.host_count() : options.budget;
 
   while (plan.steps.size() < budget) {
-    double best_gain = options.min_gain;
+    double best_gain = kMinGain;
     HostId best_host = 0;
     std::vector<ProductId> best_tuple;
 

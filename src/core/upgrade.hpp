@@ -42,9 +42,7 @@ struct UpgradePlan {
 };
 
 struct UpgradePlanOptions {
-  std::size_t budget = 0;        ///< max hosts to re-image; 0 = unlimited
-  double min_gain = 1e-9;        ///< stop when the best step gains less
-  ProblemOptions problem;        ///< energy definition (Eq. 1 parameters)
+  std::size_t budget = 0;  ///< max hosts to re-image; 0 = unlimited
 };
 
 /// Plans a budgeted upgrade starting from `current` (must be complete and

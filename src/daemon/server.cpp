@@ -111,14 +111,14 @@ struct Server::Impl {
     body.detail = "icsdiv::api::SaturatedError";
     body.retry_after_seconds = options_.session.retry_after_seconds;
     try {
-      socket.write_all(encode_frame(api::error_to_wire(body).dump(), options_.max_frame_bytes));
+      socket.write_all(encode_frame(api::error_to_wire(body).dump()));
     } catch (const std::exception&) {
       // The peer is already gone; nothing to tell it.
     }
   }
 
   void serve_connection(Connection& connection) {
-    FrameDecoder decoder(options_.max_frame_bytes);
+    FrameDecoder decoder;
     std::vector<char> buffer(64u << 10);
     double idle_seconds = 0.0;
     while (!stop_.load(std::memory_order_relaxed)) {
@@ -168,7 +168,7 @@ struct Server::Impl {
 
   bool write_reply(Connection& connection, const support::Json& reply) {
     try {
-      connection.socket.write_all(encode_frame(reply.dump(), options_.max_frame_bytes));
+      connection.socket.write_all(encode_frame(reply.dump()));
       return true;
     } catch (const std::exception&) {
       return false;

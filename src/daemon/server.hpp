@@ -31,7 +31,6 @@ struct ServerOptions {
   std::size_t max_connections = 64;
   /// Idle connections (no complete request) are closed after this long.
   double idle_timeout_seconds = 300.0;
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   api::SessionOptions session;
 };
 

@@ -1,10 +1,6 @@
 #include "graph/algorithms.hpp"
 
-#include <algorithm>
 #include <deque>
-#include <numeric>
-
-#include "support/rng.hpp"
 
 namespace icsdiv::graph {
 
@@ -24,123 +20,6 @@ std::vector<std::size_t> bfs_distances(const Graph& graph, VertexId source) {
     }
   }
   return dist;
-}
-
-std::optional<std::vector<VertexId>> shortest_path(const Graph& graph, VertexId source,
-                                                   VertexId target) {
-  graph.checked(source);
-  graph.checked(target);
-  std::vector<VertexId> parent(graph.vertex_count(), source);
-  std::vector<bool> visited(graph.vertex_count(), false);
-  std::deque<VertexId> frontier{source};
-  visited[source] = true;
-  while (!frontier.empty()) {
-    const VertexId u = frontier.front();
-    frontier.pop_front();
-    if (u == target) break;
-    for (VertexId v : graph.neighbors(u)) {
-      if (!visited[v]) {
-        visited[v] = true;
-        parent[v] = u;
-        frontier.push_back(v);
-      }
-    }
-  }
-  if (!visited[target]) return std::nullopt;
-  std::vector<VertexId> path{target};
-  for (VertexId v = target; v != source; v = parent[v]) path.push_back(parent[v]);
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-std::vector<std::size_t> connected_components(const Graph& graph) {
-  std::vector<std::size_t> component(graph.vertex_count(), kUnreachable);
-  std::size_t next_id = 0;
-  for (VertexId seed = 0; seed < graph.vertex_count(); ++seed) {
-    if (component[seed] != kUnreachable) continue;
-    component[seed] = next_id;
-    std::deque<VertexId> frontier{seed};
-    while (!frontier.empty()) {
-      const VertexId u = frontier.front();
-      frontier.pop_front();
-      for (VertexId v : graph.neighbors(u)) {
-        if (component[v] == kUnreachable) {
-          component[v] = next_id;
-          frontier.push_back(v);
-        }
-      }
-    }
-    ++next_id;
-  }
-  return component;
-}
-
-bool is_connected(const Graph& graph) {
-  if (graph.vertex_count() <= 1) return true;
-  const auto dist = bfs_distances(graph, 0);
-  return std::none_of(dist.begin(), dist.end(),
-                      [](std::size_t d) { return d == kUnreachable; });
-}
-
-std::vector<std::size_t> greedy_coloring(const Graph& graph) {
-  const std::size_t n = graph.vertex_count();
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), VertexId{0});
-  std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    return graph.degree(a) > graph.degree(b);
-  });
-
-  constexpr std::size_t kUncolored = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> color(n, kUncolored);
-  std::vector<bool> used;  // scratch: colours used by neighbours
-  for (VertexId v : order) {
-    used.assign(graph.degree(v) + 1, false);
-    for (VertexId w : graph.neighbors(v)) {
-      if (color[w] != kUncolored && color[w] < used.size()) used[color[w]] = true;
-    }
-    std::size_t c = 0;
-    while (c < used.size() && used[c]) ++c;
-    color[v] = c;
-  }
-  return color;
-}
-
-std::vector<Edge> maximal_matching(const Graph& graph, support::Rng& rng) {
-  std::vector<std::size_t> edge_order(graph.edge_count());
-  std::iota(edge_order.begin(), edge_order.end(), std::size_t{0});
-  rng.shuffle(std::span<std::size_t>(edge_order));
-
-  std::vector<bool> matched(graph.vertex_count(), false);
-  std::vector<Edge> matching;
-  const auto edges = graph.edges();
-  for (std::size_t index : edge_order) {
-    const Edge& e = edges[index];
-    if (!matched[e.u] && !matched[e.v]) {
-      matched[e.u] = true;
-      matched[e.v] = true;
-      matching.push_back(e);
-    }
-  }
-  return matching;
-}
-
-DegreeStats degree_stats(const Graph& graph) {
-  DegreeStats stats;
-  const std::size_t n = graph.vertex_count();
-  if (n == 0) return stats;
-  stats.min = std::numeric_limits<std::size_t>::max();
-  double sum = 0.0;
-  double sum_squares = 0.0;
-  for (VertexId v = 0; v < n; ++v) {
-    const std::size_t d = graph.degree(v);
-    stats.min = std::min(stats.min, d);
-    stats.max = std::max(stats.max, d);
-    sum += static_cast<double>(d);
-    sum_squares += static_cast<double>(d) * static_cast<double>(d);
-  }
-  stats.mean = sum / static_cast<double>(n);
-  stats.variance = sum_squares / static_cast<double>(n) - stats.mean * stats.mean;
-  return stats;
 }
 
 }  // namespace icsdiv::graph

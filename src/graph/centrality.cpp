@@ -1,6 +1,5 @@
 #include "graph/centrality.hpp"
 
-#include <algorithm>
 #include <deque>
 
 namespace icsdiv::graph {
@@ -54,117 +53,6 @@ std::vector<double> betweenness_centrality(const Graph& graph) {
   // Each undirected path was counted from both endpoints.
   for (double& value : centrality) value /= 2.0;
   return centrality;
-}
-
-std::vector<double> clustering_coefficients(const Graph& graph) {
-  const std::size_t n = graph.vertex_count();
-  std::vector<double> coefficients(n, 0.0);
-  for (VertexId v = 0; v < n; ++v) {
-    const auto neighbors = graph.neighbors(v);
-    const std::size_t degree = neighbors.size();
-    if (degree < 2) continue;
-    std::size_t triangles = 0;
-    for (std::size_t i = 0; i < degree; ++i) {
-      for (std::size_t j = i + 1; j < degree; ++j) {
-        if (graph.has_edge(neighbors[i], neighbors[j])) ++triangles;
-      }
-    }
-    coefficients[v] =
-        2.0 * static_cast<double>(triangles) / (static_cast<double>(degree) * (degree - 1.0));
-  }
-  return coefficients;
-}
-
-std::vector<double> degree_centrality(const Graph& graph) {
-  const std::size_t n = graph.vertex_count();
-  std::vector<double> centrality(n, 0.0);
-  if (n <= 1) return centrality;
-  for (VertexId v = 0; v < n; ++v) {
-    centrality[v] = static_cast<double>(graph.degree(v)) / static_cast<double>(n - 1);
-  }
-  return centrality;
-}
-
-namespace {
-
-/// Iterative Tarjan lowpoint DFS shared by articulation_points and bridges.
-struct LowpointDfs {
-  const Graph& graph;
-  std::vector<std::ptrdiff_t> discovery;
-  std::vector<std::size_t> low;
-  std::vector<VertexId> parent;
-  std::vector<bool> is_articulation;
-  std::vector<Edge> bridge_edges;
-  std::size_t clock = 0;
-
-  explicit LowpointDfs(const Graph& g)
-      : graph(g),
-        discovery(g.vertex_count(), -1),
-        low(g.vertex_count(), 0),
-        parent(g.vertex_count(), 0),
-        is_articulation(g.vertex_count(), false) {
-    for (VertexId root = 0; root < g.vertex_count(); ++root) {
-      if (discovery[root] < 0) run(root);
-    }
-  }
-
-  void run(VertexId root) {
-    // Explicit stack of (vertex, next-neighbour-index) frames.
-    std::vector<std::pair<VertexId, std::size_t>> stack{{root, 0}};
-    std::size_t root_children = 0;
-    discovery[root] = static_cast<std::ptrdiff_t>(clock);
-    low[root] = clock++;
-    parent[root] = root;
-
-    while (!stack.empty()) {
-      auto& [v, next] = stack.back();
-      const auto neighbors = graph.neighbors(v);
-      if (next < neighbors.size()) {
-        const VertexId w = neighbors[next++];
-        if (discovery[w] < 0) {
-          parent[w] = v;
-          if (v == root) ++root_children;
-          discovery[w] = static_cast<std::ptrdiff_t>(clock);
-          low[w] = clock++;
-          stack.emplace_back(w, 0);
-        } else if (w != parent[v]) {
-          low[v] = std::min(low[v], static_cast<std::size_t>(discovery[w]));
-        }
-      } else {
-        stack.pop_back();
-        if (stack.empty()) break;
-        const VertexId p = stack.back().first;
-        low[p] = std::min(low[p], low[v]);
-        if (low[v] >= static_cast<std::size_t>(discovery[p]) && p != root) {
-          is_articulation[p] = true;
-        }
-        if (low[v] > static_cast<std::size_t>(discovery[p])) {
-          bridge_edges.push_back(Edge{std::min(p, v), std::max(p, v)});
-        }
-      }
-    }
-    if (root_children >= 2) is_articulation[root] = true;
-  }
-};
-
-}  // namespace
-
-std::vector<VertexId> articulation_points(const Graph& graph) {
-  const LowpointDfs dfs(graph);
-  std::vector<VertexId> points;
-  for (VertexId v = 0; v < graph.vertex_count(); ++v) {
-    if (dfs.is_articulation[v]) points.push_back(v);
-  }
-  return points;
-}
-
-std::vector<Edge> bridges(const Graph& graph) {
-  LowpointDfs dfs(graph);
-  std::sort(dfs.bridge_edges.begin(), dfs.bridge_edges.end(),
-            [](const Edge& a, const Edge& b) {
-              return a.u != b.u ? a.u < b.u : a.v < b.v;
-            });
-  return dfs.bridge_edges;
 }
 
 }  // namespace icsdiv::graph

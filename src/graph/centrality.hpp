@@ -1,4 +1,4 @@
-// Vertex centrality measures.
+// Betweenness centrality.
 //
 // Used by the upgrade advisor workflow (examples/enterprise_network):
 // betweenness identifies the choke-point hosts malware must traverse, the
@@ -15,20 +15,5 @@ namespace icsdiv::graph {
 /// value per vertex.  Undirected convention: each shortest path counted
 /// once (values halved).
 [[nodiscard]] std::vector<double> betweenness_centrality(const Graph& graph);
-
-/// Local clustering coefficient per vertex (triangles / possible pairs).
-[[nodiscard]] std::vector<double> clustering_coefficients(const Graph& graph);
-
-/// Degree centrality normalised by (n-1).
-[[nodiscard]] std::vector<double> degree_centrality(const Graph& graph);
-
-/// Articulation vertices (cut vertices): removing one disconnects its
-/// component.  In an ICS topology these are the single points whose
-/// compromise partitions — or whose hardening chokes — worm traffic.
-[[nodiscard]] std::vector<VertexId> articulation_points(const Graph& graph);
-
-/// Bridges: edges whose removal disconnects their component (canonical
-/// u < v order, sorted).
-[[nodiscard]] std::vector<Edge> bridges(const Graph& graph);
 
 }  // namespace icsdiv::graph

@@ -3,42 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <unordered_set>
 
 namespace icsdiv::graph {
 
-namespace {
-
-/// Packs an edge into a 64-bit key for duplicate detection during sampling.
-constexpr std::uint64_t edge_key(VertexId u, VertexId v) noexcept {
-  const auto lo = static_cast<std::uint64_t>(std::min(u, v));
-  const auto hi = static_cast<std::uint64_t>(std::max(u, v));
-  return (hi << 32) | lo;
-}
-
-}  // namespace
-
-Graph erdos_renyi_gnm(std::size_t vertex_count, std::size_t edge_count, support::Rng& rng) {
-  require(vertex_count >= 2 || edge_count == 0, "erdos_renyi_gnm",
-          "need at least two vertices to place edges");
-  const std::size_t max_edges = vertex_count * (vertex_count - 1) / 2;
-  require(edge_count <= max_edges, "erdos_renyi_gnm", "edge_count exceeds simple-graph capacity");
-
-  Graph graph(vertex_count);
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(edge_count * 2);
-  while (graph.edge_count() < edge_count) {
-    const auto u = static_cast<VertexId>(rng.index(vertex_count));
-    const auto v = static_cast<VertexId>(rng.index(vertex_count));
-    if (u == v) continue;
-    if (!seen.insert(edge_key(u, v)).second) continue;
-    graph.add_edge(u, v);
-  }
-  return graph;
-}
-
-Graph random_network(std::size_t vertex_count, double average_degree, support::Rng& rng,
-                     bool ensure_connected) {
+Graph random_network(std::size_t vertex_count, double average_degree, support::Rng& rng) {
   require(average_degree >= 0.0, "random_network", "average degree must be non-negative");
   const auto target_edges = static_cast<std::size_t>(
       std::llround(static_cast<double>(vertex_count) * average_degree / 2.0));
@@ -46,15 +14,13 @@ Graph random_network(std::size_t vertex_count, double average_degree, support::R
   Graph graph(vertex_count);
   if (vertex_count < 2) return graph;
 
-  if (ensure_connected) {
-    // Random spanning backbone: a shuffled path visits every vertex, so the
-    // graph is connected regardless of how sparse the random part is.
-    std::vector<VertexId> order(vertex_count);
-    std::iota(order.begin(), order.end(), VertexId{0});
-    rng.shuffle(std::span<VertexId>(order));
-    for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-      graph.add_edge_if_absent(order[i], order[i + 1]);
-    }
+  // Random spanning backbone: a shuffled path visits every vertex, so the
+  // graph is connected regardless of how sparse the random part is.
+  std::vector<VertexId> order(vertex_count);
+  std::iota(order.begin(), order.end(), VertexId{0});
+  rng.shuffle(std::span<VertexId>(order));
+  for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+    graph.add_edge_if_absent(order[i], order[i + 1]);
   }
 
   const std::size_t max_edges = vertex_count * (vertex_count - 1) / 2;
@@ -69,71 +35,6 @@ Graph random_network(std::size_t vertex_count, double average_degree, support::R
       continue;
     }
     stale = 0;
-  }
-  return graph;
-}
-
-Graph barabasi_albert(std::size_t vertex_count, std::size_t attach_count, support::Rng& rng) {
-  require(attach_count >= 1, "barabasi_albert", "attach_count must be at least 1");
-  require(vertex_count > attach_count, "barabasi_albert",
-          "vertex_count must exceed attach_count");
-
-  Graph graph(vertex_count);
-  // Repeated-endpoint list: sampling an element uniformly is sampling a
-  // vertex proportionally to its degree.
-  std::vector<VertexId> endpoints;
-  endpoints.reserve(vertex_count * attach_count * 2);
-
-  // Seed clique over the first attach_count+1 vertices.
-  for (VertexId u = 0; u <= attach_count; ++u) {
-    for (VertexId v = u + 1; v <= attach_count; ++v) {
-      graph.add_edge(u, v);
-      endpoints.push_back(u);
-      endpoints.push_back(v);
-    }
-  }
-
-  for (VertexId v = static_cast<VertexId>(attach_count + 1); v < vertex_count; ++v) {
-    std::unordered_set<VertexId> targets;
-    while (targets.size() < attach_count) {
-      targets.insert(endpoints[rng.index(endpoints.size())]);
-    }
-    for (VertexId t : targets) {
-      graph.add_edge(v, t);
-      endpoints.push_back(v);
-      endpoints.push_back(t);
-    }
-  }
-  return graph;
-}
-
-Graph watts_strogatz(std::size_t vertex_count, std::size_t neighbors_each_side,
-                     double rewire_probability, support::Rng& rng) {
-  require(vertex_count > 2 * neighbors_each_side, "watts_strogatz",
-          "ring lattice requires n > 2k");
-  require(rewire_probability >= 0.0 && rewire_probability <= 1.0, "watts_strogatz",
-          "rewire probability must be in [0,1]");
-
-  Graph graph(vertex_count);
-  for (VertexId u = 0; u < vertex_count; ++u) {
-    for (std::size_t k = 1; k <= neighbors_each_side; ++k) {
-      const auto v = static_cast<VertexId>((u + k) % vertex_count);
-      if (rng.bernoulli(rewire_probability)) {
-        // Rewire to a uniformly random non-neighbour; fall back to the
-        // lattice edge if the vertex is saturated.
-        bool placed = false;
-        for (int attempt = 0; attempt < 32 && !placed; ++attempt) {
-          const auto w = static_cast<VertexId>(rng.index(vertex_count));
-          if (w != u && !graph.has_edge(u, w)) {
-            graph.add_edge(u, w);
-            placed = true;
-          }
-        }
-        if (!placed) graph.add_edge_if_absent(u, v);
-      } else {
-        graph.add_edge_if_absent(u, v);
-      }
-    }
   }
   return graph;
 }
@@ -168,19 +69,12 @@ Graph zoned_topology(const ZonedTopologyParams& params, support::Rng& rng) {
     }
   }
 
-  // Sparse inter-zone bridges (the "firewall" links).
-  const auto bridge = [&](std::size_t za, std::size_t zb) {
+  // Sparse bridges between consecutive zones (the "firewall" links).
+  for (std::size_t z = 0; z + 1 < params.zone_sizes.size(); ++z) {
     for (std::size_t k = 0; k < params.inter_zone_links; ++k) {
-      const auto u = static_cast<VertexId>(prefix[za] + rng.index(params.zone_sizes[za]));
-      const auto v = static_cast<VertexId>(prefix[zb] + rng.index(params.zone_sizes[zb]));
+      const auto u = static_cast<VertexId>(prefix[z] + rng.index(params.zone_sizes[z]));
+      const auto v = static_cast<VertexId>(prefix[z + 1] + rng.index(params.zone_sizes[z + 1]));
       graph.add_edge_if_absent(u, v);
-    }
-  };
-  for (std::size_t za = 0; za + 1 < params.zone_sizes.size(); ++za) {
-    if (params.chain_zones) {
-      bridge(za, za + 1);
-    } else {
-      for (std::size_t zb = za + 1; zb < params.zone_sizes.size(); ++zb) bridge(za, zb);
     }
   }
   return graph;

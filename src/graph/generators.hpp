@@ -1,9 +1,9 @@
 // Random topology generators.
 //
 // Section VIII of the paper evaluates scalability on "randomly generated
-// networks" parameterised by host count and average degree; these
-// generators provide that workload plus richer families (preferential
-// attachment, small-world, zoned ICS) used by the examples and tests.
+// networks" parameterised by host count and average degree
+// (random_network); zoned_topology builds the Fig. 3-shaped zoned
+// networks of the upgrade example.
 #pragma once
 
 #include <cstddef>
@@ -14,39 +14,24 @@
 
 namespace icsdiv::graph {
 
-/// Erdős–Rényi G(n, m): exactly `edge_count` distinct edges chosen
-/// uniformly.  Throws if edge_count exceeds n(n-1)/2.
-[[nodiscard]] Graph erdos_renyi_gnm(std::size_t vertex_count, std::size_t edge_count,
-                                    support::Rng& rng);
-
 /// Random network with a target *average* degree, as used by the paper's
-/// scalability study: G(n, m) with m = round(n * average_degree / 2),
-/// then augmented with a random Hamiltonian-style backbone when
-/// `ensure_connected` so no host is unreachable.
+/// scalability study: a random Hamiltonian-style backbone, so no host is
+/// unreachable, topped up with uniform random edges to
+/// m = round(n * average_degree / 2).
 [[nodiscard]] Graph random_network(std::size_t vertex_count, double average_degree,
-                                   support::Rng& rng, bool ensure_connected = true);
-
-/// Barabási–Albert preferential attachment: each new vertex attaches to
-/// `attach_count` existing vertices with probability proportional to degree.
-[[nodiscard]] Graph barabasi_albert(std::size_t vertex_count, std::size_t attach_count,
-                                    support::Rng& rng);
-
-/// Watts–Strogatz small-world: ring lattice with `neighbors_each_side`*2
-/// degree, each edge rewired with probability `rewire_probability`.
-[[nodiscard]] Graph watts_strogatz(std::size_t vertex_count, std::size_t neighbors_each_side,
-                                   double rewire_probability, support::Rng& rng);
+                                   support::Rng& rng);
 
 /// Parameters for the zoned (IT/OT-like) topology generator.
 struct ZonedTopologyParams {
   std::vector<std::size_t> zone_sizes;      ///< hosts per zone
   double intra_zone_density = 0.5;          ///< P(edge) within a zone
   std::size_t inter_zone_links = 2;         ///< links between adjacent zones
-  bool chain_zones = true;                  ///< false: all zone pairs adjacent
 };
 
-/// Generates a multi-zone network shaped like Fig. 3: dense zones bridged
-/// by a few firewall-style links.  Zones are laid out consecutively;
-/// the k-th zone occupies vertices [prefix(k), prefix(k)+size_k).
+/// Generates a multi-zone network shaped like Fig. 3: a chain of dense
+/// zones, each bridged to the next by a few firewall-style links.  Zones
+/// are laid out consecutively; the k-th zone occupies vertices
+/// [prefix(k), prefix(k)+size_k).
 [[nodiscard]] Graph zoned_topology(const ZonedTopologyParams& params, support::Rng& rng);
 
 }  // namespace icsdiv::graph

@@ -52,15 +52,4 @@ std::size_t Graph::degree(VertexId v) const {
   return adjacency_[v].size();
 }
 
-CsrGraph::CsrGraph(const Graph& graph) {
-  const std::size_t n = graph.vertex_count();
-  offsets_.assign(n + 1, 0);
-  for (VertexId v = 0; v < n; ++v) offsets_[v + 1] = offsets_[v] + graph.degree(v);
-  targets_.resize(offsets_[n]);
-  std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (VertexId v = 0; v < n; ++v) {
-    for (VertexId w : graph.neighbors(v)) targets_[cursor[v]++] = w;
-  }
-}
-
 }  // namespace icsdiv::graph

@@ -1,11 +1,6 @@
 // Undirected simple graph used to model network topologies (Def. 2's link
 // relation L ⊆ H × H).  Vertices are dense indices [0, n); the diversity
 // layer maps host names to indices.
-//
-// The structure is optimised for the two access patterns the library needs:
-//  * incremental construction (generators, case-study wiring), and
-//  * fast neighbour iteration during message passing / simulation, via a
-//    compressed sparse row (CSR) snapshot.
 #pragma once
 
 #include <cstdint>
@@ -66,30 +61,6 @@ class Graph {
  private:
   std::vector<std::vector<VertexId>> adjacency_;
   std::vector<Edge> edges_;
-};
-
-/// Immutable CSR adjacency snapshot; cache-friendly neighbour scans for the
-/// solver and simulator inner loops.
-class CsrGraph {
- public:
-  explicit CsrGraph(const Graph& graph);
-
-  [[nodiscard]] std::size_t vertex_count() const noexcept { return offsets_.size() - 1; }
-  [[nodiscard]] std::size_t edge_count() const noexcept { return targets_.size() / 2; }
-
-  [[nodiscard]] std::span<const VertexId> neighbors(VertexId v) const {
-    const std::size_t begin = offsets_[v];
-    const std::size_t end = offsets_[v + 1];
-    return {targets_.data() + begin, end - begin};
-  }
-
-  [[nodiscard]] std::size_t degree(VertexId v) const {
-    return offsets_[v + 1] - offsets_[v];
-  }
-
- private:
-  std::vector<std::size_t> offsets_;
-  std::vector<VertexId> targets_;
 };
 
 }  // namespace icsdiv::graph

@@ -1,14 +1,12 @@
 #include "graph/layered_dag.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "graph/algorithms.hpp"
 
 namespace icsdiv::graph {
 
-LayeredDag::LayeredDag(const Graph& graph, VertexId entry, LayeredDagOptions options)
-    : entry_(graph.checked(entry)) {
+LayeredDag::LayeredDag(const Graph& graph, VertexId entry) : entry_(graph.checked(entry)) {
   const std::vector<std::size_t> dist = bfs_distances(graph, entry);
   depth_.assign(dist.begin(), dist.end());
   for (auto& d : depth_) {
@@ -25,15 +23,11 @@ LayeredDag::LayeredDag(const Graph& graph, VertexId entry, LayeredDagOptions opt
     const std::size_t dv = depth_[e.v];
     if (du == kNoDepth || dv == kNoDepth) continue;  // not reachable from entry
 
+    // Edges are canonical (u < v), so a same-layer link already runs
+    // low→high index, which is acyclic by construction.
     VertexId from = e.u;
     VertexId to = e.v;
-    if (du == dv) {
-      if (!options.keep_same_layer_edges) continue;
-      // Same layer: orient low→high index, which is acyclic by construction.
-      if (from > to) std::swap(from, to);
-    } else if (du > dv) {
-      std::swap(from, to);
-    }
+    if (du > dv) std::swap(from, to);
     const std::size_t dag_index = edges_.size();
     edges_.push_back(DagEdge{from, to, index});
     outgoing_[from].push_back(dag_index);

@@ -7,7 +7,8 @@
 // step u→v when u is strictly closer to the entry (the standard attack-
 // graph unrolling; malware spreading "backwards" is dominated by the
 // forward route it arrived on).  Links between hosts at the same BFS depth
-// can optionally be kept, oriented by vertex index to stay acyclic.
+// are kept, oriented from the lower to the higher vertex index to stay
+// acyclic.
 #pragma once
 
 #include <cstddef>
@@ -25,14 +26,10 @@ struct DagEdge {
   friend bool operator==(const DagEdge&, const DagEdge&) = default;
 };
 
-struct LayeredDagOptions {
-  bool keep_same_layer_edges = true;  ///< orient same-depth links low→high index
-};
-
 /// DAG over the vertices reachable from `entry`.
 class LayeredDag {
  public:
-  LayeredDag(const Graph& graph, VertexId entry, LayeredDagOptions options = {});
+  LayeredDag(const Graph& graph, VertexId entry);
 
   [[nodiscard]] VertexId entry() const noexcept { return entry_; }
   [[nodiscard]] std::size_t vertex_count() const noexcept { return depth_.size(); }

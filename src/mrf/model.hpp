@@ -80,11 +80,6 @@ class Mrf {
   /// Energy of a full labeling (Eq. 1).
   [[nodiscard]] Cost energy(std::span<const Label> labels) const;
 
-  /// Per-variable incident edges (edge indices).
-  [[nodiscard]] const std::vector<std::vector<std::size_t>>& incident_edges() const noexcept {
-    return incident_;
-  }
-
   /// Validates a labeling's shape and ranges; throws on violation.
   void check_labeling(std::span<const Label> labels) const;
 
@@ -94,7 +89,6 @@ class Mrf {
   std::vector<Cost> unaries_;
   std::vector<CostMatrix> matrices_;
   std::vector<MrfEdge> edges_;
-  std::vector<std::vector<std::size_t>> incident_;
   std::size_t max_labels_ = 0;
 };
 

@@ -1,12 +1,13 @@
 #include "nvd/synthetic.hpp"
 
-#include "nvd/cvss.hpp"
-
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
 #include <map>
+
+#include "nvd/cvss.hpp"
+#include "support/rng.hpp"
 
 namespace icsdiv::nvd {
 
@@ -71,17 +72,19 @@ SimilarityTable OverlapSpec::implied_similarity_table() const {
   return SimilarityTable(std::move(names), totals, std::move(shared), std::move(similarity));
 }
 
-VulnerabilityDatabase generate_feed(const OverlapSpec& spec, const SyntheticFeedOptions& options) {
+VulnerabilityDatabase generate_feed(const OverlapSpec& spec) {
+  // The paper studies the NVD entries of 1999–2016.
+  constexpr int kYearFrom = 1999;
+  constexpr int kYearTo = 2016;
+  constexpr std::uint64_t kSeed = 7;
   spec.validate();
-  require(options.year_from <= options.year_to, "generate_feed", "year window is empty");
 
-  support::Rng rng(options.seed);
+  support::Rng rng(kSeed);
   VulnerabilityDatabase db;
   std::map<int, std::size_t> next_sequence;  // per-year CVE numbering
 
   const auto emit = [&](const std::vector<std::size_t>& members) {
-    const int year = static_cast<int>(
-        rng.uniform_int(options.year_from, options.year_to));
+    const int year = static_cast<int>(rng.uniform_int(kYearFrom, kYearTo));
     std::size_t& seq = next_sequence[year];
     seq += 1;
     std::array<char, 32> id{};

@@ -18,14 +18,12 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "nvd/cpe.hpp"
 #include "nvd/database.hpp"
 #include "nvd/similarity.hpp"
-#include "support/rng.hpp"
 
 namespace icsdiv::nvd {
 
@@ -52,17 +50,11 @@ struct OverlapSpec {
   [[nodiscard]] SimilarityTable implied_similarity_table() const;
 };
 
-struct SyntheticFeedOptions {
-  int year_from = 1999;   ///< paper studies 1999–2016
-  int year_to = 2016;
-  std::uint64_t seed = 7;
-};
-
 /// Generates a concrete database realising the spec: every block becomes
 /// `count` CVE entries affecting all its members' CPEs; per-product
-/// remainders become single-product entries.  Years and CVSS scores are
-/// drawn deterministically from the seed.
-[[nodiscard]] VulnerabilityDatabase generate_feed(const OverlapSpec& spec,
-                                                  const SyntheticFeedOptions& options = {});
+/// remainders become single-product entries.  Years (in the paper's
+/// 1999–2016 window) and CVSS scores are drawn from a fixed seed, so the
+/// feed is a pure function of the spec.
+[[nodiscard]] VulnerabilityDatabase generate_feed(const OverlapSpec& spec);
 
 }  // namespace icsdiv::nvd

@@ -121,9 +121,9 @@ struct BatchOptions {
   /// timing sweeps (cells then get the machine to themselves and may use
   /// in-cell parallelism instead).
   std::size_t threads = 0;
-  /// Overrides ScenarioSpec::parallel (in-cell decomposed-solve
-  /// parallelism) for every cell.  Unset: forced on when `threads` is 1
-  /// (a lone worker may as well fan out), per-spec otherwise.
+  /// In-cell parallelism (the decomposed solve's fan-out) for every
+  /// cell.  Unset: on when `threads` is 1 (a lone worker may as well fan
+  /// out), off otherwise.
   std::optional<bool> inner_parallel;
   /// Share stage artifacts across cells with equal stage keys (the
   /// engine's point).  Off plans every cell's full pipeline from scratch —

@@ -1,6 +1,5 @@
 #include "runner/disk_store.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -98,30 +97,26 @@ bool publish_file(const std::string& dir, const std::string& temp_name,
   return sync_dir(dir);
 }
 
-struct StoreEntry {
-  std::string name;
-  std::uint64_t size = 0;
-  double mtime = 0.0;
-};
-
-std::vector<StoreEntry> scan_objects(const std::string& dir) {
-  std::vector<StoreEntry> entries;
+/// Removes the temp files crashed writers left in `dir` more than
+/// kTempFileTtlSeconds ago; a live writer's temp file is far younger.
+void collect_abandoned_temp_files(const std::string& dir) {
+  const double now =
+      static_cast<double>(::time(nullptr));  // lint:allow ambient-randomness -- GC compares temp-file mtimes against the wall clock; results never depend on it
+  std::vector<std::string> abandoned;
   DIR* handle = ::opendir(dir.c_str());
-  if (handle == nullptr) return entries;
+  if (handle == nullptr) return;
   while (const dirent* entry = ::readdir(handle)) {
     const std::string name = entry->d_name;
-    if (name == "." || name == "..") continue;
+    if (name.rfind(".tmp-", 0) != 0) continue;
+    const std::string path = dir + "/" + name;
     struct stat status {};
-    if (::stat((dir + "/" + name).c_str(), &status) != 0 || !S_ISREG(status.st_mode)) continue;
-    entries.push_back({name, static_cast<std::uint64_t>(status.st_size),
-                       static_cast<double>(status.st_mtime)});
+    if (::stat(path.c_str(), &status) != 0 || !S_ISREG(status.st_mode)) continue;
+    if (now - static_cast<double>(status.st_mtime) > kTempFileTtlSeconds) {
+      abandoned.push_back(path);
+    }
   }
   ::closedir(handle);
-  // Directory order is filesystem-dependent; every policy below must see
-  // a deterministic sequence.
-  std::sort(entries.begin(), entries.end(),
-            [](const StoreEntry& a, const StoreEntry& b) { return a.name < b.name; });
-  return entries;
+  for (const std::string& path : abandoned) ::unlink(path.c_str());
 }
 
 std::string read_first_line(const std::string& path) {
@@ -137,25 +132,28 @@ std::string read_first_line(const std::string& path) {
 
 }  // namespace
 
-DiskArtifactStore::DiskArtifactStore(DiskStoreOptions options) : options_(std::move(options)) {
-  require(!options_.dir.empty(), "DiskArtifactStore", "store directory must not be empty");
-  make_dir(options_.dir);
-  objects_dir_ = options_.dir + "/objects";
+DiskArtifactStore::DiskArtifactStore(std::string dir) : dir_(std::move(dir)) {
+  require(!dir_.empty(), "DiskArtifactStore", "store directory must not be empty");
+  make_dir(dir_);
+  objects_dir_ = dir_ + "/objects";
   make_dir(objects_dir_);
   open_manifest();
 }
 
 void DiskArtifactStore::open_manifest() {
-  const support::FileLock lock = support::FileLock::acquire(options_.dir + "/LOCK");
-  const std::string manifest_path = options_.dir + "/MANIFEST";
-  const std::string version_line = read_first_line(manifest_path);
+  const support::FileLock lock = support::FileLock::acquire(dir_ + "/LOCK");
+  const std::string version_line = read_first_line(dir_ + "/MANIFEST");
   if (!version_line.empty() && version_line != kManifestVersionLine) {
     // A store written by a different format version: refuse to read or
     // write it (fall back to recompute) rather than mixing layouts.
     usable_ = false;
     return;
   }
-  collect_garbage_locked();
+  if (version_line.empty()) {
+    (void)publish_file(dir_, ".MANIFEST.tmp-" + std::to_string(::getpid()), "MANIFEST",
+                       std::string(kManifestVersionLine) + "\n");
+  }
+  collect_abandoned_temp_files(objects_dir_);
 }
 
 std::string DiskArtifactStore::object_path(std::uint32_t stage, const ArtifactKey& key) const {
@@ -222,71 +220,6 @@ bool DiskArtifactStore::publish(std::uint32_t stage, const ArtifactKey& key,
   } catch (...) {
     return false;  // the store is an accelerator; the run must not fail
   }
-}
-
-void DiskArtifactStore::collect_garbage() const {
-  if (!usable_) return;
-  const support::FileLock lock = support::FileLock::acquire(options_.dir + "/LOCK");
-  collect_garbage_locked();
-}
-
-void DiskArtifactStore::collect_garbage_locked() const {
-  const double now =
-      static_cast<double>(::time(nullptr));  // lint:allow ambient-randomness -- GC compares record mtimes against the wall clock; results never depend on it
-  std::vector<StoreEntry> entries = scan_objects(objects_dir_);
-
-  const auto remove_entry = [this](const StoreEntry& entry) {
-    ::unlink((objects_dir_ + "/" + entry.name).c_str());
-  };
-  std::vector<StoreEntry> records;
-  std::uint64_t total_bytes = 0;
-  for (StoreEntry& entry : entries) {
-    if (entry.name.rfind(".tmp-", 0) == 0) {
-      // A crashed writer's leftover: collect once clearly abandoned.
-      if (now - entry.mtime > kTempFileTtlSeconds) remove_entry(entry);
-      continue;
-    }
-    if (options_.ttl_seconds > 0.0 && now - entry.mtime > options_.ttl_seconds) {
-      remove_entry(entry);
-      continue;
-    }
-    total_bytes += entry.size;
-    records.push_back(std::move(entry));
-  }
-
-  if (options_.capacity_bytes > 0 && total_bytes > options_.capacity_bytes) {
-    // Oldest first (ties broken by name so the order is deterministic).
-    std::vector<std::size_t> order(records.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&records](std::size_t a, std::size_t b) {
-      if (records[a].mtime != records[b].mtime) return records[a].mtime < records[b].mtime;
-      return records[a].name < records[b].name;
-    });
-    std::vector<bool> removed(records.size(), false);
-    for (const std::size_t index : order) {
-      if (total_bytes <= options_.capacity_bytes) break;
-      remove_entry(records[index]);
-      total_bytes -= records[index].size;
-      removed[index] = true;
-    }
-    std::vector<StoreEntry> survivors;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      if (!removed[i]) survivors.push_back(std::move(records[i]));
-    }
-    records = std::move(survivors);
-  }
-
-  // Rewrite the manifest: the version line plus the surviving record
-  // names.  `records` is already name-sorted (scan_objects sorts), so the
-  // manifest bytes are a deterministic function of the store contents.
-  std::string manifest(kManifestVersionLine);
-  manifest.push_back('\n');
-  for (const StoreEntry& record : records) {
-    manifest += record.name;
-    manifest.push_back('\n');
-  }
-  (void)publish_file(options_.dir, ".MANIFEST.tmp-" + std::to_string(::getpid()), "MANIFEST",
-                     manifest);
 }
 
 }  // namespace icsdiv::runner

@@ -17,13 +17,11 @@
 // Publish failures (disk full, permissions) are swallowed: the store is
 // an accelerator, so a run that cannot persist still completes.
 //
-// The per-store MANIFEST records the store format version; openings and
-// GC serialize on the flock'd `LOCK` sidecar (support::FileLock — the
-// same primitive the unix-socket reclaim uses).  GC runs at open: stale
-// temp files and records past the TTL are removed, then the oldest
-// records (mtime, tie-broken by name) until the store fits the capacity
-// budget.  The manifest's record list is rewritten in sorted order —
-// store files are determinism-critical (tools/lint_invariants.py).
+// The per-store MANIFEST holds one line, the store format version,
+// written when the store is first opened.  Openings serialize on the
+// flock'd `LOCK` sidecar (support::FileLock — the same primitive the
+// unix-socket reclaim uses) and collect the temp files crashed writers
+// left behind.  Records are never evicted.
 #pragma once
 
 #include <cstdint>
@@ -36,25 +34,18 @@
 
 namespace icsdiv::runner {
 
-struct DiskStoreOptions {
-  std::string dir;
-  /// GC budget over `objects/` in bytes; 0 = unlimited.
-  std::uint64_t capacity_bytes = 0;
-  /// Records older than this are collected at open; 0 = no TTL.
-  double ttl_seconds = 0.0;
-};
-
 class DiskArtifactStore {
  public:
   /// Bumped whenever the record layout or any stage codec changes; a
   /// version-mismatched record or manifest is a miss, not an error.
   static constexpr std::uint32_t kFormatVersion = 1;
 
-  /// Opens (creating as needed) the store and runs GC under the store
-  /// lock.  Throws NotFound when the directories cannot be created; a
-  /// manifest from a different format version disables the store (every
-  /// load misses, every publish no-ops) instead of failing the run.
-  explicit DiskArtifactStore(DiskStoreOptions options);
+  /// Opens (creating as needed) the store in `dir` and collects abandoned
+  /// temp files under the store lock.  Throws NotFound when the
+  /// directories cannot be created; a manifest from a different format
+  /// version disables the store (every load misses, every publish no-ops)
+  /// instead of failing the run.
+  explicit DiskArtifactStore(std::string dir);
 
   /// One validated on-disk record: the summary and payload sections point
   /// into the held mapping (valid for the Record's lifetime).
@@ -77,20 +68,16 @@ class DiskArtifactStore {
 
   /// False when the manifest belongs to a different format version.
   [[nodiscard]] bool usable() const noexcept { return usable_; }
-  [[nodiscard]] const std::string& dir() const noexcept { return options_.dir; }
+  [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
   /// The record file for (stage, key) — exposed for tests that corrupt,
   /// truncate or backdate records.
   [[nodiscard]] std::string object_path(std::uint32_t stage, const ArtifactKey& key) const;
 
-  /// Re-runs GC under the store lock (open does this automatically).
-  void collect_garbage() const;
-
  private:
   void open_manifest();
-  void collect_garbage_locked() const;
 
-  DiskStoreOptions options_;
+  std::string dir_;
   std::string objects_dir_;
   bool usable_ = true;
 };

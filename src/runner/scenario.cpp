@@ -86,13 +86,6 @@ std::string ScenarioSpec::derive_name() const {
   return out.str();
 }
 
-std::size_t ScenarioGrid::size() const noexcept {
-  const std::size_t attack_cells =
-      attack ? attack->strategies.size() * attack->detections.size() : 1;
-  return hosts.size() * degrees.size() * services.size() * products_per_service.size() *
-         solvers.size() * constraints.size() * seeds.size() * attack_cells;
-}
-
 std::size_t ScenarioGrid::cell_count() const {
   std::size_t count = 1;
   const auto multiply = [&count](std::size_t axis) {

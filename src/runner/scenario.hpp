@@ -87,10 +87,6 @@ struct ScenarioSpec {
   std::string constraints = "none";
   std::uint64_t seed = 2020;
   mrf::SolveOptions solve;
-  /// Solve the independent MRF components concurrently (the in-cell
-  /// fan-out; BatchRunner forces it on when it runs cells on a single
-  /// worker, see BatchOptions::inner_parallel).
-  bool parallel = false;
   /// Attack evaluation to run on the solved cell, when present.
   std::optional<AttackSpec> attack;
   /// d_bn evaluation to run on the solved cell, when present.
@@ -139,10 +135,6 @@ struct ScenarioGrid {
   std::size_t max_cells = kDefaultMaxCells;
 
   static constexpr std::size_t kDefaultMaxCells = 1'000'000;
-
-  /// Unchecked axis product (may wrap on absurd axis sizes; prefer
-  /// cell_count() anywhere the value feeds an allocation).
-  [[nodiscard]] std::size_t size() const noexcept;
 
   /// Checked cell count: the exact number of specs expand() would emit.
   /// Throws Infeasible when the axis product overflows std::size_t or

@@ -257,9 +257,9 @@ struct SolveStage {
         .mix(0.0)
         .mix(std::uint64_t{0})
         .mix(true);
-    // ScenarioSpec::parallel is deliberately absent: the decomposed solve
-    // is bit-identical at any fan-out (pinned by the batch determinism
-    // tests), so cells differing only in the flag share the artifact.
+    // The in-cell fan-out is deliberately absent: the decomposed solve is
+    // bit-identical at any fan-out (pinned by the batch determinism
+    // tests), so cells differing only in it share the artifact.
   }
 
   static Shared<Payload> compute(const StageInput& in, const Shared<Parent::Payload>& problem,
@@ -685,9 +685,9 @@ class BatchRun {
     cells_.resize(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const ScenarioSpec& spec = specs[i];
-      // A lone worker may as well let each stage fan out; otherwise the
-      // spec decides, unless the batch-wide override is set.
-      const bool parallel = options_.inner_parallel.value_or(threads_ == 1 || spec.parallel);
+      // A lone worker may as well let each stage fan out, unless the
+      // batch-wide override is set.
+      const bool parallel = options_.inner_parallel.value_or(threads_ == 1);
       std::array<ArtifactKey, kStageCount> keys{};
       cells_[i].fill(kNoStage);
       for_each_stage([&](auto& state) { intern(state, spec, parallel, cells_[i], keys); });
@@ -1021,7 +1021,7 @@ BatchReport BatchRunner::run(const std::vector<ScenarioSpec>& specs) const {
   // The optional persistent tier (DESIGN.md §13).  A manifest from a
   // different format version disables it — every probe then misses.
   std::optional<DiskArtifactStore> disk;
-  if (!options_.store_dir.empty()) disk.emplace(DiskStoreOptions{options_.store_dir});
+  if (!options_.store_dir.empty()) disk.emplace(options_.store_dir);
   return BatchRun(options_, threads, disk && disk->usable() ? &*disk : nullptr).run(specs);
 }
 

@@ -144,8 +144,6 @@ PropagationChannels PropagationChannels::deserialize(std::string_view data) {
 namespace {
 
 void validate_run_params(const SimulationParams& params) {
-  require(params.silent_probability >= 0.0 && params.silent_probability < 1.0,
-          "CompiledPropagation", "silent probability must be in [0,1)");
   require(params.max_ticks > 0, "CompiledPropagation", "max_ticks must be positive");
   require(params.detection_probability >= 0.0 && params.detection_probability <= 1.0,
           "CompiledPropagation", "detection probability must be in [0,1]");
@@ -171,8 +169,6 @@ CompiledPropagation::CompiledPropagation(std::shared_ptr<const PropagationChanne
               compiled.consider_similarity == params_.model.consider_similarity,
           "CompiledPropagation", "params.model differs from the shared channels' model");
   validate_run_params(params_);
-  has_silent_ = params_.silent_probability > 0.0;
-  silent_threshold_ = acceptance_threshold(params_.silent_probability);
   detection_threshold_ = acceptance_threshold(params_.detection_probability);
 }
 
@@ -223,15 +219,13 @@ bool CompiledPropagation::tick(SimState& state, core::HostId target, support::Rn
         fresh_count += word < ch.link_best_threshold_[l] ? 1u : 0u;
       }
     } else {
-      // Uniform attacker: the silent roll and the exploit pick are
-      // *conditional* draws — whether a word is consumed depends on the
-      // previous word — so this path cannot batch without changing the
-      // stream.  It stays serial, branchless on the success compaction.
+      // Uniform attacker: a uniform choice among the feasible exploits
+      // (baseline included), then its acceptance draw.  The pick is
+      // rejection-sampled — how many words it consumes depends on the
+      // words — so this path cannot batch without changing the stream.
+      // It stays serial, branchless on the success compaction.
       for (std::size_t i = 0; i < frontier; ++i) {
         const std::uint32_t l = gather[i];
-        // Uniform choice among the feasible exploits (baseline included),
-        // optionally staying silent.
-        if (has_silent_ && (rng() >> 11) < silent_threshold_) continue;
         const std::uint32_t picks = ch.pick_begin_[l];
         const std::uint64_t threshold =
             ch.pick_pool_[picks + rng.index(ch.pick_begin_[l + 1] - picks)];

@@ -5,11 +5,9 @@
 // attacker picks which exploit to fire across the link:
 //
 //  * Sophisticated (the paper's default): reconnaissance first — always
-//    the channel with the highest success probability.  It never stays
-//    silent: `silent_probability` applies to the Uniform strategy only.
+//    the channel with the highest success probability.
 //  * Uniform: "when multiple exploits are feasible, attackers evenly
-//    choose one to use" (the paper's BN assumption), including the chance
-//    to stay silent when `silent_probability` is set.
+//    choose one to use" (the paper's BN assumption).
 //
 // Channels and probabilities come from bayes::PropagationModel; the
 // simulator's default similarity weight is per-*attempt* (an exploit that
@@ -113,11 +111,6 @@ struct SimulationParams {
   bayes::PropagationModel model{/*p_avg=*/0.04, /*similarity_weight=*/0.30,
                                 /*consider_similarity=*/true};
   AttackerStrategy strategy = AttackerStrategy::Sophisticated;
-  /// Chance a Uniform attacker skips an attack opportunity this tick.
-  /// Only the Uniform strategy rolls it — Sophisticated models a
-  /// reconnaissance-first attacker that always fires its best exploit and
-  /// ignores this knob entirely.
-  double silent_probability = 0.0;
   /// Censoring horizon per run.
   std::size_t max_ticks = 100'000;
   /// Defender model (§IX's defensive-evaluation extension): each infected
@@ -232,8 +225,8 @@ class CompiledPropagation {
 
   /// Shares an existing channel build: `params.model` must equal the model
   /// the channels were compiled for (throws InvalidArgument otherwise).
-  /// Strategy, silent/detection probabilities and the horizon are free to
-  /// differ — they are resolved per instance, not per channel table.
+  /// Strategy, detection probability and the horizon are free to differ —
+  /// they are resolved per instance, not per channel table.
   CompiledPropagation(std::shared_ptr<const PropagationChannels> channels,
                       SimulationParams params);
 
@@ -273,9 +266,6 @@ class CompiledPropagation {
 
   SimulationParams params_;
   std::shared_ptr<const PropagationChannels> channels_;
-  bool has_silent_ = false;  ///< gates the silent draw (a 0-probability
-                             ///< threshold must not consume an RNG step)
-  std::uint64_t silent_threshold_ = 0;
   std::uint64_t detection_threshold_ = 0;
 };
 

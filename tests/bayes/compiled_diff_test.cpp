@@ -116,9 +116,7 @@ TEST(InferenceOptionsValidation, ZeroSamplesIsInfeasible) {
   const CompiledReliability compiled(mono, 0, PropagationModel{});
   EXPECT_THROW((void)compiled.compromise_probability(3, zero_samples), Infeasible);
   EXPECT_THROW((void)compiled.solve_all(zero_samples), Infeasible);
-  DiversityMetricOptions metric_options;
-  metric_options.inference = zero_samples;
-  EXPECT_THROW((void)bn_diversity_metric(mono, 0, 3, metric_options), Infeasible);
+  EXPECT_THROW((void)bn_diversity_metric(mono, 0, 3, zero_samples), Infeasible);
 }
 
 TEST(InferenceOptionsValidation, ZeroExactBudgetIsInfeasible) {
@@ -236,10 +234,10 @@ TEST(CompiledVsSeed, CoupledSamplerWithinSeedBands) {
   core::OptimizeOptions options;
   options.solver = "icm";
   const auto assignment = core::Optimizer(*instance.network).optimize({}, options).assignment;
-  DiversityMetricOptions metric_options;
-  metric_options.inference.engine = InferenceEngine::MonteCarlo;
-  metric_options.inference.mc_samples = 200'000;
-  const auto metric = bn_diversity_metric(assignment, 0, 39, metric_options);
+  InferenceOptions inference;
+  inference.engine = InferenceEngine::MonteCarlo;
+  inference.mc_samples = 200'000;
+  const auto metric = bn_diversity_metric(assignment, 0, 39, inference);
   EXPECT_NEAR(metric.d_bn, 0.5095137420718816, 0.08);
   EXPECT_NEAR(metric.p_with_similarity, 0.0047299999999999998, 0.0006);
   EXPECT_NEAR(metric.p_without_similarity, 0.0024099999999999998, 0.0004);
@@ -374,15 +372,15 @@ TEST(ShardedSampler, ThreadCountBitIdentity) {
 TEST(ShardedSampler, MetricBitIdenticalAcrossThreadCounts) {
   runner::WorkloadInstance instance;
   const auto assignment = workload_assignment(instance, 30, 13);
-  DiversityMetricOptions options;
-  options.inference.engine = InferenceEngine::MonteCarlo;
-  options.inference.mc_samples = 60'000;
-  options.inference.parallel = false;
-  const auto reference = bn_diversity_metric(assignment, 0, 29, options);
+  InferenceOptions inference;
+  inference.engine = InferenceEngine::MonteCarlo;
+  inference.mc_samples = 60'000;
+  inference.parallel = false;
+  const auto reference = bn_diversity_metric(assignment, 0, 29, inference);
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    options.inference.parallel = true;
-    options.inference.threads = threads;
-    const auto metric = bn_diversity_metric(assignment, 0, 29, options);
+    inference.parallel = true;
+    inference.threads = threads;
+    const auto metric = bn_diversity_metric(assignment, 0, 29, inference);
     EXPECT_DOUBLE_EQ(metric.d_bn, reference.d_bn) << "threads " << threads;
     EXPECT_DOUBLE_EQ(metric.p_with_similarity, reference.p_with_similarity);
     EXPECT_DOUBLE_EQ(metric.p_without_similarity, reference.p_without_similarity);

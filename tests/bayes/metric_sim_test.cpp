@@ -238,9 +238,6 @@ TEST(WormSim, UniformStrategySlowerThanSophisticated) {
 TEST(WormSim, ParameterValidation) {
   LineFixture f(0.5);
   const auto mono = f.assign({f.a, f.a, f.a, f.a});
-  sim::SimulationParams bad;
-  bad.silent_probability = 1.0;
-  EXPECT_THROW(sim::CompiledPropagation(mono, bad), InvalidArgument);
   sim::SimulationParams zero_ticks;
   zero_ticks.max_ticks = 0;
   EXPECT_THROW(sim::CompiledPropagation(mono, zero_ticks), InvalidArgument);

@@ -14,6 +14,8 @@
 #include "graph/algorithms.hpp"
 #include "sim/compiled.hpp"
 
+#include "../graph/graph_checks.hpp"
+
 namespace icsdiv::cases {
 namespace {
 

@@ -64,12 +64,10 @@ TEST(Problem, SharedMatricesAcrossEdges) {
 
 TEST(Problem, UnaryConstantApplied) {
   Instance inst;
-  ProblemOptions options;
-  options.unary_constant = 0.25;
-  const DiversificationProblem problem(*inst.network, {}, options);
+  const DiversificationProblem problem(*inst.network);
   for (mrf::VariableId v = 0; v < problem.variable_count(); ++v) {
     for (const mrf::Cost cost : problem.mrf().unary(v)) {
-      EXPECT_DOUBLE_EQ(cost, 0.25);
+      EXPECT_DOUBLE_EQ(cost, 0.01);  // Pr_const of Eq. 2
     }
   }
 }
@@ -111,9 +109,7 @@ TEST(Problem, EncodeDecodeRoundTrip) {
 
 TEST(Problem, EnergyEqualsUnaryPlusSimilarity) {
   Instance inst;
-  ProblemOptions options;
-  options.unary_constant = 0.01;
-  const DiversificationProblem problem(*inst.network, {}, options);
+  const DiversificationProblem problem(*inst.network);
   Assignment mono = mono_assignment(*inst.network);
   const double expected =
       0.01 * static_cast<double>(problem.variable_count()) + total_edge_similarity(mono);

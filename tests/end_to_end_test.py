@@ -1,0 +1,180 @@
+#!/usr/bin/env python3
+"""End-to-end output pins for the built binaries.
+
+Three groups of checks, each driving a real executable:
+
+  reports   `icsdiv_cli batch --report deterministic` on four example
+            grids, at --threads 1 and 4; the CSV and JSON bytes must equal
+            the goldens under tests/goldens/.
+  examples  the stdout of five examples must equal
+            tests/goldens/examples/<name>.txt (skipped when the examples
+            are not built, i.e. no --examples directory is given).
+  flags     icsdiv_cli and icsdivd reject flags they do not read, and
+            `icsdivd --max-connections 0`, with exit code 2 and a message
+            naming the flag, before doing any work.
+
+Usage:
+  end_to_end_test.py --cli ICSDIV_CLI --icsdivd ICSDIVD [--examples DIR]
+  end_to_end_test.py ... --record
+
+--record rewrites the report and example goldens from this build.  Do it
+only when a change alters results on purpose, and say why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import subprocess
+import sys
+import tempfile
+from typing import List
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+GOLDENS = REPO / "tests" / "goldens"
+GRIDS = ("sweep_small", "attack_sweep", "metric_sweep", "daemon_smoke")
+THREADS = (1, 4)
+EXAMPLES = ("quickstart", "enterprise_network", "ics_case_study", "attack_simulation",
+            "nvd_pipeline")
+USAGE_ERROR = 2  # api::StatusCode::InvalidArgument's exit code
+
+
+def grid_path(name: str) -> str:
+    return str(REPO / "examples" / "grids" / f"{name}.json")
+
+
+def run(command: List[str], cwd: pathlib.Path, timeout: float = 600.0):
+    return subprocess.run(command, cwd=cwd, capture_output=True, timeout=timeout)
+
+
+def check_reports(cli: str, work: pathlib.Path, record: bool) -> List[str]:
+    failures = []
+    for grid in GRIDS:
+        for threads in THREADS:
+            csv_path = work / f"{grid}.t{threads}.csv"
+            json_path = work / f"{grid}.t{threads}.json"
+            result = run([cli, "batch", "--grid", grid_path(grid), "--report", "deterministic",
+                          "--threads", str(threads), "--csv", str(csv_path),
+                          "--json", str(json_path)], work)
+            if result.returncode != 0:
+                failures.append(f"{grid} --threads {threads}: exit {result.returncode}: "
+                                f"{result.stderr.decode(errors='replace')[-400:]}")
+                continue
+            for produced, suffix in ((csv_path, "csv"), (json_path, "json")):
+                golden = GOLDENS / f"{grid}.{suffix}"
+                if record and threads == THREADS[0]:
+                    golden.write_bytes(produced.read_bytes())
+                elif produced.read_bytes() != golden.read_bytes():
+                    failures.append(f"{grid} --threads {threads}: {suffix} differs from {golden}")
+    return failures
+
+
+def check_examples(examples: pathlib.Path, work: pathlib.Path, record: bool) -> List[str]:
+    failures = []
+    if record:
+        (GOLDENS / "examples").mkdir(exist_ok=True)
+    for name in EXAMPLES:
+        result = run([str(examples / name)], work)
+        if result.returncode != 0:
+            failures.append(f"example {name}: exit {result.returncode}")
+            continue
+        golden = GOLDENS / "examples" / f"{name}.txt"
+        if record:
+            golden.write_bytes(result.stdout)
+        elif result.stdout != golden.read_bytes():
+            failures.append(f"example {name}: stdout differs from {golden}")
+    return failures
+
+
+def tiny_documents(work: pathlib.Path):
+    """A four-host catalog and network, written to `work`."""
+    catalog = {
+        "format": "icsdiv-catalog",
+        "services": [{"name": "OS", "products": ["os1", "os2"],
+                      "similarity": [{"a": "os1", "b": "os2", "value": 0.3}]}],
+    }
+    network = {
+        "format": "icsdiv-network",
+        "hosts": [{"name": f"h{i}", "services": [{"service": "OS", "candidates": ["os1", "os2"]}]}
+                  for i in range(4)],
+        "links": [["h0", "h1"], ["h1", "h2"], ["h2", "h3"]],
+    }
+    catalog_path = work / "catalog.json"
+    network_path = work / "network.json"
+    catalog_path.write_text(json.dumps(catalog))
+    network_path.write_text(json.dumps(network))
+    return str(catalog_path), str(network_path)
+
+
+def expect_usage_error(command: List[str], flags: List[str], work: pathlib.Path,
+                       must_not_exist: List[pathlib.Path]) -> List[str]:
+    label = " ".join(pathlib.Path(part).name if part.startswith("/") else part
+                     for part in command)
+    try:
+        result = run(command, work, timeout=30.0)
+    except subprocess.TimeoutExpired:
+        return [f"`{label}`: still running after 30 s (expected exit {USAGE_ERROR})"]
+    failures = []
+    output = (result.stdout + result.stderr).decode(errors="replace")
+    if result.returncode != USAGE_ERROR:
+        failures.append(f"`{label}`: exit {result.returncode}, expected {USAGE_ERROR}")
+    for flag in flags:
+        if flag not in output:
+            failures.append(f"`{label}`: message does not name {flag}")
+    for path in must_not_exist:
+        if path.exists():
+            failures.append(f"`{label}`: created {path.name}")
+    return failures
+
+
+def check_flags(cli: str, icsdivd: str, work: pathlib.Path) -> List[str]:
+    catalog, network = tiny_documents(work)
+    shard_json = work / "shard.json"
+    stray_csv = work / "stray.csv"
+    socket_path = work / "refused.sock"
+    cases = [
+        ([cli, "optimize", "--catalog", catalog, "--network", network, "--max-iteration", "1",
+          "--solverr", "icm"], ["--max-iteration", "--solverr"], []),
+        ([cli, "batch", "--grid", grid_path("sweep_small"), "--shard", "0/2",
+          "--json", str(shard_json), "--csv", str(stray_csv)], ["--csv"], [shard_json, stray_csv]),
+        ([cli, "batch", "--grid", grid_path("sweep_small"), "--report", "deterministic",
+          "--timeout-ms", "1", "--format", "json", "--csv", str(stray_csv)],
+         ["--timeout-ms", "--format"], [stray_csv]),
+        ([cli, "version", "--bogus", "1"], ["--bogus"], []),
+        ([icsdivd, "--socket", str(socket_path), "--max-connections", "0"],
+         ["--max-connections"], [socket_path]),
+    ]
+    failures = []
+    for command, flags, must_not_exist in cases:
+        failures += expect_usage_error(command, flags, work, must_not_exist)
+    return failures
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--cli", required=True, help="path to icsdiv_cli")
+    parser.add_argument("--icsdivd", required=True, help="path to icsdivd")
+    parser.add_argument("--examples", help="directory holding the built examples")
+    parser.add_argument("--record", action="store_true", help="rewrite the goldens")
+    args = parser.parse_args()
+
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="icsdiv-e2e-") as tmp:
+        work = pathlib.Path(tmp)
+        failures += check_reports(args.cli, work, args.record)
+        if args.examples:
+            failures += check_examples(pathlib.Path(args.examples), work, args.record)
+        else:
+            print("examples: skipped (not built)")
+        if not args.record:
+            failures += check_flags(args.cli, args.icsdivd, work)
+
+    for failure in failures:
+        print("FAIL:", failure)
+    print(f"end_to_end: {len(failures)} failure(s)")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,11 +1,10 @@
-// BFS, components, colouring, matching, degree statistics.
+// BFS distances, plus the connectivity and degree checkers the generator
+// tests rely on.
 #include "graph/algorithms.hpp"
 
 #include <gtest/gtest.h>
 
-#include <set>
-
-#include "graph/generators.hpp"
+#include "graph_checks.hpp"
 
 namespace icsdiv::graph {
 namespace {
@@ -31,101 +30,16 @@ TEST(BfsDistances, UnreachableMarked) {
   EXPECT_EQ(dist[3], kUnreachable);
 }
 
-TEST(ShortestPath, FindsMinimalRoute) {
-  Graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 5);
-  g.add_edge(0, 3);
-  g.add_edge(3, 4);
-  g.add_edge(4, 5);
-  g.add_edge(0, 5);  // direct shortcut
-  const auto path = shortest_path(g, 0, 5);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(*path, (std::vector<VertexId>{0, 5}));
-}
-
-TEST(ShortestPath, NoRouteReturnsNullopt) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  EXPECT_FALSE(shortest_path(g, 0, 2).has_value());
-}
-
-TEST(ShortestPath, TrivialSourceEqualsTarget) {
-  const Graph g = path_graph(3);
-  const auto path = shortest_path(g, 1, 1);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(*path, (std::vector<VertexId>{1}));
-}
-
-TEST(ConnectedComponents, LabelsPartition) {
-  Graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(3, 4);
-  const auto comp = connected_components(g);
-  EXPECT_EQ(comp[0], comp[1]);
-  EXPECT_EQ(comp[1], comp[2]);
-  EXPECT_EQ(comp[3], comp[4]);
-  EXPECT_NE(comp[0], comp[3]);
-  EXPECT_NE(comp[5], comp[0]);
-  EXPECT_NE(comp[5], comp[3]);
-  EXPECT_FALSE(is_connected(g));
-}
-
 TEST(IsConnected, SmallCases) {
   EXPECT_TRUE(is_connected(Graph(0)));
   EXPECT_TRUE(is_connected(Graph(1)));
   EXPECT_FALSE(is_connected(Graph(2)));
   EXPECT_TRUE(is_connected(path_graph(10)));
+  Graph islands(4);
+  islands.add_edge(0, 1);
+  islands.add_edge(2, 3);
+  EXPECT_FALSE(is_connected(islands));
 }
-
-class ColoringSweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ColoringSweep, ProperOnRandomGraphs) {
-  support::Rng rng(GetParam());
-  const Graph g = random_network(80, 6.0, rng);
-  const auto color = greedy_coloring(g);
-  for (const Edge& e : g.edges()) {
-    EXPECT_NE(color[e.u], color[e.v]) << "edge " << e.u << "-" << e.v;
-  }
-  // Greedy with largest-first never exceeds max degree + 1 colours.
-  const DegreeStats stats = degree_stats(g);
-  for (std::size_t c : color) EXPECT_LE(c, stats.max);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ColoringSweep, ::testing::Values(1u, 2u, 3u, 4u, 5u));
-
-TEST(GreedyColoring, BipartiteUsesTwoColors) {
-  // Even cycle is 2-colourable.
-  Graph g(6);
-  for (VertexId v = 0; v < 6; ++v) g.add_edge(v, (v + 1) % 6);
-  const auto color = greedy_coloring(g);
-  const std::set<std::size_t> used(color.begin(), color.end());
-  EXPECT_LE(used.size(), 3u);  // greedy may use 3 on a cycle, never more
-}
-
-class MatchingSweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(MatchingSweep, ValidAndMaximal) {
-  support::Rng rng(GetParam() * 31);
-  const Graph g = random_network(60, 5.0, rng);
-  support::Rng matching_rng(GetParam());
-  const auto matching = maximal_matching(g, matching_rng);
-
-  std::set<VertexId> matched;
-  for (const Edge& e : matching) {
-    EXPECT_TRUE(g.has_edge(e.u, e.v));
-    EXPECT_TRUE(matched.insert(e.u).second) << "vertex matched twice";
-    EXPECT_TRUE(matched.insert(e.v).second) << "vertex matched twice";
-  }
-  // Maximal: no remaining edge has both endpoints unmatched.
-  for (const Edge& e : g.edges()) {
-    EXPECT_TRUE(matched.count(e.u) || matched.count(e.v));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MatchingSweep, ::testing::Values(10u, 20u, 30u));
 
 TEST(DegreeStats, HandComputed) {
   Graph g(4);

@@ -1,9 +1,7 @@
-// Centrality measures: hand-checked values on canonical topologies.
+// Betweenness centrality: hand-checked values on canonical topologies.
 #include "graph/centrality.hpp"
 
 #include <gtest/gtest.h>
-
-#include <set>
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -50,45 +48,6 @@ TEST(Betweenness, DisconnectedGraphIsFine) {
   for (double value : centrality) EXPECT_DOUBLE_EQ(value, 0.0);
 }
 
-TEST(Clustering, TriangleAndStar) {
-  Graph triangle(3);
-  triangle.add_edge(0, 1);
-  triangle.add_edge(1, 2);
-  triangle.add_edge(0, 2);
-  for (double c : clustering_coefficients(triangle)) EXPECT_DOUBLE_EQ(c, 1.0);
-
-  Graph star(4);
-  for (VertexId leaf = 1; leaf < 4; ++leaf) star.add_edge(0, leaf);
-  for (double c : clustering_coefficients(star)) EXPECT_DOUBLE_EQ(c, 0.0);
-}
-
-TEST(Clustering, PartialTriangles) {
-  // Square with one diagonal: the diagonal endpoints (degree 3) close two
-  // triangles out of C(3,2)=3 neighbour pairs; the others (degree 2) one
-  // of one.
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.add_edge(3, 0);
-  g.add_edge(0, 2);
-  const auto c = clustering_coefficients(g);
-  EXPECT_NEAR(c[0], 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(c[2], 2.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(c[1], 1.0);
-  EXPECT_DOUBLE_EQ(c[3], 1.0);
-}
-
-TEST(DegreeCentrality, Normalised) {
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(0, 3);
-  const auto c = degree_centrality(g);
-  EXPECT_DOUBLE_EQ(c[0], 1.0);
-  EXPECT_DOUBLE_EQ(c[1], 1.0 / 3.0);
-}
-
 TEST(Betweenness, SumMatchesPairCountOnTrees) {
   // On a tree every pair has exactly one shortest path, so the betweenness
   // values sum to Σ over pairs of (path length − 1).
@@ -108,88 +67,6 @@ TEST(Betweenness, SumMatchesPairCountOnTrees) {
   }
   EXPECT_NEAR(total, expected, 1e-6);
 }
-
-TEST(Articulation, PathGraphInternalsAreCutVertices) {
-  Graph g(5);
-  for (VertexId v = 0; v + 1 < 5; ++v) g.add_edge(v, v + 1);
-  EXPECT_EQ(articulation_points(g), (std::vector<VertexId>{1, 2, 3}));
-  const auto cut_edges = bridges(g);
-  EXPECT_EQ(cut_edges.size(), 4u);  // every path edge is a bridge
-}
-
-TEST(Articulation, CycleHasNone) {
-  Graph g(6);
-  for (VertexId v = 0; v < 6; ++v) g.add_edge(v, (v + 1) % 6);
-  EXPECT_TRUE(articulation_points(g).empty());
-  EXPECT_TRUE(bridges(g).empty());
-}
-
-TEST(Articulation, StarCenter) {
-  Graph g(5);
-  for (VertexId leaf = 1; leaf < 5; ++leaf) g.add_edge(0, leaf);
-  EXPECT_EQ(articulation_points(g), (std::vector<VertexId>{0}));
-  EXPECT_EQ(bridges(g).size(), 4u);
-}
-
-TEST(Articulation, TwoTrianglesJoinedAtAVertex) {
-  // Triangles {0,1,2} and {2,3,4} share vertex 2: only 2 cuts; no bridges.
-  Graph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
-  g.add_edge(2, 4);
-  EXPECT_EQ(articulation_points(g), (std::vector<VertexId>{2}));
-  EXPECT_TRUE(bridges(g).empty());
-}
-
-TEST(Articulation, DisconnectedComponentsHandled) {
-  Graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);  // path component: 1 is a cut vertex
-  g.add_edge(3, 4);
-  g.add_edge(4, 5);
-  g.add_edge(3, 5);  // triangle component: none
-  EXPECT_EQ(articulation_points(g), (std::vector<VertexId>{1}));
-  EXPECT_EQ(bridges(g).size(), 2u);
-}
-
-class ArticulationPropertySweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ArticulationPropertySweep, RemovalIncreasesComponentsIffArticulation) {
-  support::Rng rng(GetParam());
-  const Graph g = random_network(24, 3.0, rng);
-  const auto points = articulation_points(g);
-  const std::set<VertexId> cut_set(points.begin(), points.end());
-
-  const auto components_without = [&](VertexId removed) {
-    Graph h(g.vertex_count());
-    for (const Edge& e : g.edges()) {
-      if (e.u != removed && e.v != removed) h.add_edge(e.u, e.v);
-    }
-    const auto comp = connected_components(h);
-    std::set<std::size_t> ids;
-    for (VertexId v = 0; v < h.vertex_count(); ++v) {
-      if (v != removed) ids.insert(comp[v]);
-    }
-    return ids.size();
-  };
-
-  const auto baseline_components = [&] {
-    const auto comp = connected_components(g);
-    return std::set<std::size_t>(comp.begin(), comp.end()).size();
-  }();
-  for (VertexId v = 0; v < g.vertex_count(); ++v) {
-    const std::size_t after = components_without(v);
-    // Removing v also removes it from the count, so "disconnects" means
-    // the remainder has more components than before (ignoring v itself).
-    const bool disconnects = after > baseline_components;
-    EXPECT_EQ(disconnects, cut_set.count(v) > 0) << "vertex " << v;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ArticulationPropertySweep, ::testing::Values(2u, 5u, 8u));
 
 }  // namespace
 }  // namespace icsdiv::graph

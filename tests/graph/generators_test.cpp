@@ -1,42 +1,12 @@
-// Random topology generators: shape, determinism, parameter sweeps.
+// Random topology generators: shape, connectivity and parameter sweeps.
 #include "graph/generators.hpp"
 
 #include <gtest/gtest.h>
 
-#include "graph/algorithms.hpp"
+#include "graph_checks.hpp"
 
 namespace icsdiv::graph {
 namespace {
-
-TEST(ErdosRenyi, ExactEdgeCount) {
-  support::Rng rng(1);
-  const Graph g = erdos_renyi_gnm(50, 120, rng);
-  EXPECT_EQ(g.vertex_count(), 50u);
-  EXPECT_EQ(g.edge_count(), 120u);
-}
-
-TEST(ErdosRenyi, FullGraphReachable) {
-  support::Rng rng(2);
-  const Graph g = erdos_renyi_gnm(6, 15, rng);  // complete K6
-  EXPECT_EQ(g.edge_count(), 15u);
-  for (VertexId u = 0; u < 6; ++u) EXPECT_EQ(g.degree(u), 5u);
-}
-
-TEST(ErdosRenyi, TooManyEdgesThrows) {
-  support::Rng rng(3);
-  EXPECT_THROW(erdos_renyi_gnm(4, 7, rng), icsdiv::InvalidArgument);
-}
-
-TEST(ErdosRenyi, DeterministicPerSeed) {
-  support::Rng a(42);
-  support::Rng b(42);
-  const Graph ga = erdos_renyi_gnm(30, 60, a);
-  const Graph gb = erdos_renyi_gnm(30, 60, b);
-  ASSERT_EQ(ga.edge_count(), gb.edge_count());
-  for (std::size_t i = 0; i < ga.edge_count(); ++i) {
-    EXPECT_EQ(ga.edges()[i], gb.edges()[i]);
-  }
-}
 
 class RandomNetworkSweep
     : public ::testing::TestWithParam<std::pair<std::size_t, double>> {};
@@ -60,46 +30,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RandomNetworkSweep,
                                            std::pair<std::size_t, double>{200, 20.0},
                                            std::pair<std::size_t, double>{500, 8.0},
                                            std::pair<std::size_t, double>{64, 1.0}));
-
-TEST(RandomNetwork, UnconnectedVariantAllowed) {
-  support::Rng rng(5);
-  const Graph g = random_network(100, 0.5, rng, /*ensure_connected=*/false);
-  EXPECT_LT(g.average_degree(), 1.0);
-}
-
-TEST(BarabasiAlbert, DegreesAndHubs) {
-  support::Rng rng(7);
-  const std::size_t n = 300;
-  const Graph g = barabasi_albert(n, 3, rng);
-  EXPECT_EQ(g.vertex_count(), n);
-  // m edges per new vertex beyond the seed clique.
-  EXPECT_EQ(g.edge_count(), (3 * 4) / 2 + (n - 4) * 3);
-  const DegreeStats stats = degree_stats(g);
-  EXPECT_GE(stats.min, 3u);
-  // Preferential attachment produces hubs far above the mean.
-  EXPECT_GT(static_cast<double>(stats.max), 3.0 * stats.mean);
-  EXPECT_TRUE(is_connected(g));
-}
-
-TEST(BarabasiAlbert, ParameterValidation) {
-  support::Rng rng(8);
-  EXPECT_THROW(barabasi_albert(3, 3, rng), icsdiv::InvalidArgument);
-  EXPECT_THROW(barabasi_albert(10, 0, rng), icsdiv::InvalidArgument);
-}
-
-TEST(WattsStrogatz, LatticeWithoutRewiring) {
-  support::Rng rng(9);
-  const Graph g = watts_strogatz(20, 2, 0.0, rng);
-  EXPECT_EQ(g.edge_count(), 40u);
-  for (VertexId v = 0; v < 20; ++v) EXPECT_EQ(g.degree(v), 4u);
-}
-
-TEST(WattsStrogatz, RewiringKeepsEdgeBudget) {
-  support::Rng rng(10);
-  const Graph g = watts_strogatz(100, 3, 0.3, rng);
-  EXPECT_LE(g.edge_count(), 300u);
-  EXPECT_GE(g.edge_count(), 290u);  // a few rewires may collide and drop
-}
 
 TEST(ZonedTopology, ZoneStructure) {
   support::Rng rng(11);

@@ -1,9 +1,7 @@
-// Graph container and CSR snapshot.
+// Graph container.
 #include "graph/graph.hpp"
 
 #include <gtest/gtest.h>
-
-#include <algorithm>
 
 namespace icsdiv::graph {
 namespace {
@@ -59,30 +57,6 @@ TEST(Graph, NeighborsListsBothDirections) {
   const auto n0 = g.neighbors(0);
   EXPECT_EQ(std::vector<VertexId>(n0.begin(), n0.end()), (std::vector<VertexId>{1, 2}));
   EXPECT_EQ(g.neighbors(2).size(), 1u);
-}
-
-TEST(CsrGraph, MatchesAdjacency) {
-  Graph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(0, 4);
-  g.add_edge(1, 2);
-  g.add_edge(3, 4);
-  const CsrGraph csr(g);
-  EXPECT_EQ(csr.vertex_count(), 5u);
-  EXPECT_EQ(csr.edge_count(), 4u);
-  for (VertexId v = 0; v < g.vertex_count(); ++v) {
-    const auto expected = g.neighbors(v);
-    const auto actual = csr.neighbors(v);
-    ASSERT_EQ(actual.size(), expected.size());
-    EXPECT_TRUE(std::is_permutation(actual.begin(), actual.end(), expected.begin()));
-    EXPECT_EQ(csr.degree(v), g.degree(v));
-  }
-}
-
-TEST(CsrGraph, EmptyGraph) {
-  const CsrGraph csr((Graph(0)));
-  EXPECT_EQ(csr.vertex_count(), 0u);
-  EXPECT_EQ(csr.edge_count(), 0u);
 }
 
 }  // namespace

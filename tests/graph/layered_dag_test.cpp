@@ -35,15 +35,6 @@ TEST(LayeredDag, SameLayerEdgesOrientedByIndex) {
   }
 }
 
-TEST(LayeredDag, SameLayerEdgesCanBeDropped) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 2);
-  const LayeredDag dag(g, 0, LayeredDagOptions{.keep_same_layer_edges = false});
-  EXPECT_EQ(dag.edges().size(), 2u);
-}
-
 TEST(LayeredDag, UnreachableVerticesExcluded) {
   Graph g(5);
   g.add_edge(0, 1);

@@ -179,9 +179,7 @@ TEST(DefendedSimulation, ValidatesProbability) {
 TEST(Reports, DiversificationReportMentionsKeyFacts) {
   Estate estate(11, 12);
   const auto optimal = core::Optimizer(*estate.network).optimize().assignment;
-  core::ReportOptions options;
-  options.include_full_listing = true;
-  const std::string report = core::diversification_report(optimal, {}, options);
+  const std::string report = core::diversification_report(optimal);
   EXPECT_NE(report.find("12 hosts"), std::string::npos);
   EXPECT_NE(report.find("Product distribution"), std::string::npos);
   EXPECT_NE(report.find("s1:"), std::string::npos);

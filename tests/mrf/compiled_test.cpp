@@ -61,7 +61,11 @@ TEST(CompiledMrf, CsrIncidenceMatchesModelAdjacency) {
   ASSERT_EQ(compiled.edge_count(), mrf.edge_count());
   const auto edges = mrf.edges();
   for (VariableId v = 0; v < mrf.variable_count(); ++v) {
-    const auto& expected = mrf.incident_edges()[v];
+    // Expected order: the model's edges touching v, in edge order.
+    std::vector<std::size_t> expected;
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      if (edges[e].u == v || edges[e].v == v) expected.push_back(e);
+    }
     const auto incidents = compiled.incident(v);
     ASSERT_EQ(incidents.size(), expected.size());
     ASSERT_EQ(compiled.degree(v), expected.size());

@@ -58,9 +58,7 @@ TEST_P(SpecPropertySweep, PipelineEqualsAnalyticTable) {
   const OverlapSpec spec = random_spec(rng);
   ASSERT_NO_THROW(spec.validate());
 
-  SyntheticFeedOptions options;
-  options.seed = GetParam() * 31 + 7;
-  const VulnerabilityDatabase feed = generate_feed(spec, options);
+  const VulnerabilityDatabase feed = generate_feed(spec);
   const SimilarityTable pipeline = SimilarityTable::from_database(feed, spec.products);
   const SimilarityTable analytic = spec.implied_similarity_table();
 

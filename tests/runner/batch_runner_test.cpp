@@ -39,7 +39,7 @@ ScenarioResult run_one(const ScenarioSpec& spec) {
 
 TEST(ScenarioGrid, ExpandsTheCartesianProduct) {
   const ScenarioGrid grid = small_grid();
-  EXPECT_EQ(grid.size(), 12u);
+  EXPECT_EQ(grid.cell_count(), 12u);
   const auto specs = grid.expand();
   ASSERT_EQ(specs.size(), 12u);
   // Fixed axis order: hosts outermost, seeds innermost.
@@ -75,17 +75,17 @@ TEST(ScenarioGrid, JsonRoundTripAndScalarAxes) {
   EXPECT_EQ(grid.solvers, (std::vector<std::string>{"icm"}));
   EXPECT_EQ(grid.seeds, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(grid.solve.max_iterations, 17u);
-  EXPECT_EQ(grid.size(), 6u);
+  EXPECT_EQ(grid.cell_count(), 6u);
 
   const ScenarioGrid reparsed = ScenarioGrid::from_json(grid.to_json());
   EXPECT_EQ(reparsed.hosts, grid.hosts);
   EXPECT_EQ(reparsed.seeds, grid.seeds);
-  EXPECT_EQ(reparsed.size(), grid.size());
+  EXPECT_EQ(reparsed.cell_count(), grid.cell_count());
 }
 
 TEST(ScenarioGrid, CellCountRejectsGridsPastTheCap) {
   ScenarioGrid grid = small_grid();
-  EXPECT_EQ(grid.cell_count(), grid.size());  // in-cap grids agree with size()
+  EXPECT_EQ(grid.cell_count(), grid.expand().size());
 
   // 2000 × 2000 × 2 × 3 cells blows the default 1M cap: cell_count() and
   // expand() both refuse instead of attempting a multi-GB allocation.
@@ -101,8 +101,8 @@ TEST(ScenarioGrid, CellCountRejectsGridsPastTheCap) {
 
 TEST(ScenarioGrid, CellCountRejectsOverflowingAxisProducts) {
   // Seven axes of 1024 values each multiply to 2^70 — past size_t — while
-  // every individual vector stays tiny.  size() silently wraps; the
-  // checked count must throw instead of under-reserving.
+  // every individual vector stays tiny.  An unchecked product would wrap;
+  // the checked count must throw instead of under-reserving.
   ScenarioGrid grid;
   grid.hosts.assign(1024, 8);
   grid.degrees.assign(1024, 4.0);
@@ -194,7 +194,7 @@ TEST(AttackGrid, JsonRoundTripAndExpansion) {
   EXPECT_EQ(grid.attack->seed, 77u);
   // The attack axes multiply the grid: 1 solve cell × 2 strategies × 2
   // detections.
-  EXPECT_EQ(grid.size(), 4u);
+  EXPECT_EQ(grid.cell_count(), 4u);
   const auto specs = grid.expand();
   ASSERT_EQ(specs.size(), 4u);
   ASSERT_TRUE(specs[0].attack.has_value());
@@ -212,7 +212,7 @@ TEST(AttackGrid, JsonRoundTripAndExpansion) {
   EXPECT_EQ(reparsed.attack->entries, grid.attack->entries);
   EXPECT_EQ(reparsed.attack->strategies, grid.attack->strategies);
   EXPECT_EQ(reparsed.attack->detections, grid.attack->detections);
-  EXPECT_EQ(reparsed.size(), grid.size());
+  EXPECT_EQ(reparsed.cell_count(), grid.cell_count());
 }
 
 TEST(AttackGrid, RejectsBadValues) {
@@ -260,7 +260,7 @@ TEST(MetricsSpec, JsonRoundTripAndDefaults) {
   EXPECT_EQ(grid.metrics->exact_max_edges, 32u);
   EXPECT_EQ(grid.metrics->seed, 41u);
   // Unlike the attack block, metrics carries no grid-multiplying axes.
-  EXPECT_EQ(grid.size(), 1u);
+  EXPECT_EQ(grid.cell_count(), 1u);
   const auto specs = grid.expand();
   ASSERT_EQ(specs.size(), 1u);
   ASSERT_TRUE(specs[0].metrics.has_value());
@@ -463,8 +463,8 @@ TEST(BatchRunner, SameGridAndSeedIsIdenticalAcrossThreadCounts) {
 
   const BatchReport a = BatchRunner(serial).run(grid);
   const BatchReport b = BatchRunner(parallel).run(grid);
-  ASSERT_EQ(a.results.size(), grid.size());
-  ASSERT_EQ(b.results.size(), grid.size());
+  ASSERT_EQ(a.results.size(), grid.cell_count());
+  ASSERT_EQ(b.results.size(), grid.cell_count());
   EXPECT_EQ(a.failed_count(), 0u);
   EXPECT_EQ(deterministic_csv(a), deterministic_csv(b));
   // And the engine really used different shard widths.

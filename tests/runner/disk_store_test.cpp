@@ -60,7 +60,7 @@ void write_bytes(const std::string& path, const std::string& bytes) {
 
 TEST(DiskArtifactStore, RoundTripsSummaryAndPayload) {
   const ScopedDir dir(unique_store_dir("roundtrip"));
-  const DiskArtifactStore store({.dir = dir.path});
+  const DiskArtifactStore store(dir.path);
   ASSERT_TRUE(store.usable());
 
   const ArtifactKey key = key_of(0x1234, 0xabcd);
@@ -78,13 +78,13 @@ TEST(DiskArtifactStore, RoundTripsSummaryAndPayload) {
   EXPECT_FALSE(store.load(3, key_of(0x1234, 0xabce)).has_value());
 
   // A second store over the same directory sees the published record.
-  const DiskArtifactStore reopened({.dir = dir.path});
+  const DiskArtifactStore reopened(dir.path);
   EXPECT_TRUE(reopened.load(3, key).has_value());
 }
 
 TEST(DiskArtifactStore, TruncatedAndCorruptRecordsAreMissesNotErrors) {
   const ScopedDir dir(unique_store_dir("corrupt"));
-  const DiskArtifactStore store({.dir = dir.path});
+  const DiskArtifactStore store(dir.path);
   const ArtifactKey key = key_of(7, 9);
   ASSERT_TRUE(store.publish(1, key, "sum", "payload-payload-payload"));
   const std::string path = store.object_path(1, key);
@@ -119,11 +119,11 @@ TEST(DiskArtifactStore, TruncatedAndCorruptRecordsAreMissesNotErrors) {
 TEST(DiskArtifactStore, VersionMismatchedManifestDisablesTheStore) {
   const ScopedDir dir(unique_store_dir("manifest"));
   {
-    const DiskArtifactStore store({.dir = dir.path});
+    const DiskArtifactStore store(dir.path);
     ASSERT_TRUE(store.publish(2, key_of(1, 2), "s", ""));
   }
   write_bytes(dir.path + "/MANIFEST", "icsdiv-store 999\n");
-  const DiskArtifactStore store({.dir = dir.path});
+  const DiskArtifactStore store(dir.path);
   EXPECT_FALSE(store.usable());
   EXPECT_FALSE(store.load(2, key_of(1, 2)).has_value());
   EXPECT_FALSE(store.publish(2, key_of(3, 4), "s", ""));
@@ -133,7 +133,7 @@ TEST(DiskArtifactStore, VersionMismatchedManifestDisablesTheStore) {
 
 TEST(DiskArtifactStore, ConcurrentWritersAndReadersNeverObserveTornRecords) {
   const ScopedDir dir(unique_store_dir("race"));
-  const DiskArtifactStore store({.dir = dir.path});
+  const DiskArtifactStore store(dir.path);
   constexpr std::size_t kKeys = 8;
   constexpr std::size_t kRounds = 40;
 
@@ -183,61 +183,46 @@ TEST(DiskArtifactStore, ConcurrentWritersAndReadersNeverObserveTornRecords) {
   }
 }
 
-TEST(DiskArtifactStore, CapacityGcEvictsOldestUntilTheStoreFits) {
+TEST(DiskArtifactStore, OpenCollectsAbandonedTempFilesAndKeepsRecords) {
   const ScopedDir dir(unique_store_dir("gc"));
-  DiskStoreOptions options;
-  options.dir = dir.path;
-  const DiskArtifactStore store(options);
-  const std::string payload(4000, 'p');
-  for (std::size_t k = 0; k < 8; ++k) {
-    ASSERT_TRUE(store.publish(6, key_of(k, k), "s", payload));
-    // Age the early records so mtime ordering is unambiguous even on
-    // coarse-grained filesystems.
-    const auto stamp = std::filesystem::last_write_time(store.object_path(6, key_of(k, k)));
-    std::filesystem::last_write_time(store.object_path(6, key_of(k, k)),
-                                     stamp - std::chrono::seconds(100 - k));
+  {
+    const DiskArtifactStore store(dir.path);
+    ASSERT_TRUE(store.publish(2, key_of(1, 1), "old", ""));
+    const std::string old_record = store.object_path(2, key_of(1, 1));
+    std::filesystem::last_write_time(
+        old_record, std::filesystem::last_write_time(old_record) - std::chrono::hours(10));
   }
+  // A crashed writer's leftover from long ago, and a live writer's
+  // in-flight temp file.
+  const std::string abandoned = dir.path + "/objects/.tmp-1-0";
+  const std::string in_flight = dir.path + "/objects/.tmp-2-0";
+  write_bytes(abandoned, "partial");
+  write_bytes(in_flight, "partial");
+  std::filesystem::last_write_time(
+      abandoned, std::filesystem::last_write_time(abandoned) - std::chrono::hours(1));
 
-  DiskStoreOptions bounded = options;
-  bounded.capacity_bytes = 3 * (4000 + 100);  // room for ~3 records
-  const DiskArtifactStore collected(bounded);  // GC runs at open
-  std::size_t survivors = 0;
-  for (std::size_t k = 0; k < 8; ++k) {
-    if (collected.load(6, key_of(k, k)).has_value()) ++survivors;
-  }
-  EXPECT_GT(survivors, 0u);
-  EXPECT_LE(survivors, 3u);
-  // Eviction is oldest-first: the newest record always survives.
-  EXPECT_TRUE(collected.load(6, key_of(7, 7)).has_value());
-  EXPECT_FALSE(collected.load(6, key_of(0, 0)).has_value());
-
-  // A full wipe: capacity zero… is "unlimited"; a 1-byte budget empties it.
-  DiskStoreOptions tiny = options;
-  tiny.capacity_bytes = 1;
-  const DiskArtifactStore emptied(tiny);
-  for (std::size_t k = 0; k < 8; ++k) {
-    EXPECT_FALSE(emptied.load(6, key_of(k, k)).has_value());
-  }
-  // An emptied store is still a working store.
-  ASSERT_TRUE(emptied.publish(6, key_of(50, 50), "s", "fresh"));
-  EXPECT_TRUE(emptied.load(6, key_of(50, 50)).has_value());
+  const DiskArtifactStore reopened(dir.path);
+  EXPECT_FALSE(std::filesystem::exists(abandoned));
+  EXPECT_TRUE(std::filesystem::exists(in_flight));
+  // Records are never evicted, however old.
+  EXPECT_TRUE(reopened.load(2, key_of(1, 1)).has_value());
 }
 
-TEST(DiskArtifactStore, TtlGcCollectsExpiredRecords) {
-  const ScopedDir dir(unique_store_dir("ttl"));
-  const DiskArtifactStore store({.dir = dir.path});
-  ASSERT_TRUE(store.publish(2, key_of(1, 1), "old", ""));
-  ASSERT_TRUE(store.publish(2, key_of(2, 2), "new", ""));
-  const std::string old_path = store.object_path(2, key_of(1, 1));
-  std::filesystem::last_write_time(
-      old_path, std::filesystem::last_write_time(old_path) - std::chrono::hours(10));
-
-  DiskStoreOptions options;
-  options.dir = dir.path;
-  options.ttl_seconds = 3600.0;
-  const DiskArtifactStore collected(options);
-  EXPECT_FALSE(collected.load(2, key_of(1, 1)).has_value());
-  EXPECT_TRUE(collected.load(2, key_of(2, 2)).has_value());
+TEST(DiskArtifactStore, ManifestIsTheVersionLineWrittenOnce) {
+  const ScopedDir dir(unique_store_dir("manifest-once"));
+  {
+    const DiskArtifactStore store(dir.path);
+    ASSERT_TRUE(store.publish(2, key_of(1, 2), "s", ""));
+  }
+  EXPECT_EQ(file_bytes(dir.path + "/MANIFEST"), "icsdiv-store 1\n");
+  // An existing same-version manifest (older builds listed the records
+  // after the version line) is left as it is.
+  write_bytes(dir.path + "/MANIFEST", "icsdiv-store 1\n2-00000000000000010000000000000002.art\n");
+  const DiskArtifactStore reopened(dir.path);
+  EXPECT_TRUE(reopened.usable());
+  EXPECT_TRUE(reopened.load(2, key_of(1, 2)).has_value());
+  EXPECT_EQ(file_bytes(dir.path + "/MANIFEST"),
+            "icsdiv-store 1\n2-00000000000000010000000000000002.art\n");
 }
 
 // ---------------------------------------------------------------------------

@@ -65,18 +65,20 @@ TEST(CompiledGolden, SophisticatedMonoMatchesSeedEra) {
   EXPECT_EQ(r.censored, 0u);
 }
 
-TEST(CompiledGolden, UniformSilentMixedMatchesSeedEra) {
+// The one Uniform-strategy pin, recorded at 2d25573 (the last commit with
+// a silent-attacker knob; at its default of 0 it drew nothing).
+TEST(CompiledGolden, UniformMixedMatchesPin) {
   LineFixture f(0.5);
   const auto mixed = f.assign({f.a, f.b, f.a, f.b, f.a, f.b});
   sim::SimulationParams params;
   params.model.p_avg = 0.08;
   params.model.similarity_weight = 0.5;
   params.strategy = sim::AttackerStrategy::Uniform;
-  params.silent_probability = 0.25;
   const sim::CompiledPropagation simulator(mixed, params);
   const auto r = simulator.mttc(0, 5, 200, 5, /*parallel=*/false);
-  EXPECT_DOUBLE_EQ(r.mean, 39.905000000000001);
-  EXPECT_DOUBLE_EQ(r.std_dev, 17.132530255768526);
+  EXPECT_DOUBLE_EQ(r.mean, 29.649999999999999);
+  EXPECT_DOUBLE_EQ(r.std_dev, 12.224758632303965);
+  EXPECT_DOUBLE_EQ(r.ci95_half_width, 1.6942651065450998);
   EXPECT_EQ(r.censored, 0u);
 }
 

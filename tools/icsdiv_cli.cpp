@@ -30,7 +30,10 @@
 // Every compute command accepts `--timeout-ms N`, a wall-clock deadline
 // enforced by the session (DESIGN.md §11): optimize returns the best
 // assignment seen so far tagged `truncated`; other commands fail with
-// deadline_exceeded (exit 10).
+// deadline_exceeded (exit 10).  The three local batch modes (`--report
+// deterministic`, `--shard`, `--merge`) take neither `--timeout-ms` nor
+// `--format`.  Each command and batch mode rejects any flag it does not
+// read (exit 2), so a mistyped flag never silently falls back to a default.
 //
 // Exit codes follow the stable api::StatusCode mapping (status.hpp):
 // 0 ok, 2 invalid argument, 3 parse error, 4 not found, 5 infeasible,
@@ -41,6 +44,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -80,6 +84,54 @@ Arguments parse_arguments(int argc, char** argv) {
     }
   }
   return args;
+}
+
+// The flags each command and each batch mode reads, keyed by the mode's
+// name as error messages show it.
+const std::map<std::string, std::set<std::string>>& flags_by_mode() {
+  static const std::map<std::string, std::set<std::string>> flags{
+      {"optimize",
+       {"catalog", "network", "out", "solver", "max-iterations", "timeout-ms", "format"}},
+      {"evaluate",
+       {"catalog", "network", "assignment", "entry", "target", "timeout-ms", "format"}},
+      {"report", {"catalog", "network", "assignment", "timeout-ms", "format"}},
+      {"similarity", {"feed", "cpe", "timeout-ms", "format"}},
+      {"batch", {"grid", "csv", "json", "threads", "store", "timeout-ms", "format"}},
+      {"batch --report deterministic", {"grid", "csv", "json", "threads", "store", "report"}},
+      {"batch --shard", {"grid", "json", "threads", "store", "shard", "report"}},
+      {"batch --merge", {"merge", "csv", "json", "report"}},
+      {"version", {"format"}},
+  };
+  return flags;
+}
+
+/// The command, or for `batch` the batch mode, that `args` selects.
+std::string mode_of(const Arguments& args) {
+  if (!flags_by_mode().contains(args.command)) {
+    throw InvalidArgument("unknown command: " + args.command);
+  }
+  if (args.command != "batch") return args.command;
+  const auto report = args.options.find("report");
+  if (report != args.options.end() && report->second != "deterministic") {
+    throw InvalidArgument("bad --report value (deterministic): " + report->second);
+  }
+  if (args.options.contains("merge")) return "batch --merge";
+  if (args.options.contains("shard")) return "batch --shard";
+  if (report != args.options.end()) return "batch --report deterministic";
+  return "batch";
+}
+
+/// Throws InvalidArgument naming every flag `mode` does not read.
+void check_flags(const Arguments& args, const std::string& mode) {
+  const std::set<std::string>& known = flags_by_mode().at(mode);
+  std::string unknown;
+  const auto check = [&](const std::string& name) {
+    if (known.contains(name)) return;
+    unknown += (unknown.empty() ? "--" : ", --") + name;
+  };
+  for (const auto& option : args.options) check(option.first);
+  if (!args.repeated_cpes.empty()) check("cpe");
+  if (!unknown.empty()) throw InvalidArgument(mode + " does not take " + unknown);
 }
 
 OutputFormat parse_format(const Arguments& args) {
@@ -480,16 +532,10 @@ int run_batch_local(const Arguments& args) {
   return report.failed_count() == 0 ? 0 : api::exit_code(api::StatusCode::PartialFailure);
 }
 
-int dispatch(const Arguments& args, OutputFormat format) {
-  if (args.command == "batch") {
-    const std::string report_mode = option_or(args, "report");
-    if (!report_mode.empty() && report_mode != "deterministic") {
-      throw InvalidArgument("bad --report value (deterministic): " + report_mode);
-    }
-    if (args.options.find("merge") != args.options.end()) return run_batch_merge(args);
-    if (args.options.find("shard") != args.options.end() || !report_mode.empty()) {
-      return run_batch_local(args);
-    }
+int dispatch(const Arguments& args, const std::string& mode, OutputFormat format) {
+  if (mode == "batch --merge") return run_batch_merge(args);
+  if (mode == "batch --shard" || mode == "batch --report deterministic") {
+    return run_batch_local(args);
   }
   const api::Request request = build_request(args);
 
@@ -541,6 +587,10 @@ commands fail with deadline_exceeded).
 
 --format json prints the icsdivd wire envelope (machine-readable,
 errors included) instead of tables.
+
+The local batch modes (--report deterministic, --shard, --merge) take
+neither --timeout-ms nor --format.  A flag the command does not read is
+an error (exit 2).
 )";
 }
 
@@ -550,8 +600,11 @@ int main(int argc, char** argv) {
   OutputFormat format = OutputFormat::Text;
   try {
     const Arguments args = parse_arguments(argc, argv);
-    format = parse_format(args);
-    return dispatch(args, format);
+    const std::string mode = mode_of(args);
+    // Errors honour --format wherever the mode takes it, flag errors included.
+    if (flags_by_mode().at(mode).contains("format")) format = parse_format(args);
+    check_flags(args, mode);
+    return dispatch(args, mode, format);
   } catch (const std::exception& error) {
     const api::ErrorBody body = api::make_error_body(error);
     if (format == OutputFormat::Json) {

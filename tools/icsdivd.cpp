@@ -9,9 +9,10 @@
 //   icsdivd --socket /run/icsdiv.sock [flags]
 //   icsdivd --tcp 127.0.0.1:7433     [flags]
 //
-// Flags: --max-connections N, --idle-timeout SECONDS, --max-concurrent N,
-// --max-queue N, --retry-after SECONDS, --store DIR (default on-disk
-// artifact store for batch requests, DESIGN.md §13).
+// Flags: --max-connections N (at least 1), --idle-timeout SECONDS,
+// --max-concurrent N (0 = hardware threads), --max-queue N,
+// --retry-after SECONDS, --store DIR (default on-disk artifact store for
+// batch requests, DESIGN.md §13).  Any other flag is a usage error (exit 2).
 //
 // Fault injection: setting ICSDIV_FAILPOINTS (e.g.
 // "socket.write=error(0.05);stage.solve=delay(20,0.5)") arms the
@@ -75,6 +76,10 @@ daemon::ServerOptions build_options(const Arguments& args) {
     if (name == "socket" || name == "tcp") continue;
     if (name == "max-connections") {
       options.max_connections = parse_count(name, value);
+      // 0 would turn every client away while the daemon looks healthy.
+      if (options.max_connections == 0) {
+        throw InvalidArgument("--max-connections must be at least 1");
+      }
     } else if (name == "idle-timeout") {
       options.idle_timeout_seconds = static_cast<double>(parse_count(name, value));
     } else if (name == "max-concurrent") {

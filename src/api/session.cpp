@@ -151,7 +151,10 @@ runner::ArtifactKey model_key(const support::Json& catalog, const support::Json&
 // party's deadline has passed.  Blocked waiters leave at their own
 // deadline (DeadlineExceededError) without disturbing the execution; the
 // last waiter to give up additionally cancels the entry token so an
-// execution nobody is waiting on can stop early.
+// execution nobody is waiting on can stop early.  A nested entry (the
+// model a solve or eval decodes) copies its dependents' deadlines when
+// they reach it; Session::Impl::get_model re-plans it when a dependent's
+// deadline has moved later since.
 
 template <typename Value>
 class CoalescingCache {
@@ -321,9 +324,10 @@ struct ModelArtifact {
   core::ProductCatalog catalog;
   core::Network network;
 
-  ModelArtifact(const support::Json& catalog_json, const support::Json& network_json)
+  ModelArtifact(const support::Json& catalog_json, const support::Json& network_json,
+                const support::CancelToken& cancel)
       : catalog(core::catalog_from_json(catalog_json)),
-        network(core::network_from_json(catalog, network_json)) {}
+        network(core::network_from_json(catalog, network_json, cancel)) {}
   ModelArtifact(const ModelArtifact&) = delete;
   ModelArtifact& operator=(const ModelArtifact&) = delete;
 };
@@ -429,18 +433,33 @@ struct Session::Impl {
     return response;
   }
 
-  /// Parses (or reuses) the model documents; chained inside the dependent
-  /// caches' compute paths so model lookups are only planned on misses.
-  [[nodiscard]] std::shared_ptr<const ModelArtifact> get_model(const support::Json& catalog,
-                                                               const support::Json& network) {
-    // Model parsing is quick and its artifact is deadline-independent, so
-    // it always runs to completion (inert token).
-    return models_
-        .get_or_compute(model_key(catalog, network), support::CancelToken(),
-                        [&](const support::CancelToken&) {
-                          return std::make_shared<const ModelArtifact>(catalog, network);
-                        })
-        .value;
+  /// Decodes (or reuses) the model documents under `key`, the request's
+  /// model_key; chained inside the dependent caches' compute paths so
+  /// model lookups are only planned on misses.  `cancel` is the dependent
+  /// solve or eval entry's token.  The decode polls the model entry's
+  /// token, which holds the latest deadline the dependents had when they
+  /// reached the model; a dependent's own token may move later afterwards
+  /// (a request without a deadline joins its solve mid-decode).  So a decode
+  /// that stops on the model token fails the dependent only once `cancel`
+  /// has expired as well; while `cancel` is live the model is planned again
+  /// under its current deadline.  A failed model entry is never cached.
+  [[nodiscard]] std::shared_ptr<const ModelArtifact> get_model(const runner::ArtifactKey& key,
+                                                               const support::Json& catalog,
+                                                               const support::Json& network,
+                                                               const support::CancelToken& cancel) {
+    const auto decode = [&](const support::CancelToken& token) {
+      support::failpoint::evaluate("session.decode");
+      return std::make_shared<const ModelArtifact>(catalog, network, token);
+    };
+    for (;;) {
+      try {
+        return models_.get_or_compute(key, cancel, decode).value;
+      } catch (const CancelledError&) {
+        if (cancel.expired()) throw;
+      } catch (const DeadlineExceededError&) {
+        if (cancel.expired()) throw;
+      }
+    }
   }
 
   void count_solve_seconds(double seconds) {
@@ -474,7 +493,7 @@ struct Session::Impl {
         [&](const support::CancelToken& token) {
           support::failpoint::evaluate("session.compute");
           const std::shared_ptr<const ModelArtifact> artifact =
-              get_model(request.catalog, request.network);
+              get_model(model, request.catalog, request.network, token);
           core::OptimizeOptions options;
           options.solver = solver;
           options.solve.max_iterations = max_iterations;
@@ -532,22 +551,22 @@ struct Session::Impl {
   [[nodiscard]] Response run(const EvaluateRequest& request, const support::CancelToken& cancel) {
     runner::KeyHasher hasher = domain_hasher(CacheDomain::Eval);
     hasher.mix(static_cast<std::uint64_t>(EvalOp::Evaluate));
-    mix_json(hasher, request.catalog);
-    mix_json(hasher, request.network);
+    const runner::ArtifactKey model = model_key(request.catalog, request.network);
+    hasher.mix(model.hi).mix(model.lo);
     mix_json(hasher, request.assignment);
     hasher.mix(request.entry).mix(request.target);
     return eval_cached(hasher.key(), cancel, [&](const support::CancelToken& token) -> Response {
-      const std::shared_ptr<const ModelArtifact> model =
-          get_model(request.catalog, request.network);
+      const std::shared_ptr<const ModelArtifact> artifact =
+          get_model(model, request.catalog, request.network, token);
       const core::Assignment assignment =
-          core::Assignment::from_json(model->network, request.assignment);
+          core::Assignment::from_json(artifact->network, request.assignment);
       EvaluateResponse response;
       response.edge_similarity = core::total_edge_similarity(assignment);
       response.average_similarity = core::average_edge_similarity(assignment);
       response.normalized_richness = core::normalized_effective_richness(assignment);
       if (!request.entry.empty()) {
-        const core::HostId entry = model->network.host_id(request.entry);
-        const core::HostId target = model->network.host_id(request.target);
+        const core::HostId entry = artifact->network.host_id(request.entry);
+        const core::HostId target = artifact->network.host_id(request.target);
         bayes::InferenceOptions inference;
         inference.cancel = token;
         const bayes::DiversityMetricResult metric =
@@ -572,15 +591,15 @@ struct Session::Impl {
   [[nodiscard]] Response run(const ReportRequest& request, const support::CancelToken& cancel) {
     runner::KeyHasher hasher = domain_hasher(CacheDomain::Eval);
     hasher.mix(static_cast<std::uint64_t>(EvalOp::Report));
-    mix_json(hasher, request.catalog);
-    mix_json(hasher, request.network);
+    const runner::ArtifactKey model = model_key(request.catalog, request.network);
+    hasher.mix(model.hi).mix(model.lo);
     mix_json(hasher, request.assignment);
     return eval_cached(hasher.key(), cancel, [&](const support::CancelToken& token) -> Response {
-      const std::shared_ptr<const ModelArtifact> model =
-          get_model(request.catalog, request.network);
+      const std::shared_ptr<const ModelArtifact> artifact =
+          get_model(model, request.catalog, request.network, token);
       token.check("session.report");
       const core::Assignment assignment =
-          core::Assignment::from_json(model->network, request.assignment);
+          core::Assignment::from_json(artifact->network, request.assignment);
       ReportResponse response;
       response.text = core::diversification_report(assignment);
       return response;
@@ -615,20 +634,20 @@ struct Session::Impl {
   [[nodiscard]] Response run(const MetricRequest& request, const support::CancelToken& cancel) {
     runner::KeyHasher hasher = domain_hasher(CacheDomain::Eval);
     hasher.mix(static_cast<std::uint64_t>(EvalOp::Metric));
-    mix_json(hasher, request.catalog);
-    mix_json(hasher, request.network);
+    const runner::ArtifactKey model = model_key(request.catalog, request.network);
+    hasher.mix(model.hi).mix(model.lo);
     mix_json(hasher, request.assignment);
     hasher.mix(request.entry).mix(request.target);
     return eval_cached(hasher.key(), cancel, [&](const support::CancelToken& token) -> Response {
-      const std::shared_ptr<const ModelArtifact> model =
-          get_model(request.catalog, request.network);
+      const std::shared_ptr<const ModelArtifact> artifact =
+          get_model(model, request.catalog, request.network, token);
       const core::Assignment assignment =
-          core::Assignment::from_json(model->network, request.assignment);
+          core::Assignment::from_json(artifact->network, request.assignment);
       bayes::InferenceOptions inference;
       inference.cancel = token;
       const bayes::DiversityMetricResult metric =
-          bayes::bn_diversity_metric(assignment, model->network.host_id(request.entry),
-                                     model->network.host_id(request.target), inference);
+          bayes::bn_diversity_metric(assignment, artifact->network.host_id(request.entry),
+                                     artifact->network.host_id(request.target), inference);
       MetricResponse response;
       response.d_bn = metric.d_bn;
       response.p_with = metric.p_with_similarity;

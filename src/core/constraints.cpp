@@ -6,11 +6,10 @@ namespace icsdiv::core {
 
 void ConstraintSet::fix(HostId host, ServiceId service, ProductId product) {
   require(host != kAllHosts, "ConstraintSet::fix", "fixed assignments target a specific host");
-  for (const FixedAssignment& existing : fixed_) {
-    require(!(existing.host == host && existing.service == service), "ConstraintSet::fix",
-            "service already fixed on this host");
-  }
+  const std::uint64_t slot = (static_cast<std::uint64_t>(host) << 32) | service;
+  require(!fixed_slots_.contains(slot), "ConstraintSet::fix", "service already fixed on this host");
   fixed_.push_back(FixedAssignment{host, service, product});
+  fixed_slots_.insert(slot);
 }
 
 void ConstraintSet::add(PairConstraint constraint) {

@@ -14,8 +14,10 @@
 //    ConstraintEncoding in problem.hpp).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/assignment.hpp"
@@ -71,6 +73,8 @@ class ConstraintSet {
 
  private:
   std::vector<FixedAssignment> fixed_;
+  /// (host << 32 | service) of every fixed_ entry, for fix()'s duplicate check.
+  std::unordered_set<std::uint64_t> fixed_slots_;
   std::vector<PairConstraint> pairs_;
 };
 

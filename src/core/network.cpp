@@ -10,6 +10,7 @@ HostId Network::add_host(std::string name) {
   const HostId id = topology_.add_vertices(1);
   host_names_.push_back(std::move(name));
   services_.emplace_back();
+  host_index_.insert(id, host_key());
   return id;
 }
 
@@ -19,10 +20,9 @@ const std::string& Network::host_name(HostId host) const {
 }
 
 std::optional<HostId> Network::find_host(std::string_view name) const noexcept {
-  for (std::size_t i = 0; i < host_names_.size(); ++i) {
-    if (host_names_[i] == name) return static_cast<HostId>(i);
-  }
-  return std::nullopt;
+  const std::uint32_t id = host_index_.find(name, host_key());
+  if (id == support::NameIndex::kAbsent) return std::nullopt;
+  return static_cast<HostId>(id);
 }
 
 HostId Network::host_id(std::string_view name) const {

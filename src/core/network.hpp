@@ -16,6 +16,7 @@
 
 #include "core/product.hpp"
 #include "graph/graph.hpp"
+#include "support/name_index.hpp"
 
 namespace icsdiv::core {
 
@@ -66,8 +67,13 @@ class Network {
   [[nodiscard]] std::size_t instance_count() const noexcept;
 
  private:
+  [[nodiscard]] auto host_key() const noexcept {
+    return [this](std::uint32_t id) -> const std::string& { return host_names_[id]; };
+  }
+
   const ProductCatalog* catalog_;
   std::vector<std::string> host_names_;
+  support::NameIndex host_index_;  ///< host name → HostId
   std::vector<std::vector<ServiceInstance>> services_;
   graph::Graph topology_;
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
+#include <unordered_map>
 
 namespace icsdiv::core {
 
@@ -35,48 +37,68 @@ DiversificationProblem::DiversificationProblem(std::shared_ptr<const Network> ne
 
 void DiversificationProblem::build_variables() {
   const std::size_t host_count = network_->host_count();
-  variable_of_slot_.resize(host_count);
 
+  // Bucket the fixed assignments by host (a stable counting sort), so each
+  // slot reads only its own host's pins, in their original order.
+  const std::vector<FixedAssignment>& fixed = constraints_.fixed();
+  std::vector<std::size_t> pins_begin(host_count + 1, 0);
+  for (const FixedAssignment& pin : fixed) ++pins_begin[pin.host + 1];
+  std::partial_sum(pins_begin.begin(), pins_begin.end(), pins_begin.begin());
+  std::vector<const FixedAssignment*> pins(fixed.size());
+  std::vector<std::size_t> cursor = pins_begin;
+  for (const FixedAssignment& pin : fixed) pins[cursor[pin.host]++] = &pin;
+
+  std::map<std::vector<ProductId>, std::uint32_t> range_ids;
+  std::vector<ProductId> pinned;
+  first_variable_.reserve(host_count + 1);
   for (HostId host = 0; host < host_count; ++host) {
+    first_variable_.push_back(static_cast<mrf::VariableId>(mrf_.variable_count()));
     const auto services = network_->services_of(host);
-    variable_of_slot_[host].resize(services.size());
     for (std::size_t slot = 0; slot < services.size(); ++slot) {
       const ServiceInstance& instance = services[slot];
 
       // Fixed-host constraints restrict the label set to one product.
-      std::vector<ProductId> candidates = instance.candidates;
-      for (const FixedAssignment& fixed : constraints_.fixed()) {
-        if (fixed.host != host || fixed.service != instance.service) continue;
-        if (std::find(candidates.begin(), candidates.end(), fixed.product) ==
-            candidates.end()) {
+      const std::vector<ProductId>* candidates = &instance.candidates;
+      for (std::size_t p = pins_begin[host]; p < pins_begin[host + 1]; ++p) {
+        const FixedAssignment& pin = *pins[p];
+        if (pin.service != instance.service) continue;
+        if (std::find(candidates->begin(), candidates->end(), pin.product) ==
+            candidates->end()) {
           throw Infeasible("DiversificationProblem: fixed product '" +
-                           network_->catalog().product(fixed.product).name +
+                           network_->catalog().product(pin.product).name +
                            "' is not a candidate on host '" + network_->host_name(host) + "'");
         }
-        candidates.assign(1, fixed.product);
+        pinned.assign(1, pin.product);
+        candidates = &pinned;
       }
 
-      const mrf::VariableId variable = mrf_.add_variable(candidates.size());
+      const auto [range, inserted] =
+          range_ids.try_emplace(*candidates, static_cast<std::uint32_t>(ranges_.size()));
+      if (inserted) ranges_.push_back(*candidates);
+
+      const mrf::VariableId variable = mrf_.add_variable(candidates->size());
       // Eq. 2: flat preference cost Pr_const for every choice.
       for (auto& cost : mrf_.unary(variable)) cost = kUnaryConstant;
-      variable_of_slot_[host][slot] = variable;
-      labels_.push_back(std::move(candidates));
+      range_of_.push_back(range->second);
       slot_of_variable_.emplace_back(host, slot);
     }
   }
+  first_variable_.push_back(static_cast<mrf::VariableId>(mrf_.variable_count()));
 }
 
 void DiversificationProblem::build_service_edges() {
   const ProductCatalog& catalog = network_->catalog();
 
-  // Share one matrix per (ordered) pair of candidate ranges: on the random
+  // Share one matrix per (ordered) pair of label ranges: on the random
   // networks of §VIII every host has identical ranges, so each service
-  // contributes exactly one matrix regardless of edge count.
-  std::map<std::pair<std::vector<ProductId>, std::vector<ProductId>>, mrf::MatrixId> cache;
-  const auto similarity_matrix = [&](const std::vector<ProductId>& rows,
-                                     const std::vector<ProductId>& cols) {
-    const auto cache_key = std::make_pair(rows, cols);
+  // contributes exactly one matrix regardless of edge count.  Matrices are
+  // created in first-use order, which fixes every MatrixId.
+  std::unordered_map<std::uint64_t, mrf::MatrixId> cache;
+  const auto similarity_matrix = [&](mrf::VariableId u, mrf::VariableId v) {
+    const std::uint64_t cache_key = (std::uint64_t{range_of_[u]} << 32) | range_of_[v];
     if (const auto it = cache.find(cache_key); it != cache.end()) return it->second;
+    const std::vector<ProductId>& rows = label_products(u);
+    const std::vector<ProductId>& cols = label_products(v);
     std::vector<mrf::Cost> data;
     data.reserve(rows.size() * cols.size());
     for (ProductId a : rows) {
@@ -93,9 +115,9 @@ void DiversificationProblem::build_service_edges() {
     for (std::size_t slot_u = 0; slot_u < services_u.size(); ++slot_u) {
       const auto slot_v = network_->service_slot(link.v, services_u[slot_u].service);
       if (!slot_v) continue;
-      const mrf::VariableId var_u = variable_of_slot_[link.u][slot_u];
-      const mrf::VariableId var_v = variable_of_slot_[link.v][*slot_v];
-      mrf_.add_edge(var_u, var_v, similarity_matrix(labels_[var_u], labels_[var_v]));
+      const mrf::VariableId var_u = first_variable_[link.u] + slot_u;
+      const mrf::VariableId var_v = first_variable_[link.v] + *slot_v;
+      mrf_.add_edge(var_u, var_v, similarity_matrix(var_u, var_v));
     }
   }
 }
@@ -105,10 +127,10 @@ void DiversificationProblem::build_constraint_factors() {
     const auto trigger_slot = network_->service_slot(host, pair.trigger_service);
     const auto partner_slot = network_->service_slot(host, pair.partner_service);
     if (!trigger_slot || !partner_slot) return;
-    const mrf::VariableId trigger_var = variable_of_slot_[host][*trigger_slot];
-    const mrf::VariableId partner_var = variable_of_slot_[host][*partner_slot];
-    const auto& trigger_labels = labels_[trigger_var];
-    const auto& partner_labels = labels_[partner_var];
+    const mrf::VariableId trigger_var = first_variable_[host] + *trigger_slot;
+    const mrf::VariableId partner_var = first_variable_[host] + *partner_slot;
+    const auto& trigger_labels = label_products(trigger_var);
+    const auto& partner_labels = label_products(partner_var);
 
     const auto trigger_index = [&]() -> std::optional<std::size_t> {
       const auto it =
@@ -167,39 +189,39 @@ void DiversificationProblem::build_constraint_factors() {
 }
 
 mrf::VariableId DiversificationProblem::variable_of(HostId host, std::size_t slot) const {
-  require(host < variable_of_slot_.size(), "DiversificationProblem::variable_of",
+  require(host < first_variable_.size() - 1, "DiversificationProblem::variable_of",
           "unknown host id");
-  require(slot < variable_of_slot_[host].size(), "DiversificationProblem::variable_of",
-          "slot out of range");
-  return variable_of_slot_[host][slot];
+  require(slot < first_variable_[host + 1] - first_variable_[host],
+          "DiversificationProblem::variable_of", "slot out of range");
+  return first_variable_[host] + static_cast<mrf::VariableId>(slot);
 }
 
 std::span<const ProductId> DiversificationProblem::labels_of(mrf::VariableId variable) const {
-  require(variable < labels_.size(), "DiversificationProblem::labels_of",
+  require(variable < range_of_.size(), "DiversificationProblem::labels_of",
           "unknown variable id");
-  return labels_[variable];
+  return label_products(variable);
 }
 
 Assignment DiversificationProblem::decode(std::span<const mrf::Label> labels) const {
   mrf_.check_labeling(labels);
   Assignment assignment(*network_);
-  for (mrf::VariableId variable = 0; variable < labels_.size(); ++variable) {
+  for (mrf::VariableId variable = 0; variable < range_of_.size(); ++variable) {
     const auto [host, slot] = slot_of_variable_[variable];
     const ServiceInstance& instance = network_->services_of(host)[slot];
-    assignment.assign(host, instance.service, labels_[variable][labels[variable]]);
+    assignment.assign(host, instance.service, label_products(variable)[labels[variable]]);
   }
   return assignment;
 }
 
 std::vector<mrf::Label> DiversificationProblem::encode(const Assignment& assignment) const {
   assignment.validate();
-  std::vector<mrf::Label> labels(labels_.size(), 0);
-  for (mrf::VariableId variable = 0; variable < labels_.size(); ++variable) {
+  std::vector<mrf::Label> labels(range_of_.size(), 0);
+  for (mrf::VariableId variable = 0; variable < range_of_.size(); ++variable) {
     const auto [host, slot] = slot_of_variable_[variable];
     const ServiceInstance& instance = network_->services_of(host)[slot];
     const auto product = assignment.product_of(host, instance.service);
     ensure(product.has_value(), "DiversificationProblem::encode", "incomplete assignment");
-    const auto& candidates = labels_[variable];
+    const auto& candidates = label_products(variable);
     const auto it = std::find(candidates.begin(), candidates.end(), *product);
     require(it != candidates.end(), "DiversificationProblem::encode",
             "assignment uses a product excluded by the problem's constraints on host '" +

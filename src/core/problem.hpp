@@ -4,8 +4,10 @@
 // candidate products after applying fixed-host constraints.  Unary costs
 // realise Eq. 2 (a constant preference Pr_const, refined by constraints);
 // pairwise costs realise Eq. 3 (the similarity of same-service products on
-// linked hosts).  Similarity matrices are shared across edges with equal
-// candidate ranges, so model size is dominated by topology, not |P|².
+// linked hosts).  Equal label ranges are interned once, and similarity
+// matrices are shared across edges with equal pairs of ranges, so model
+// size is dominated by topology, not |P|².  The build is linear in hosts,
+// links and fixed assignments.
 //
 // Pair constraints support two encodings, ablated in bench A2:
 //  * IntraHostPairwise (default, exact): an extra pairwise factor between
@@ -17,8 +19,10 @@
 //    penalty on the trigger/partner labels — cheaper but approximate.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "core/constraints.hpp"
 #include "mrf/model.hpp"
@@ -73,6 +77,10 @@ class DiversificationProblem {
   void build_service_edges();
   void build_constraint_factors();
 
+  [[nodiscard]] const std::vector<ProductId>& label_products(mrf::VariableId variable) const {
+    return ranges_[range_of_[variable]];
+  }
+
   const Network* network_;
   /// Keepalive for the shared-ownership constructor; null when the caller
   /// guarantees the network's lifetime externally (the reference ctor).
@@ -81,8 +89,13 @@ class DiversificationProblem {
   ProblemOptions options_;
   mrf::Mrf mrf_;
 
-  std::vector<std::vector<mrf::VariableId>> variable_of_slot_;  ///< [host][slot]
-  std::vector<std::vector<ProductId>> labels_;                  ///< [variable][label]
+  /// Variables are numbered host-major, so (host, slot) is variable
+  /// first_variable_[host] + slot; host_count + 1 entries.
+  std::vector<mrf::VariableId> first_variable_;
+  /// Distinct label ranges, interned once; range_of_[variable] indexes
+  /// ranges_, whose entries map label → product.
+  std::vector<std::vector<ProductId>> ranges_;
+  std::vector<std::uint32_t> range_of_;
   std::vector<std::pair<HostId, std::size_t>> slot_of_variable_;
   std::size_t intra_host_edges_ = 0;
 };

@@ -2,6 +2,15 @@
 
 namespace icsdiv::core {
 
+namespace {
+
+/// Polls the decode's token on every 1,024th item, the first included.
+void check_decode(const support::CancelToken& cancel, std::size_t item) {
+  if (item % 1024 == 0) cancel.check("model.decode");
+}
+
+}  // namespace
+
 support::Json catalog_to_json(const ProductCatalog& catalog) {
   support::JsonArray services;
   for (ServiceId service = 0; service < catalog.service_count(); ++service) {
@@ -91,11 +100,14 @@ support::Json network_to_json(const Network& network) {
   return support::Json(std::move(root));
 }
 
-Network network_from_json(const ProductCatalog& catalog, const support::Json& json) {
+Network network_from_json(const ProductCatalog& catalog, const support::Json& json,
+                          const support::CancelToken& cancel) {
   Network network(catalog);
   const auto& root = json.as_object();
-  for (const support::Json& host_json : root.at("hosts").as_array()) {
-    const auto& host_object = host_json.as_object();
+  const auto& hosts = root.at("hosts").as_array();
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    check_decode(cancel, i);
+    const auto& host_object = hosts[i].as_object();
     const HostId host = network.add_host(host_object.at("name").as_string());
     for (const support::Json& instance_json : host_object.at("services").as_array()) {
       const auto& instance = instance_json.as_object();
@@ -107,8 +119,10 @@ Network network_from_json(const ProductCatalog& catalog, const support::Json& js
       network.add_service(host, service, std::move(candidates));
     }
   }
-  for (const support::Json& link : root.at("links").as_array()) {
-    const auto& pair = link.as_array();
+  const auto& links = root.at("links").as_array();
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    check_decode(cancel, i);
+    const auto& pair = links[i].as_array();
     require(pair.size() == 2, "network_from_json", "links must be [from, to] pairs");
     network.add_link(network.host_id(pair[0].as_string()),
                      network.host_id(pair[1].as_string()));

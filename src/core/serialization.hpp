@@ -15,9 +15,15 @@
 //   {"hosts": [{"name": "c1",
 //               "services": [{"service": "OS", "candidates": ["Win7", ...]}]}],
 //    "links": [["c1", "c2"], ...]}
+//
+// Decoding is linear in the document.  network_from_json polls `cancel`
+// with check("model.decode") on the first and every 1,024th host and link,
+// so a request deadline also bounds the decode of a large plant
+// (DESIGN.md §11); a catalog is small and decodes without polling.
 #pragma once
 
 #include "core/network.hpp"
+#include "support/cancel.hpp"
 #include "support/json.hpp"
 
 namespace icsdiv::core {
@@ -28,7 +34,7 @@ namespace icsdiv::core {
 /// Serialises hosts/services/candidates/links; the catalog is referenced
 /// by name and must be supplied again on load.
 [[nodiscard]] support::Json network_to_json(const Network& network);
-[[nodiscard]] Network network_from_json(const ProductCatalog& catalog,
-                                        const support::Json& json);
+[[nodiscard]] Network network_from_json(const ProductCatalog& catalog, const support::Json& json,
+                                        const support::CancelToken& cancel = {});
 
 }  // namespace icsdiv::core

@@ -1,8 +1,8 @@
 #include "mrf/decompose.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
-#include <unordered_map>
 
 #include "support/stopwatch.hpp"
 #include "support/thread_pool.hpp"
@@ -42,45 +42,52 @@ std::vector<std::vector<VariableId>> mrf_components(const Mrf& mrf) {
   UnionFind uf(mrf.variable_count());
   for (const MrfEdge& edge : mrf.edges()) uf.merge(edge.u, edge.v);
 
-  std::unordered_map<std::size_t, std::size_t> root_to_component;
+  constexpr std::size_t kNoComponent = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> component_of_root(mrf.variable_count(), kNoComponent);
   std::vector<std::vector<VariableId>> components;
   for (VariableId v = 0; v < mrf.variable_count(); ++v) {
-    const std::size_t root = uf.find(v);
-    auto [it, inserted] = root_to_component.try_emplace(root, components.size());
-    if (inserted) components.emplace_back();
-    components[it->second].push_back(v);
+    std::size_t& component = component_of_root[uf.find(v)];
+    if (component == kNoComponent) {
+      component = components.size();
+      components.emplace_back();
+    }
+    components[component].push_back(v);
   }
   return components;
 }
 
 SubProblem extract_subproblem(const Mrf& mrf, const std::vector<VariableId>& variables) {
+  // Dense parent → sub maps; kUnmapped marks ids outside the subproblem.
+  constexpr std::uint32_t kUnmapped = static_cast<std::uint32_t>(-1);
   SubProblem sub;
   sub.parent_variable = variables;
 
-  std::unordered_map<VariableId, VariableId> to_sub;
-  to_sub.reserve(variables.size());
+  std::vector<VariableId> to_sub(mrf.variable_count(), kUnmapped);
   for (VariableId parent : variables) {
-    const VariableId local = sub.mrf.add_variable(mrf.label_count(parent));
+    const std::size_t labels = mrf.label_count(parent);
+    require(to_sub[parent] == kUnmapped, "extract_subproblem", "variable listed twice");
+    const VariableId local = sub.mrf.add_variable(labels);
     const auto source = mrf.unary(parent);
     auto target = sub.mrf.unary(local);
     std::copy(source.begin(), source.end(), target.begin());
-    to_sub.emplace(parent, local);
+    to_sub[parent] = local;
   }
 
-  // Copy only the matrices actually referenced, de-duplicated.
-  std::unordered_map<MatrixId, MatrixId> matrix_map;
+  // Copy only the matrices actually referenced, de-duplicated, in
+  // first-reference order.
+  std::vector<MatrixId> matrix_map(mrf.matrix_count(), kUnmapped);
   for (const MrfEdge& edge : mrf.edges()) {
-    const auto u_it = to_sub.find(edge.u);
-    const auto v_it = to_sub.find(edge.v);
-    if (u_it == to_sub.end() && v_it == to_sub.end()) continue;
-    require(u_it != to_sub.end() && v_it != to_sub.end(), "extract_subproblem",
+    const VariableId u = to_sub[edge.u];
+    const VariableId v = to_sub[edge.v];
+    if (u == kUnmapped && v == kUnmapped) continue;
+    require(u != kUnmapped && v != kUnmapped, "extract_subproblem",
             "variable set is not closed under adjacency");
-    auto [m_it, inserted] = matrix_map.try_emplace(edge.matrix, 0);
-    if (inserted) {
+    MatrixId& matrix = matrix_map[edge.matrix];
+    if (matrix == kUnmapped) {
       const CostMatrix& m = mrf.matrix(edge.matrix);
-      m_it->second = sub.mrf.add_matrix(m.rows, m.cols, m.data);
+      matrix = sub.mrf.add_matrix(m.rows, m.cols, m.data);
     }
-    sub.mrf.add_edge(u_it->second, v_it->second, m_it->second);
+    sub.mrf.add_edge(u, v, matrix);
   }
   return sub;
 }

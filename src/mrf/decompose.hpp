@@ -26,8 +26,10 @@ struct SubProblem {
   std::vector<VariableId> parent_variable;  ///< sub id → parent id
 };
 
-/// Extracts the sub-MRF induced by `variables` (which must be closed under
-/// edge adjacency, e.g. a component from mrf_components).
+/// Extracts the sub-MRF induced by `variables`, which must list each
+/// variable once and be closed under edge adjacency (e.g. a component from
+/// mrf_components); throws InvalidArgument otherwise.  One pass over the
+/// parent's edges through dense id maps.
 [[nodiscard]] SubProblem extract_subproblem(const Mrf& mrf,
                                             const std::vector<VariableId>& variables);
 

@@ -5,20 +5,54 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <type_traits>
 
 namespace icsdiv::support {
+
+// Arrays of values reallocate by moving; a throwing move would make every
+// vector<Json> growth deep-copy its elements instead.
+static_assert(std::is_nothrow_move_constructible_v<Json>);
 
 // ---------------------------------------------------------------------------
 // JsonObject
 
-void JsonObject::set(std::string key, Json value) {
-  for (auto& [k, v] : entries_) {
-    if (k == key) {
-      v = std::move(value);
-      return;
-    }
+JsonObject::JsonObject(const JsonObject& other)
+    : entries_(other.entries_),
+      index_(other.index_ ? std::make_unique<NameIndex>(*other.index_) : nullptr) {}
+
+JsonObject& JsonObject::operator=(const JsonObject& other) {
+  if (this != &other) *this = JsonObject(other);
+  return *this;
+}
+
+auto JsonObject::entry_key() const noexcept {
+  return [this](std::uint32_t i) -> const std::string& { return entries_[i].first; };
+}
+
+std::uint32_t JsonObject::position_of(std::string_view key) const noexcept {
+  if (index_) return index_->find(key, entry_key());
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i].first == key) return static_cast<std::uint32_t>(i);
   }
+  return NameIndex::kAbsent;
+}
+
+void JsonObject::set(std::string key, Json value) {
+  if (const std::uint32_t found = position_of(key); found != NameIndex::kAbsent) {
+    entries_[found].second = std::move(value);
+    return;
+  }
+  // Reserve first, so a throwing allocation leaves entries and index in step.
+  if (index_) index_->reserve(entries_.size() + 1, entry_key());
   entries_.emplace_back(std::move(key), std::move(value));
+  const auto position = static_cast<std::uint32_t>(entries_.size() - 1);
+  if (index_) {
+    index_->insert(position, entry_key());
+  } else if (entries_.size() > kIndexThreshold) {
+    auto index = std::make_unique<NameIndex>();
+    for (std::uint32_t i = 0; i <= position; ++i) index->insert(i, entry_key());
+    index_ = std::move(index);
+  }
 }
 
 bool JsonObject::contains(std::string_view key) const noexcept { return find(key) != nullptr; }
@@ -29,10 +63,8 @@ const Json& JsonObject::at(std::string_view key) const {
 }
 
 const Json* JsonObject::find(std::string_view key) const noexcept {
-  for (const auto& [k, v] : entries_) {
-    if (k == key) return &v;
-  }
-  return nullptr;
+  const std::uint32_t found = position_of(key);
+  return found == NameIndex::kAbsent ? nullptr : &entries_[found].second;
 }
 
 // ---------------------------------------------------------------------------

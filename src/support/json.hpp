@@ -9,7 +9,8 @@
 // Supported: objects, arrays, strings (with \uXXXX escapes, surrogate
 // pairs), numbers (doubles and exact 64-bit integers), booleans, null.
 // Not supported (by design): comments, NaN/Infinity literals, duplicate-key
-// detection (last key wins, as with most parsers).
+// detection (a repeated key keeps its first position and takes the last
+// value, as with most parsers).
 #pragma once
 
 #include <cstdint>
@@ -21,20 +22,35 @@
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/name_index.hpp"
 
 namespace icsdiv::support {
 
 class Json;
 
 /// Ordered object representation: preserves insertion order so that
-/// serialised feeds diff cleanly; lookup is linear but objects are small.
+/// serialised feeds diff cleanly.  Small objects look keys up by a linear
+/// scan; past kIndexThreshold keys the object also keeps a NameIndex of
+/// entry positions, so lookups and inserts stay O(1) on average for the
+/// one-key-per-host objects of large assignments.  The index is built and
+/// updated only by set(): const lookups never write, so cached values can
+/// be read from many threads at once.
 class JsonObject {
  public:
   using Entry = std::pair<std::string, Json>;
 
-  JsonObject() = default;
+  /// Objects with more keys than this carry a key index.
+  static constexpr std::size_t kIndexThreshold = 16;
 
-  /// Inserts or overwrites `key`.
+  JsonObject() = default;
+  JsonObject(const JsonObject& other);
+  JsonObject& operator=(const JsonObject& other);
+  JsonObject(JsonObject&&) noexcept = default;
+  JsonObject& operator=(JsonObject&&) noexcept = default;
+  ~JsonObject() = default;
+
+  /// Inserts `key`, or overwrites its value in place when present (the
+  /// key keeps its first position).
   void set(std::string key, Json value);
   [[nodiscard]] bool contains(std::string_view key) const noexcept;
   /// Throws NotFound if the key is absent.
@@ -48,7 +64,14 @@ class JsonObject {
   [[nodiscard]] auto end() const noexcept { return entries_.end(); }
 
  private:
+  /// key_of accessor for index_ (defined in json.cpp, where Json is complete).
+  [[nodiscard]] auto entry_key() const noexcept;
+  [[nodiscard]] std::uint32_t position_of(std::string_view key) const noexcept;
+
   std::vector<Entry> entries_;
+  /// Positions into entries_; null until the object outgrows
+  /// kIndexThreshold.  Behind one pointer so Json stays 40 bytes.
+  std::unique_ptr<NameIndex> index_;
 };
 
 using JsonArray = std::vector<Json>;

@@ -387,12 +387,19 @@ class SessionDeadline : public ::testing::Test {
 };
 
 TEST_F(SessionDeadline, OptimizeDeadlineReturnsTruncatedBestSoFarAndSkipsTheCache) {
+  // Warm the model with a completed solve at another iteration cap: an
+  // expired token fails a cold model's decode (next test), so only a warm
+  // model lets the delayed compute reach the solver.
+  const Documents documents = make_documents(8);
+  Session session;
+  OptimizeRequest warm = optimize_request(documents);
+  warm.max_iterations = 7;
+  EXPECT_FALSE(std::get<OptimizeResponse>(session.execute(warm)).truncated);
+
   // Hold the compute past the request deadline before the solver starts:
   // ICM's first cancellation check sees an expired token and returns the
   // initial labels tagged truncated instead of throwing.
   support::failpoint::arm("session.compute", {support::failpoint::Action::Delay, 1.0, 60});
-  const Documents documents = make_documents(8);
-  Session session;
   OptimizeRequest request = optimize_request(documents);
   request.timeout_ms = 20;
 
@@ -409,7 +416,68 @@ TEST_F(SessionDeadline, OptimizeDeadlineReturnsTruncatedBestSoFarAndSkipsTheCach
   const auto full = std::get<OptimizeResponse>(session.execute(request));
   EXPECT_FALSE(full.cached);
   EXPECT_FALSE(full.truncated);
-  EXPECT_EQ(session.status().solve_cache.executed, 2u);
+  EXPECT_EQ(session.status().solve_cache.executed, 3u);  // warm, truncated, full
+  EXPECT_EQ(session.status().model_cache.executed, 1u);
+}
+
+TEST_F(SessionDeadline, DeadlineDuringModelDecodeFailsAndLeavesNoModelEntry) {
+  // The delay outlasts the deadline before the cold model is decoded; the
+  // decode's first check("model.decode") sees the expired token.
+  support::failpoint::arm("session.compute", {support::failpoint::Action::Delay, 1.0, 60});
+  const Documents documents = make_documents(8);
+  Session session;
+  OptimizeRequest request = optimize_request(documents);
+  request.timeout_ms = 20;
+  EXPECT_THROW((void)session.execute(request), DeadlineExceededError);
+  EXPECT_EQ(session.status().requests_deadline, 1u);
+
+  // Neither the model nor the solve was cached: the same request without a
+  // deadline decodes the model again and completes.
+  support::failpoint::disarm_all();
+  request.timeout_ms = 0;
+  const auto full = std::get<OptimizeResponse>(session.execute(request));
+  EXPECT_FALSE(full.cached);
+  EXPECT_FALSE(full.truncated);
+  const StatusResponse status = session.status();
+  EXPECT_EQ(status.model_cache.executed, 2u);
+  EXPECT_EQ(status.solve_cache.executed, 2u);
+  EXPECT_EQ(status.requests_failed, 1u);
+}
+
+TEST_F(SessionDeadline, JoinerWithoutDeadlineOutlivesAColdDecodesFirstDeadline) {
+  // The impatient request starts a cold optimize and its model decode is
+  // held past its deadline.  A request without a deadline joins the solve
+  // meanwhile, so the shared compute must outlive the first deadline: the
+  // decode stops on the model token, is planned again under the joined
+  // reach, and both callers get the full reply.
+  support::failpoint::arm("session.decode", {support::failpoint::Action::Delay, 1.0, 300});
+  const Documents documents = make_documents(8);
+  SessionOptions options;
+  options.max_concurrent = 4;  // both callers must be *executing* to coalesce
+  Session session(options);
+  OptimizeRequest impatient = optimize_request(documents);
+  impatient.timeout_ms = 40;
+  auto first = std::async(std::launch::async, [&] {
+    return std::get<OptimizeResponse>(session.execute(impatient));
+  });
+  // Join only once the impatient request's decode is being held.
+  while (support::failpoint::hits("session.decode") == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  const auto joined = std::get<OptimizeResponse>(session.execute(optimize_request(documents)));
+  EXPECT_FALSE(joined.truncated);
+  EXPECT_TRUE(joined.cached);  // coalesced onto the impatient request's solve
+  const OptimizeResponse executed = first.get();
+  EXPECT_FALSE(executed.truncated);
+  EXPECT_FALSE(executed.cached);
+
+  const StatusResponse status = session.status();
+  EXPECT_EQ(status.solve_cache.planned, 2u);
+  EXPECT_EQ(status.solve_cache.executed, 1u);
+  EXPECT_EQ(status.model_cache.executed, 2u);  // stopped once, then decoded
+  EXPECT_EQ(status.requests_failed, 0u);
+  EXPECT_EQ(status.requests_deadline, 0u);
 }
 
 TEST_F(SessionDeadline, BatchDeadlineSurfacesAsDeadlineExceededAndIsNotCached) {

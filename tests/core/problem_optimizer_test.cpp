@@ -82,6 +82,16 @@ TEST(Problem, FixedConstraintRestrictsLabels) {
   EXPECT_EQ(labels[0], inst.os_products[2]);
 }
 
+TEST(Problem, VariableOfRejectsUnknownHostsAndSlots) {
+  Instance inst;
+  const DiversificationProblem problem(*inst.network);
+  const auto hosts = static_cast<HostId>(inst.network->host_count());
+  EXPECT_THROW((void)problem.variable_of(hosts, 0), InvalidArgument);
+  EXPECT_THROW((void)problem.variable_of(kAllHosts, 0), InvalidArgument);
+  EXPECT_THROW((void)problem.variable_of(0, inst.network->services_of(0).size()),
+               InvalidArgument);
+}
+
 TEST(Problem, InfeasibleFixThrows) {
   Instance inst;
   // Restrict h0's OS candidates, then fix to an excluded product.

@@ -1,6 +1,8 @@
 // JSON serialisation of catalogs/networks and the budgeted upgrade planner.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "core/baselines.hpp"
 #include "core/metrics.hpp"
 #include "core/optimizer.hpp"
@@ -89,6 +91,26 @@ TEST(Serialization, RejectsMalformedDocuments) {
       network_from_json(f.catalog,
                         support::Json::parse(R"({"hosts": [], "links": [["a"]]})")),
       Error);
+}
+
+TEST(Serialization, DecodeStopsOnACancelledToken) {
+  Fixture f;
+  const support::CancelToken cancel = support::CancelToken::cancellable();
+  cancel.cancel();
+  EXPECT_THROW((void)network_from_json(f.catalog, network_to_json(*f.network), cancel),
+               CancelledError);
+}
+
+TEST(Serialization, DecodeStopsAtAnExpiredDeadline) {
+  Fixture f;
+  const support::CancelToken expired = support::CancelToken::with_deadline(
+      support::CancelToken::Clock::now() - std::chrono::milliseconds(1));
+  EXPECT_THROW((void)network_from_json(f.catalog, network_to_json(*f.network), expired),
+               DeadlineExceededError);
+  // A live token that has not expired decodes as the inert default does.
+  const Network restored = network_from_json(f.catalog, network_to_json(*f.network),
+                                             support::CancelToken::after_ms(60'000));
+  EXPECT_EQ(restored.host_count(), f.network->host_count());
 }
 
 // ---------------------------------------------------------------------------

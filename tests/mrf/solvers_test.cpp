@@ -193,5 +193,23 @@ TEST(Decompose, SubproblemExtractionValidatesClosure) {
   EXPECT_THROW(extract_subproblem(mrf, {0}), icsdiv::InvalidArgument);
 }
 
+TEST(Decompose, SubproblemExtractionRejectsARepeatedVariable) {
+  // A repeated id would add an edgeless copy whose label, written back
+  // through parent_variable, overwrites the solved one.
+  Mrf mrf;
+  mrf.add_variable(2);
+  mrf.add_variable(2);
+  const MatrixId m = mrf.add_matrix(2, 2, {0, 1, 1, 0});
+  mrf.add_edge(0, 1, m);
+  EXPECT_THROW(extract_subproblem(mrf, {0, 0, 1}), icsdiv::InvalidArgument);
+  EXPECT_THROW(extract_subproblem(mrf, {0, 1, 1}), icsdiv::InvalidArgument);
+
+  const SubProblem sub = extract_subproblem(mrf, {1, 0});
+  EXPECT_EQ(sub.parent_variable, (std::vector<VariableId>{1, 0}));
+  ASSERT_EQ(sub.mrf.edge_count(), 1u);
+  EXPECT_EQ(sub.mrf.edges()[0].u, 1u);  // parent 0 is sub variable 1
+  EXPECT_EQ(sub.mrf.edges()[0].v, 0u);
+}
+
 }  // namespace
 }  // namespace icsdiv::mrf

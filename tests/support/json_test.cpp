@@ -120,6 +120,110 @@ TEST(JsonObject, MissingKeyThrows) {
   EXPECT_EQ(object.find("nope"), nullptr);
 }
 
+/// An object of `count` keys "k0", "k1", ... whose values are their indices.
+JsonObject numbered_object(std::size_t count) {
+  JsonObject object;
+  for (std::size_t i = 0; i < count; ++i) object.set("k" + std::to_string(i), Json(i));
+  return object;
+}
+
+/// Every key of a numbered_object(count) resolves to its own value, and
+/// keys past the end are absent.
+void expect_numbered_lookups(const JsonObject& object, std::size_t count) {
+  ASSERT_EQ(object.size(), count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    ASSERT_TRUE(object.contains(key)) << key;
+    EXPECT_EQ(object.at(key).as_integer(), static_cast<std::int64_t>(i)) << key;
+  }
+  EXPECT_EQ(object.find("k" + std::to_string(count)), nullptr);
+  EXPECT_FALSE(object.contains(""));
+}
+
+TEST(JsonObject, RepeatedKeyKeepsItsFirstPositionAndTheLastValue) {
+  // Both sides of the index threshold, through set() and through parse().
+  for (const std::size_t count : {std::size_t{3}, JsonObject::kIndexThreshold + 1,
+                                  std::size_t{200}}) {
+    JsonObject object = numbered_object(count);
+    object.set("k1", Json("last"));
+    object.set("k" + std::to_string(count - 1), Json("tail"));
+    ASSERT_EQ(object.size(), count);
+    auto it = object.begin();
+    EXPECT_EQ(it->first, "k0");
+    ++it;
+    EXPECT_EQ(it->first, "k1");
+    EXPECT_EQ(it->second.as_string(), "last");
+    EXPECT_EQ(object.at("k" + std::to_string(count - 1)).as_string(), "tail");
+
+    std::string text = "{";
+    for (std::size_t i = 0; i < count; ++i) {
+      text += "\"k" + std::to_string(i) + "\":" + std::to_string(i) + ",";
+    }
+    text += "\"k0\":\"again\"}";
+    const Json parsed = Json::parse(text);
+    const JsonObject& parsed_object = parsed.as_object();
+    ASSERT_EQ(parsed_object.size(), count) << count;
+    EXPECT_EQ(parsed_object.begin()->first, "k0");
+    EXPECT_EQ(parsed_object.at("k0").as_string(), "again");
+    EXPECT_EQ(parsed_object.at("k1").as_integer(), 1);
+  }
+}
+
+TEST(JsonObject, IndexedLookupsSurviveCopiesAndMoves) {
+  constexpr std::size_t kCount = 100;  // well past the index threshold
+  const JsonObject original = numbered_object(kCount);
+  expect_numbered_lookups(original, kCount);
+
+  JsonObject copied(original);
+  expect_numbered_lookups(copied, kCount);
+  copied.set("extra", Json(true));  // the copy's index is its own
+  EXPECT_TRUE(copied.contains("extra"));
+  EXPECT_FALSE(original.contains("extra"));
+
+  JsonObject assigned = numbered_object(3);
+  assigned = original;
+  expect_numbered_lookups(assigned, kCount);
+
+  JsonObject moved(std::move(assigned));
+  expect_numbered_lookups(moved, kCount);
+  JsonObject move_assigned;
+  move_assigned = std::move(moved);
+  expect_numbered_lookups(move_assigned, kCount);
+
+  JsonObject& alias = move_assigned;
+  move_assigned = alias;  // self-assignment keeps both entries and index
+  expect_numbered_lookups(move_assigned, kCount);
+
+  // Values nested in arrays keep their indexes when the array reallocates.
+  JsonArray array;
+  for (int i = 0; i < 10; ++i) array.emplace_back(numbered_object(kCount));
+  for (const Json& element : array) expect_numbered_lookups(element.as_object(), kCount);
+}
+
+TEST(JsonDump, LargeObjectsDumpInInsertionOrder) {
+  constexpr std::size_t kCount = 1000;
+  JsonObject object;
+  std::string expected = "{";
+  for (std::size_t i = 0; i < kCount; ++i) {
+    // Descending keys, so sorted or hash order would differ.
+    const std::string key = "host-" + std::to_string(kCount - i);
+    object.set(key, Json(i));
+    if (i > 0) expected += ',';
+    expected += "\"" + key + "\":" + std::to_string(i);
+  }
+  expected += '}';
+  const Json doc{std::move(object)};
+  EXPECT_EQ(doc.dump(), expected);
+  EXPECT_EQ(Json::parse(expected).dump(), expected);
+}
+
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+TEST(JsonObject, KeyIndexKeepsJsonAtFortyBytes) {
+  // The index lives behind one pointer; every array element stays small.
+  EXPECT_EQ(sizeof(Json), 40u);
+}
+#endif
+
 TEST(JsonAccessors, TypeMismatchThrows) {
   const Json value(42);
   EXPECT_THROW((void)value.as_string(), InvalidArgument);

@@ -28,12 +28,15 @@
 // single-process run.
 //
 // Every compute command accepts `--timeout-ms N`, a wall-clock deadline
-// enforced by the session (DESIGN.md §11): optimize returns the best
-// assignment seen so far tagged `truncated`; other commands fail with
-// deadline_exceeded (exit 10).  The three local batch modes (`--report
-// deterministic`, `--shard`, `--merge`) take neither `--timeout-ms` nor
-// `--format`.  Each command and batch mode rejects any flag it does not
-// read (exit 2), so a mistyped flag never silently falls back to a default.
+// enforced by the session (DESIGN.md §11).  It covers decoding the catalog
+// and network too: a deadline that passes before the model is decoded
+// fails the command with deadline_exceeded (exit 10).  Once the solver
+// runs, optimize returns the best assignment seen so far tagged
+// `truncated`; other commands fail with deadline_exceeded.  The three
+// local batch modes (`--report deterministic`, `--shard`, `--merge`) take
+// neither `--timeout-ms` nor `--format`.  Each command and batch mode
+// rejects any flag it does not read (exit 2), so a mistyped flag never
+// silently falls back to a default.
 //
 // Exit codes follow the stable api::StatusCode mapping (status.hpp):
 // 0 ok, 2 invalid argument, 3 parse error, 4 not found, 5 infeasible,

@@ -411,7 +411,6 @@ support::Json result_to_json(const StatusResponse& response) {
   requests.set("deadline", response.requests_deadline);
 
   support::JsonObject caches;
-  caches.set("model", response.model_cache.to_json());
   caches.set("solve", response.solve_cache.to_json());
   caches.set("eval", response.eval_cache.to_json());
   caches.set("batch", response.batch_cache.to_json());
@@ -446,7 +445,6 @@ StatusResponse status_result(const support::JsonObject& object) {
   response.solve_seconds_total = object.at("solve_seconds_total").as_double();
   response.batch_wall_seconds_total = object.at("batch_wall_seconds_total").as_double();
   const support::JsonObject& caches = object.at("stage_stats").as_object();
-  response.model_cache = runner::StageCounters::from_json(caches.at("model"));
   response.solve_cache = runner::StageCounters::from_json(caches.at("solve"));
   response.eval_cache = runner::StageCounters::from_json(caches.at("eval"));
   response.batch_cache = runner::StageCounters::from_json(caches.at("batch"));

@@ -91,7 +91,7 @@ struct SimilarityRequest {
 /// Run a scenario grid through the staged batch engine.
 struct BatchRequest {
   support::Json grid;
-  std::size_t threads = 0;  ///< batch worker threads; 0 = hardware
+  std::size_t threads = 0;  ///< batch worker threads; 0 = hardware; at most 256
   std::int64_t timeout_ms = 0;  ///< wall-clock deadline; 0 = none
   std::string store_dir;  ///< on-disk artifact store (DESIGN.md §13); "" = off
 };
@@ -219,7 +219,6 @@ struct StatusResponse {
   double batch_wall_seconds_total = 0.0;
   /// Per-cache counters: planned = lookups, executed = computations,
   /// hits = served warm or coalesced onto an in-flight execution.
-  runner::StageCounters model_cache;
   runner::StageCounters solve_cache;
   runner::StageCounters eval_cache;
   runner::StageCounters batch_cache;

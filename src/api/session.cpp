@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <exception>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <variant>
@@ -24,6 +25,30 @@
 #include "support/stopwatch.hpp"
 
 namespace icsdiv::api {
+
+namespace {
+
+/// The deadline-aware wait of the admission queue and of coalesced cache
+/// waiters; callers loop on their own predicate around it.  A caller
+/// whose token has expired leaves with its own error, naming `site`.
+/// Otherwise an inert token waits plainly and a live one for a 50 ms
+/// slice that its deadline bounds exactly (an explicit cancel() cannot
+/// signal the condition variable, so it is polled).
+void wait_slice(support::CondVar& condition, support::Mutex& mutex,
+                const support::CancelToken& cancel, std::string_view site) ICSDIV_REQUIRES(mutex) {
+  cancel.check(site);
+  if (!cancel.valid()) {
+    condition.wait(mutex);
+    return;
+  }
+  auto until = support::CancelToken::Clock::now() + std::chrono::milliseconds(50);
+  if (cancel.deadline_ns() != support::CancelToken::kNoDeadline) {
+    until = std::min(until, cancel.deadline());
+  }
+  condition.wait_until(mutex, until);
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // AdmissionGate.
@@ -50,22 +75,7 @@ AdmissionGate::Ticket AdmissionGate::admit(const support::CancelToken& cancel) {
     }
     ++queued_;
     try {
-      while (running_ >= max_running_) {
-        if (!cancel.valid()) {
-          while (running_ >= max_running_) admitted_.wait(mutex_);
-          break;
-        }
-        // Sliced waits so an explicit cancel() (which cannot signal the
-        // condition variable) is noticed promptly; a deadline bounds the
-        // slice exactly.
-        auto until = support::CancelToken::Clock::now() + std::chrono::milliseconds(50);
-        if (cancel.deadline_ns() != support::CancelToken::kNoDeadline) {
-          until = std::min(until, cancel.deadline());
-        }
-        admitted_.wait_until(mutex_, until);
-        if (running_ < max_running_) break;
-        cancel.check("admission.queue");
-      }
+      while (running_ >= max_running_) wait_slice(admitted_, mutex_, cancel, "admission.queue");
     } catch (...) {
       --queued_;
       throw;
@@ -109,14 +119,15 @@ namespace {
 
 /// Per-cache entry capacities (LRU beyond these).  perfbench's
 /// daemon_loop is built around the 128-entry solve cache.
-constexpr std::size_t kModelCacheCapacity = 32;
 constexpr std::size_t kSolveCacheCapacity = 128;
 constexpr std::size_t kEvalCacheCapacity = 128;
 constexpr std::size_t kBatchCacheCapacity = 8;
 
 // ---------------------------------------------------------------------------
-// Cache keys.  Domain constants separate the four key spaces; within one,
-// keys hash the exact request documents the computation depends on.
+// Cache keys.  Domain constants separate the key spaces: the model key,
+// which solve and eval keys chain, and the three caches' own keys.
+// Within one, keys hash the exact request documents the computation
+// depends on.
 
 enum class CacheDomain : std::uint64_t { Model = 101, Solve = 102, Eval = 103, Batch = 104 };
 
@@ -142,27 +153,22 @@ runner::ArtifactKey model_key(const support::Json& catalog, const support::Json&
 }
 
 // ---------------------------------------------------------------------------
-// CoalescingCache: content-addressed, in-flight-deduplicating, LRU.
+// CoalescingCache: content-addressed, in-flight-deduplicating, LRU cache
+// of replies.
 //
 // Every in-flight entry runs under its own CancelToken whose deadline is
 // the fetch-max over the participants' deadlines (a participant without
 // one removes the deadline), so the shared compute outlives any single
-// impatient caller and is cancelled only once the *last* interested
-// party's deadline has passed.  Blocked waiters leave at their own
-// deadline (DeadlineExceededError) without disturbing the execution; the
-// last waiter to give up additionally cancels the entry token so an
-// execution nobody is waiting on can stop early.  A nested entry (the
-// model a solve or eval decodes) copies its dependents' deadlines when
-// they reach it; Session::Impl::get_model re-plans it when a dependent's
-// deadline has moved later since.
+// impatient caller and stops only once the *last* interested party's
+// deadline has passed.  Blocked waiters leave at their own deadline
+// (DeadlineExceededError) without disturbing the execution.
 
-template <typename Value>
 class CoalescingCache {
  public:
   explicit CoalescingCache(std::size_t capacity) : capacity_(std::max<std::size_t>(capacity, 1)) {}
 
   struct Outcome {
-    std::shared_ptr<const Value> value;
+    std::shared_ptr<const Response> value;
     /// True for the caller whose compute() produced the value; false for
     /// warm hits and callers coalesced onto an in-flight execution.
     bool executed = false;
@@ -185,8 +191,7 @@ class CoalescingCache {
         entry->last_used = ++tick_;
         if (!entry->done) {
           entry->cancel.extend_deadline_ns(cancel.deadline_ns());
-          ++entry->waiters;
-          wait_for_entry(*entry, cancel);
+          while (!entry->done) wait_slice(ready_, mutex_, cancel, "cache.wait");
         }
         if (entry->error) std::rethrow_exception(entry->error);
         return {entry->value, false};
@@ -197,23 +202,19 @@ class CoalescingCache {
                           ? support::CancelToken::with_deadline(cancel.deadline())
                           : support::CancelToken::cancellable();
       entry->last_used = ++tick_;
-      entry->waiters = 1;
       entries_.emplace(key, entry);
     }
     try {
-      std::shared_ptr<const Value> value = compute(entry->cancel);
+      std::shared_ptr<const Response> value = compute(entry->cancel);
       support::failpoint::evaluate("cache.insert");
       const bool keep = cacheable(*value);
       {
         const support::MutexLock lock(mutex_);
         entry->value = std::move(value);
         entry->done = true;
-        --entry->waiters;
         if (keep) {
           evict_locked();
         } else {
-          // Timing-dependent values (truncated solves) serve the current
-          // participants but never later callers.
           entries_.erase(key);
         }
       }
@@ -224,20 +225,12 @@ class CoalescingCache {
         const support::MutexLock lock(mutex_);
         entry->error = std::current_exception();
         entry->done = true;
-        --entry->waiters;
         // Failures are not cached: later callers recompute.
         entries_.erase(key);
       }
       ready_.notify_all();
       throw;
     }
-  }
-
-  template <typename Compute>
-  Outcome get_or_compute(const runner::ArtifactKey& key, const support::CancelToken& cancel,
-                         Compute&& compute) {
-    return get_or_compute(key, cancel, std::forward<Compute>(compute),
-                          [](const Value&) { return true; });
   }
 
   [[nodiscard]] runner::StageCounters counters() const {
@@ -254,40 +247,12 @@ class CoalescingCache {
   /// shared_ptr — the mutex_ relationship is documented here instead.
   struct Entry {
     bool done = false;
-    std::shared_ptr<const Value> value;
+    std::shared_ptr<const Response> value;
     std::exception_ptr error;
     std::uint64_t last_used = 0;
     /// The execution's shared token; deadline = max over participants'.
     support::CancelToken cancel;
-    /// Participants still interested (executor + blocked waiters).
-    std::size_t waiters = 0;
   };
-
-  /// Blocks until the entry completes or the caller's own token expires;
-  /// expiry decrements the waiter count (cancelling the entry when it was
-  /// the last) and rethrows as the caller's deadline/cancel error.
-  void wait_for_entry(Entry& entry, const support::CancelToken& cancel) ICSDIV_REQUIRES(mutex_) {
-    while (!entry.done) {
-      if (!cancel.valid()) {
-        while (!entry.done) ready_.wait(mutex_);
-        break;
-      }
-      // Sliced waits: an explicit cancel() cannot signal ready_, so poll;
-      // a deadline bounds the slice exactly.
-      auto until = support::CancelToken::Clock::now() + std::chrono::milliseconds(50);
-      if (cancel.deadline_ns() != support::CancelToken::kNoDeadline) {
-        until = std::min(until, cancel.deadline());
-      }
-      ready_.wait_until(mutex_, until);
-      if (entry.done) break;
-      if (cancel.expired()) {
-        --entry.waiters;
-        if (entry.waiters == 0) entry.cancel.cancel();
-        cancel.check("cache.wait");  // throws the caller's own error
-      }
-    }
-    --entry.waiters;
-  }
 
   /// Drops least-recently-used *completed* entries beyond capacity.
   /// In-flight entries are pinned; coalesced waiters keep their shared_ptr
@@ -317,32 +282,30 @@ class CoalescingCache {
   std::uint64_t tick_ ICSDIV_GUARDED_BY(mutex_) = 0;
 };
 
-/// The parsed model documents; built once per (catalog, network) content.
-/// Allocated behind shared_ptr and never moved: the network references
-/// products owned by `catalog`, so member addresses must be stable.
-struct ModelArtifact {
+/// A request's catalog and network, decoded inside the compute that needs
+/// them under its entry's token (network_from_json polls it).  Never
+/// moved: the network references products owned by `catalog`.
+struct DecodedModel {
   core::ProductCatalog catalog;
   core::Network network;
 
-  ModelArtifact(const support::Json& catalog_json, const support::Json& network_json,
-                const support::CancelToken& cancel)
+  DecodedModel(const support::Json& catalog_json, const support::Json& network_json,
+               const support::CancelToken& cancel)
       : catalog(core::catalog_from_json(catalog_json)),
-        network(core::network_from_json(catalog, network_json, cancel)) {}
-  ModelArtifact(const ModelArtifact&) = delete;
-  ModelArtifact& operator=(const ModelArtifact&) = delete;
+        network(core::network_from_json(catalog, network_json, cancel)) {
+    support::failpoint::evaluate("session.decode");
+  }
+  DecodedModel(const DecodedModel&) = delete;
+  DecodedModel& operator=(const DecodedModel&) = delete;
 };
 
-/// A solved assignment, stored as the response fields (the assignment
-/// JSON is rendered once, so every consumer sees bit-identical bytes).
-struct SolveValue {
-  support::Json assignment;
-  double energy = 0.0;
-  double pairwise_similarity = 0.0;
-  std::size_t iterations = 0;
-  bool converged = false;
-  bool truncated = false;  ///< deadline hit mid-solve; best-so-far labels
-  double seconds = 0.0;
-};
+/// A truncated optimize (best-so-far labels under an expired deadline) is
+/// a timing artifact: it serves the participants of its execution but is
+/// never kept for later callers.
+bool cacheable(const Response& response) {
+  const auto* optimize = std::get_if<OptimizeResponse>(&response);
+  return optimize == nullptr || !optimize->truncated;
+}
 
 /// The per-request token: a deadline when the request carries one, inert
 /// (zero-cost checks) otherwise.
@@ -368,7 +331,6 @@ struct Session::Impl {
         gate_(options_.max_concurrent != 0 ? options_.max_concurrent
                                            : std::max(1u, std::thread::hardware_concurrency()),
               options_.max_queued, options_.retry_after_seconds),
-        models_(kModelCacheCapacity),
         solves_(kSolveCacheCapacity),
         evals_(kEvalCacheCapacity),
         batches_(kBatchCacheCapacity) {}
@@ -410,7 +372,6 @@ struct Session::Impl {
     response.requests_admitted = gate_.admitted_total();
     response.in_flight = gate_.running();
     response.queued = gate_.queued();
-    response.model_cache = models_.counters();
     response.solve_cache = solves_.counters();
     response.eval_cache = evals_.counters();
     response.batch_cache = batches_.counters();
@@ -433,44 +394,40 @@ struct Session::Impl {
     return response;
   }
 
-  /// Decodes (or reuses) the model documents under `key`, the request's
-  /// model_key; chained inside the dependent caches' compute paths so
-  /// model lookups are only planned on misses.  `cancel` is the dependent
-  /// solve or eval entry's token.  The decode polls the model entry's
-  /// token, which holds the latest deadline the dependents had when they
-  /// reached the model; a dependent's own token may move later afterwards
-  /// (a request without a deadline joins its solve mid-decode).  So a decode
-  /// that stops on the model token fails the dependent only once `cancel`
-  /// has expired as well; while `cancel` is live the model is planned again
-  /// under its current deadline.  A failed model entry is never cached.
-  [[nodiscard]] std::shared_ptr<const ModelArtifact> get_model(const runner::ArtifactKey& key,
-                                                               const support::Json& catalog,
-                                                               const support::Json& network,
-                                                               const support::CancelToken& cancel) {
-    const auto decode = [&](const support::CancelToken& token) {
-      support::failpoint::evaluate("session.decode");
-      return std::make_shared<const ModelArtifact>(catalog, network, token);
-    };
-    for (;;) {
-      try {
-        return models_.get_or_compute(key, cancel, decode).value;
-      } catch (const CancelledError&) {
-        if (cancel.expired()) throw;
-      } catch (const DeadlineExceededError&) {
-        if (cancel.expired()) throw;
-      }
-    }
-  }
-
-  void count_solve_seconds(double seconds) {
-    const support::MutexLock lock(stats_mutex_);
-    solve_seconds_total_ += seconds;
-  }
-
   void count_deadline_failure() {
     const support::MutexLock lock(stats_mutex_);
     ++requests_failed_;
     ++requests_deadline_;
+  }
+
+  /// The one path from a cache outcome to a reply.  `compute` receives
+  /// the coalesced execution's token and returns the typed reply; its
+  /// time counts towards `solve_seconds_total` unless it is a batch
+  /// (batches count their wall time themselves).  The reply's `cached`
+  /// flag says whether this caller was served without executing.
+  template <typename Compute>
+  [[nodiscard]] Response cached_reply(CoalescingCache& cache, const runner::ArtifactKey& key,
+                                      const support::CancelToken& cancel, Compute&& compute) {
+    const auto outcome = cache.get_or_compute(
+        key, cancel,
+        [&](const support::CancelToken& token) {
+          support::failpoint::evaluate("session.compute");
+          const support::Stopwatch watch;
+          auto value = std::make_shared<const Response>(compute(token));
+          if (!std::holds_alternative<BatchResponse>(*value)) {
+            const support::MutexLock lock(stats_mutex_);
+            solve_seconds_total_ += watch.seconds();
+          }
+          return value;
+        },
+        cacheable);
+    Response response = *outcome.value;
+    std::visit(
+        [&](auto& typed) {
+          if constexpr (requires { typed.cached; }) typed.cached = !outcome.executed;
+        },
+        response);
+    return response;
   }
 
   [[nodiscard]] Response run(const OptimizeRequest& request, const support::CancelToken& cancel) {
@@ -488,64 +445,25 @@ struct Session::Impl {
     // Different iteration caps are different solves; the deadline is NOT
     // part of the key (it never changes a completed result).
     hasher.mix(static_cast<std::uint64_t>(max_iterations));
-    const auto outcome = solves_.get_or_compute(
-        hasher.key(), cancel,
-        [&](const support::CancelToken& token) {
-          support::failpoint::evaluate("session.compute");
-          const std::shared_ptr<const ModelArtifact> artifact =
-              get_model(model, request.catalog, request.network, token);
-          core::OptimizeOptions options;
-          options.solver = solver;
-          options.solve.max_iterations = max_iterations;
-          options.solve.cancel = token;
-          const support::Stopwatch watch;
-          const core::Optimizer optimizer(artifact->network);
-          const core::OptimizeOutcome solved = optimizer.optimize({}, options);
-          auto value = std::make_shared<SolveValue>();
-          value->assignment = solved.assignment.to_json();
-          value->energy = solved.solve.energy;
-          value->pairwise_similarity = solved.pairwise_similarity;
-          value->iterations = solved.solve.iterations;
-          value->converged = solved.solve.converged;
-          value->truncated = solved.solve.truncated;
-          value->seconds = watch.seconds();
-          count_solve_seconds(value->seconds);
-          return value;
-        },
-        [](const SolveValue& value) { return !value.truncated; });
-    OptimizeResponse response;
-    response.assignment = outcome.value->assignment;
-    response.energy = outcome.value->energy;
-    response.pairwise_similarity = outcome.value->pairwise_similarity;
-    response.iterations = outcome.value->iterations;
-    response.converged = outcome.value->converged;
-    response.truncated = outcome.value->truncated;
-    response.solve_seconds = outcome.value->seconds;
-    response.cached = !outcome.executed;
-    return response;
-  }
-
-  /// Shared eval-cache path: the cached artifact is the Response itself.
-  /// `compute` receives the coalesced execution's token.
-  template <typename Compute>
-  [[nodiscard]] Response eval_cached(const runner::ArtifactKey& key,
-                                     const support::CancelToken& cancel, Compute&& compute) {
-    const auto outcome = evals_.get_or_compute(
-        key, cancel,
-        [&](const support::CancelToken& token) -> std::shared_ptr<const Response> {
-          support::failpoint::evaluate("session.compute");
-          const support::Stopwatch watch;
-          auto value = std::make_shared<Response>(compute(token));
-          count_solve_seconds(watch.seconds());
-          return value;
-        });
-    Response response = *outcome.value;
-    std::visit(
-        [&](auto& typed) {
-          if constexpr (requires { typed.cached; }) typed.cached = !outcome.executed;
-        },
-        response);
-    return response;
+    return cached_reply(solves_, hasher.key(), cancel, [&](const support::CancelToken& token) {
+      const DecodedModel decoded(request.catalog, request.network, token);
+      core::OptimizeOptions options;
+      options.solver = solver;
+      options.solve.max_iterations = max_iterations;
+      options.solve.cancel = token;
+      const support::Stopwatch watch;
+      const core::Optimizer optimizer(decoded.network);
+      const core::OptimizeOutcome solved = optimizer.optimize({}, options);
+      OptimizeResponse response;
+      response.assignment = solved.assignment.to_json();
+      response.energy = solved.solve.energy;
+      response.pairwise_similarity = solved.pairwise_similarity;
+      response.iterations = solved.solve.iterations;
+      response.converged = solved.solve.converged;
+      response.truncated = solved.solve.truncated;
+      response.solve_seconds = watch.seconds();
+      return response;
+    });
   }
 
   [[nodiscard]] Response run(const EvaluateRequest& request, const support::CancelToken& cancel) {
@@ -555,18 +473,17 @@ struct Session::Impl {
     hasher.mix(model.hi).mix(model.lo);
     mix_json(hasher, request.assignment);
     hasher.mix(request.entry).mix(request.target);
-    return eval_cached(hasher.key(), cancel, [&](const support::CancelToken& token) -> Response {
-      const std::shared_ptr<const ModelArtifact> artifact =
-          get_model(model, request.catalog, request.network, token);
+    return cached_reply(evals_, hasher.key(), cancel, [&](const support::CancelToken& token) {
+      const DecodedModel decoded(request.catalog, request.network, token);
       const core::Assignment assignment =
-          core::Assignment::from_json(artifact->network, request.assignment);
+          core::Assignment::from_json(decoded.network, request.assignment);
       EvaluateResponse response;
       response.edge_similarity = core::total_edge_similarity(assignment);
       response.average_similarity = core::average_edge_similarity(assignment);
       response.normalized_richness = core::normalized_effective_richness(assignment);
       if (!request.entry.empty()) {
-        const core::HostId entry = artifact->network.host_id(request.entry);
-        const core::HostId target = artifact->network.host_id(request.target);
+        const core::HostId entry = decoded.network.host_id(request.entry);
+        const core::HostId target = decoded.network.host_id(request.target);
         bayes::InferenceOptions inference;
         inference.cancel = token;
         const bayes::DiversityMetricResult metric =
@@ -594,12 +511,11 @@ struct Session::Impl {
     const runner::ArtifactKey model = model_key(request.catalog, request.network);
     hasher.mix(model.hi).mix(model.lo);
     mix_json(hasher, request.assignment);
-    return eval_cached(hasher.key(), cancel, [&](const support::CancelToken& token) -> Response {
-      const std::shared_ptr<const ModelArtifact> artifact =
-          get_model(model, request.catalog, request.network, token);
+    return cached_reply(evals_, hasher.key(), cancel, [&](const support::CancelToken& token) {
+      const DecodedModel decoded(request.catalog, request.network, token);
       token.check("session.report");
       const core::Assignment assignment =
-          core::Assignment::from_json(artifact->network, request.assignment);
+          core::Assignment::from_json(decoded.network, request.assignment);
       ReportResponse response;
       response.text = core::diversification_report(assignment);
       return response;
@@ -611,7 +527,7 @@ struct Session::Impl {
     hasher.mix(static_cast<std::uint64_t>(EvalOp::Similarity));
     mix_json(hasher, request.feed);
     hasher.mix_range(request.cpes);
-    return eval_cached(hasher.key(), cancel, [&](const support::CancelToken& token) -> Response {
+    return cached_reply(evals_, hasher.key(), cancel, [&](const support::CancelToken& token) {
       const nvd::VulnerabilityDatabase feed = nvd::VulnerabilityDatabase::from_json(request.feed);
       token.check("session.similarity");
       std::vector<nvd::ProductRef> products;
@@ -638,16 +554,15 @@ struct Session::Impl {
     hasher.mix(model.hi).mix(model.lo);
     mix_json(hasher, request.assignment);
     hasher.mix(request.entry).mix(request.target);
-    return eval_cached(hasher.key(), cancel, [&](const support::CancelToken& token) -> Response {
-      const std::shared_ptr<const ModelArtifact> artifact =
-          get_model(model, request.catalog, request.network, token);
+    return cached_reply(evals_, hasher.key(), cancel, [&](const support::CancelToken& token) {
+      const DecodedModel decoded(request.catalog, request.network, token);
       const core::Assignment assignment =
-          core::Assignment::from_json(artifact->network, request.assignment);
+          core::Assignment::from_json(decoded.network, request.assignment);
       bayes::InferenceOptions inference;
       inference.cancel = token;
       const bayes::DiversityMetricResult metric =
-          bayes::bn_diversity_metric(assignment, artifact->network.host_id(request.entry),
-                                     artifact->network.host_id(request.target), inference);
+          bayes::bn_diversity_metric(assignment, decoded.network.host_id(request.entry),
+                                     decoded.network.host_id(request.target), inference);
       MetricResponse response;
       response.d_bn = metric.d_bn;
       response.p_with = metric.p_with_similarity;
@@ -666,39 +581,34 @@ struct Session::Impl {
     const std::string store_dir =
         request.store_dir.empty() ? options_.store_dir : request.store_dir;
     hasher.mix(store_dir);
-    const auto outcome = batches_.get_or_compute(
-        hasher.key(), cancel, [&](const support::CancelToken& token) {
-          support::failpoint::evaluate("session.compute");
-          const std::vector<runner::ScenarioSpec> specs =
-              runner::expand_validated(runner::ScenarioGrid::from_json(request.grid));
-          runner::BatchOptions options;
-          options.threads = request.threads;
-          options.store_dir = store_dir;
-          options.on_result = options_.on_batch_result;
-          options.cancel = token;
-          const runner::BatchRunner batch(options);
-          const runner::BatchReport report = batch.run(specs);
-          // A report produced under an expired deadline is made of
-          // deadline-failed cells — surface the deadline error instead of
-          // caching a hollow report.
-          token.check("session.batch");
-          auto value = std::make_shared<BatchResponse>();
-          value->report = report.to_json();
-          std::ostringstream csv;
-          report.write_csv(csv);
-          value->csv = csv.str();
-          value->cells = specs.size();
-          value->failed = report.failed_count();
-          {
-            const support::MutexLock lock(stats_mutex_);
-            batch_wall_seconds_total_ += report.wall_seconds;
-            batch_stages_ += report.stage_stats;
-          }
-          return value;
-        });
-    BatchResponse response = *outcome.value;
-    response.cached = !outcome.executed;
-    return response;
+    return cached_reply(batches_, hasher.key(), cancel, [&](const support::CancelToken& token) {
+      const std::vector<runner::ScenarioSpec> specs =
+          runner::expand_validated(runner::ScenarioGrid::from_json(request.grid));
+      runner::BatchOptions options;
+      options.threads = request.threads;
+      options.store_dir = store_dir;
+      options.on_result = options_.on_batch_result;
+      options.cancel = token;
+      const runner::BatchRunner batch(options);
+      const runner::BatchReport report = batch.run(specs);
+      // A report produced under an expired deadline is made of
+      // deadline-failed cells — surface the deadline error instead of
+      // caching a hollow report.
+      token.check("session.batch");
+      BatchResponse response;
+      response.report = report.to_json();
+      std::ostringstream csv;
+      report.write_csv(csv);
+      response.csv = csv.str();
+      response.cells = specs.size();
+      response.failed = report.failed_count();
+      {
+        const support::MutexLock lock(stats_mutex_);
+        batch_wall_seconds_total_ += report.wall_seconds;
+        batch_stages_ += report.stage_stats;
+      }
+      return response;
+    });
   }
 
   [[nodiscard]] Response run(const StatusRequest&, const support::CancelToken&) {
@@ -711,10 +621,9 @@ struct Session::Impl {
   SessionOptions options_;
   support::Stopwatch started_;
   AdmissionGate gate_;
-  CoalescingCache<ModelArtifact> models_;
-  CoalescingCache<SolveValue> solves_;
-  CoalescingCache<Response> evals_;
-  CoalescingCache<BatchResponse> batches_;
+  CoalescingCache solves_;
+  CoalescingCache evals_;
+  CoalescingCache batches_;
 
   mutable support::Mutex stats_mutex_;
   std::size_t requests_total_ ICSDIV_GUARDED_BY(stats_mutex_) = 0;

@@ -2,13 +2,15 @@
 // piece that turns PR-5's per-run artifact reuse into a *service*
 // property (DESIGN.md §10).
 //
-// A Session owns four coalescing caches keyed by 128-bit content hashes
-// (runner::KeyHasher over the request documents):
+// A Session owns three coalescing caches of replies keyed by 128-bit
+// content hashes (runner::KeyHasher over the request documents):
 //
-//   model  — parsed ProductCatalog + Network per (catalog, network) pair
-//   solve  — solved assignments per (model, solver)
-//   eval   — evaluate/report/similarity/metric responses per input
-//   batch  — full batch reports per (grid, threads)
+//   solve  — optimize replies per (catalog, network, solver, iteration cap)
+//   eval   — evaluate/report/similarity/metric replies per input
+//   batch  — batch replies per (grid, threads, store)
+//
+// Nothing is cached beneath them: a compute that misses decodes its own
+// catalog and network.
 //
 // "Coalescing" means identical *in-flight* requests share one execution:
 // the first caller computes, concurrent callers with the same key block
@@ -27,10 +29,10 @@
 // request, queue wait included.  A coalesced execution runs under one
 // shared CancelToken whose deadline is the *maximum* over its
 // participants' (a participant without a deadline removes it), so a
-// shared compute is cancelled only when the last interested party has
-// given up; blocked waiters leave at their own deadline.  Truncated
-// optimize results (best-so-far under an expired deadline) are returned
-// to the participants of that execution but never cached.
+// shared compute, decode included, stops only when the last interested
+// party has given up; blocked waiters leave at their own deadline.
+// Truncated optimize results (best-so-far under an expired deadline) are
+// returned to the participants of that execution but never cached.
 #pragma once
 
 #include <cstddef>

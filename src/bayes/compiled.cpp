@@ -79,8 +79,6 @@ InferenceEngine inference_engine_from_name(const std::string& name) {
                         " (known: auto, exact, montecarlo)");
 }
 
-std::vector<std::string> inference_engine_names() { return {"auto", "exact", "montecarlo"}; }
-
 CompiledReliability::CompiledReliability(const core::Assignment& assignment, core::HostId entry,
                                          PropagationModel model)
     : entry_(entry),

@@ -89,7 +89,6 @@ void validate_inference_options(const InferenceOptions& options);
 
 /// "auto" / "exact" / "montecarlo" (the scenario-grid spellings).
 [[nodiscard]] InferenceEngine inference_engine_from_name(const std::string& name);
-[[nodiscard]] std::vector<std::string> inference_engine_names();
 
 /// One multi-target inference pass: per-host compromise probabilities
 /// under the model's rates (P) and under the flat P_avg baseline (P', the

@@ -4,8 +4,8 @@ namespace icsdiv::bayes {
 
 namespace {
 
-/// Visits each u→v similarity channel as (service, success_probability),
-/// in the shared-service order of `network.services_of(u)`.
+/// Visits each u→v similarity channel's success probability, in the
+/// shared-service order of `network.services_of(u)`.
 template <typename Visitor>
 void for_each_channel(const core::Assignment& assignment, core::HostId u, core::HostId v,
                       const PropagationModel& model, Visitor&& visit) {
@@ -17,26 +17,17 @@ void for_each_channel(const core::Assignment& assignment, core::HostId u, core::
     const auto product_v = assignment.product_of(v, instance.service);
     if (!product_u || !product_v) continue;
     const double sim = catalog.similarity(*product_u, *product_v);
-    visit(instance.service, model.similarity_weight * sim);
+    visit(model.similarity_weight * sim);
   }
 }
 
 }  // namespace
 
-std::vector<Channel> similarity_channels(const core::Assignment& assignment, core::HostId u,
-                                         core::HostId v, const PropagationModel& model) {
-  std::vector<Channel> channels;
-  for_each_channel(assignment, u, v, model, [&](core::ServiceId service, double probability) {
-    channels.push_back(Channel{service, probability});
-  });
-  return channels;
-}
-
 std::size_t append_similarity_probabilities(const core::Assignment& assignment, core::HostId u,
                                             core::HostId v, const PropagationModel& model,
                                             std::vector<double>& out) {
   std::size_t appended = 0;
-  for_each_channel(assignment, u, v, model, [&](core::ServiceId, double probability) {
+  for_each_channel(assignment, u, v, model, [&](double probability) {
     out.push_back(probability);
     ++appended;
   });
@@ -47,8 +38,7 @@ double edge_infection_rate(const core::Assignment& assignment, core::HostId u, c
                            const PropagationModel& model) {
   if (!model.consider_similarity) return model.p_avg;
   double miss = 1.0 - model.p_avg;
-  for_each_channel(assignment, u, v, model,
-                   [&](core::ServiceId, double probability) { miss *= 1.0 - probability; });
+  for_each_channel(assignment, u, v, model, [&](double probability) { miss *= 1.0 - probability; });
   return 1.0 - miss;
 }
 

@@ -40,20 +40,11 @@ struct PropagationModel {
   bool consider_similarity = true;
 };
 
-/// One exploitable channel across a link.
-struct Channel {
-  core::ServiceId service;        ///< service whose exploit is reused
-  double success_probability;     ///< w·sim for similarity channels
-};
-
-/// Similarity channels from u towards v (shared, assigned services only).
-[[nodiscard]] std::vector<Channel> similarity_channels(const core::Assignment& assignment,
-                                                       core::HostId u, core::HostId v,
-                                                       const PropagationModel& model);
-
-/// Allocation-free bulk variant for channel-table builds (the simulator's
-/// compiled substrate): appends each u→v channel's success probability to
-/// `out`, in `similarity_channels` order, and returns how many were added.
+/// Similarity channels from u towards v, one per service both hosts run
+/// with an assigned product, for channel-table builds (the simulator's
+/// compiled substrate): appends each channel's success probability w·sim
+/// to `out`, in the order of u's services, and returns how many were
+/// added.
 std::size_t append_similarity_probabilities(const core::Assignment& assignment, core::HostId u,
                                             core::HostId v, const PropagationModel& model,
                                             std::vector<double>& out);

@@ -40,16 +40,6 @@ std::optional<ProductId> Assignment::product_of(HostId host, ServiceId service) 
   return product;
 }
 
-std::vector<std::optional<ProductId>> Assignment::host_tuple(HostId host) const {
-  require(host < slots_.size(), "Assignment::host_tuple", "unknown host id");
-  std::vector<std::optional<ProductId>> tuple;
-  tuple.reserve(slots_[host].size());
-  for (ProductId product : slots_[host]) {
-    tuple.push_back(product == kUnassigned ? std::nullopt : std::optional<ProductId>(product));
-  }
-  return tuple;
-}
-
 bool Assignment::complete() const noexcept {
   for (const auto& host_slots : slots_) {
     for (ProductId product : host_slots) {
@@ -57,16 +47,6 @@ bool Assignment::complete() const noexcept {
     }
   }
   return true;
-}
-
-std::size_t Assignment::assigned_count() const noexcept {
-  std::size_t count = 0;
-  for (const auto& host_slots : slots_) {
-    count += static_cast<std::size_t>(
-        std::count_if(host_slots.begin(), host_slots.end(),
-                      [](ProductId p) { return p != kUnassigned; }));
-  }
-  return count;
 }
 
 void Assignment::validate() const {

@@ -24,12 +24,7 @@ class Assignment {
   /// running the service throw NotFound.
   [[nodiscard]] std::optional<ProductId> product_of(HostId host, ServiceId service) const;
 
-  /// α(h, S_h): products per slot in the host's service order (unassigned
-  /// slots are nullopt).
-  [[nodiscard]] std::vector<std::optional<ProductId>> host_tuple(HostId host) const;
-
   [[nodiscard]] bool complete() const noexcept;
-  [[nodiscard]] std::size_t assigned_count() const noexcept;
 
   /// Throws unless every slot is assigned a valid candidate.
   void validate() const;

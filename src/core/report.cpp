@@ -95,36 +95,4 @@ std::string diversification_report(const Assignment& assignment,
   return out.str();
 }
 
-std::string migration_report(const Assignment& current, const Assignment& planned) {
-  require(&current.network() == &planned.network(), "migration_report",
-          "assignments must target the same network");
-  const Network& network = current.network();
-  const ProductCatalog& catalog = network.catalog();
-
-  std::ostringstream out;
-  std::size_t hosts_changed = 0;
-  for (HostId host = 0; host < network.host_count(); ++host) {
-    std::string changes;
-    for (const ServiceInstance& instance : network.services_of(host)) {
-      const auto before = current.product_of(host, instance.service);
-      const auto after = planned.product_of(host, instance.service);
-      if (before == after) continue;
-      if (!changes.empty()) changes += ", ";
-      changes += catalog.service(instance.service).name;
-      changes += ": ";
-      changes += before ? catalog.product(*before).name : "?";
-      changes += " -> ";
-      changes += after ? catalog.product(*after).name : "?";
-    }
-    if (!changes.empty()) {
-      ++hosts_changed;
-      out << "  " << network.host_name(host) << "  " << changes << "\n";
-    }
-  }
-  std::ostringstream header;
-  header << "Migration work order: " << hosts_changed << " of " << network.host_count()
-         << " hosts change\n";
-  return header.str() + out.str();
-}
-
 }  // namespace icsdiv::core

@@ -100,11 +100,6 @@ std::size_t SimilarityTable::index_of(std::string_view name) const {
   throw NotFound("SimilarityTable: unknown product '" + std::string(name) + "'");
 }
 
-bool SimilarityTable::has_product(std::string_view name) const noexcept {
-  return std::any_of(names_.begin(), names_.end(),
-                     [&](const std::string& n) { return n == name; });
-}
-
 double SimilarityTable::similarity(std::size_t i, std::size_t j) const {
   require(i < names_.size() && j < names_.size(), "SimilarityTable::similarity",
           "index out of range");

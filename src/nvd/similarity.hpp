@@ -54,7 +54,6 @@ class SimilarityTable {
 
   /// Index of a product name; throws NotFound.
   [[nodiscard]] std::size_t index_of(std::string_view name) const;
-  [[nodiscard]] bool has_product(std::string_view name) const noexcept;
 
   [[nodiscard]] double similarity(std::size_t i, std::size_t j) const;
   [[nodiscard]] double similarity(std::string_view a, std::string_view b) const;

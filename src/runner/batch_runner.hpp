@@ -116,10 +116,15 @@ struct BatchReport {
   [[nodiscard]] support::Json to_json(bool include_timings = true) const;
 };
 
+/// The most cell workers a batch may request.  Each is an OS thread and a
+/// grid may expand to a million cells, so BatchRunner::run rejects more
+/// with InvalidArgument before planning.
+inline constexpr std::size_t kMaxBatchThreads = 256;
+
 struct BatchOptions {
   /// Worker threads for cells; 0 means hardware_concurrency.  Use 1 for
   /// timing sweeps (cells then get the machine to themselves and may use
-  /// in-cell parallelism instead).
+  /// in-cell parallelism instead).  At most kMaxBatchThreads.
   std::size_t threads = 0;
   /// In-cell parallelism (the decomposed solve's fan-out) for every
   /// cell.  Unset: on when `threads` is 1 (a lone worker may as well fan

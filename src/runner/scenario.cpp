@@ -336,64 +336,4 @@ ScenarioGrid ScenarioGrid::from_json(const support::Json& json) {
   return grid;
 }
 
-support::Json ScenarioGrid::to_json() const {
-  support::JsonObject object;
-  object.set("name", name);
-  const auto sizes = [](const auto& values) {
-    support::JsonArray array;
-    for (const auto& value : values) array.emplace_back(value);
-    return array;
-  };
-  object.set("hosts", sizes(hosts));
-  object.set("degrees", sizes(degrees));
-  object.set("services", sizes(services));
-  object.set("products_per_service", sizes(products_per_service));
-  object.set("solvers", sizes(solvers));
-  object.set("constraints", sizes(constraints));
-  support::JsonArray seed_array;
-  for (const std::uint64_t seed : seeds) {
-    seed_array.emplace_back(static_cast<std::int64_t>(seed));
-  }
-  object.set("seeds", std::move(seed_array));
-  object.set("similar_pair_fraction", similar_pair_fraction);
-  object.set("max_similarity", max_similarity);
-  object.set("max_iterations", solve.max_iterations);
-  object.set("tolerance", solve.tolerance);
-  object.set("max_cells", max_cells);
-  if (attack) {
-    support::JsonObject attack_object;
-    support::JsonArray entries;
-    for (const core::HostId entry : attack->entries) {
-      entries.emplace_back(static_cast<std::int64_t>(entry));
-    }
-    attack_object.set("entries", std::move(entries));
-    attack_object.set("target", static_cast<std::int64_t>(attack->target));
-    attack_object.set("strategies", sizes(attack->strategies));
-    attack_object.set("detections", sizes(attack->detections));
-    attack_object.set("runs", attack->runs);
-    attack_object.set("max_ticks", attack->max_ticks);
-    attack_object.set("seed", static_cast<std::int64_t>(attack->seed));
-    object.set("attack", std::move(attack_object));
-  }
-  if (metrics) {
-    support::JsonObject metrics_object;
-    support::JsonArray entries;
-    for (const core::HostId entry : metrics->entries) {
-      entries.emplace_back(static_cast<std::int64_t>(entry));
-    }
-    metrics_object.set("entries", std::move(entries));
-    support::JsonArray targets;
-    for (const core::HostId target : metrics->targets) {
-      targets.emplace_back(static_cast<std::int64_t>(target));
-    }
-    metrics_object.set("targets", std::move(targets));
-    metrics_object.set("engine", metrics->engine);
-    metrics_object.set("samples", metrics->samples);
-    metrics_object.set("exact_max_edges", metrics->exact_max_edges);
-    metrics_object.set("seed", static_cast<std::int64_t>(metrics->seed));
-    object.set("metrics", std::move(metrics_object));
-  }
-  return object;
-}
-
 }  // namespace icsdiv::runner

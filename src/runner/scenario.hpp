@@ -149,7 +149,6 @@ struct ScenarioGrid {
   /// out-of-domain values (negative max_iterations, non-finite tolerance,
   /// unknown strategies, detection outside [0,1], ...).
   static ScenarioGrid from_json(const support::Json& json);
-  [[nodiscard]] support::Json to_json() const;
 };
 
 /// The batch entry points' fail-fast expansion (api::Session's batch

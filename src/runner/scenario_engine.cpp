@@ -1016,6 +1016,9 @@ ArtifactKey scenario_solve_key(const ScenarioSpec& spec) {
 BatchRunner::BatchRunner(BatchOptions options) : options_(std::move(options)) {}
 
 BatchReport BatchRunner::run(const std::vector<ScenarioSpec>& specs) const {
+  require(options_.threads <= kMaxBatchThreads, "BatchRunner::run",
+          "threads must be at most " + std::to_string(kMaxBatchThreads) + ", got " +
+              std::to_string(options_.threads));
   const std::size_t threads = std::min(resolve_batch_threads(options_.threads),
                                        std::max<std::size_t>(1, specs.size()));
   // The optional persistent tier (DESIGN.md §13).  A manifest from a

@@ -20,7 +20,10 @@ CancelToken CancelToken::with_deadline(Clock::time_point deadline) {
 
 CancelToken CancelToken::after_ms(std::int64_t timeout_ms) {
   if (timeout_ms <= 0) return cancellable();
-  return with_deadline(Clock::now() + std::chrono::milliseconds(timeout_ms));
+  const Clock::time_point now = Clock::now();
+  // A deadline the clock's signed nanoseconds cannot hold never comes.
+  if (timeout_ms > (kNoDeadline - to_ns(now)) / 1'000'000) return cancellable();
+  return with_deadline(now + std::chrono::milliseconds(timeout_ms));
 }
 
 void CancelToken::cancel() const noexcept {

@@ -61,7 +61,8 @@ class CancelToken {
   [[nodiscard]] static CancelToken with_deadline(Clock::time_point deadline);
 
   /// A live token expiring `timeout_ms` milliseconds from now; a
-  /// non-positive timeout yields a cancellable token with no deadline.
+  /// non-positive timeout, or one past what the clock can represent
+  /// (about 292 years), yields a cancellable token with no deadline.
   [[nodiscard]] static CancelToken after_ms(std::int64_t timeout_ms);
 
   /// True when this token carries shared state (i.e. can ever fire).

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <vector>
 
 #include "support/error.hpp"
 
@@ -115,10 +114,6 @@ class Rng {
       std::swap(items[i - 1], items[index(i)]);
     }
   }
-
-  /// Samples `k` distinct indices from [0, n) (Floyd's algorithm, order
-  /// randomised).  Throws if k > n.
-  [[nodiscard]] std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k);
 
   /// Derives an independent child generator; useful for giving each thread
   /// or each repetition its own deterministic stream.

@@ -11,12 +11,21 @@ ThreadPool::ThreadPool(std::size_t thread_count) {
     thread_count = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(thread_count);
-  for (std::size_t i = 0; i < thread_count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i < thread_count; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // A thread that failed to start: joinable workers left in workers_
+    // would call std::terminate from their destructors.
+    stop_and_join();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     const MutexLock lock(mutex_);
     stopping_ = true;

@@ -56,6 +56,8 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  /// Lets the queue drain, then joins every started worker.
+  void stop_and_join();
 
   std::vector<std::thread> workers_;
   Mutex mutex_;

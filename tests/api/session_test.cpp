@@ -83,7 +83,6 @@ TEST(Session, ConcurrentIdenticalOptimizesExecuteOneSolve) {
   EXPECT_EQ(status.solve_cache.planned, kClients);
   EXPECT_EQ(status.solve_cache.executed, 1u);
   EXPECT_EQ(status.solve_cache.hits, kClients - 1);
-  EXPECT_EQ(status.model_cache.executed, 1u);
   EXPECT_EQ(status.requests_total, kClients);
   EXPECT_EQ(status.requests_failed, 0u);
   EXPECT_GT(status.solve_seconds_total, 0.0);
@@ -104,9 +103,7 @@ TEST(Session, WarmCacheServesRepeatsAndDistinguishesSolvers) {
       std::get<OptimizeResponse>(session.execute(optimize_request(documents, "trws")));
   EXPECT_FALSE(trws.cached);
 
-  const StatusResponse status = session.status();
-  EXPECT_EQ(status.solve_cache.executed, 2u);  // icm once, trws once
-  EXPECT_EQ(status.model_cache.executed, 1u);  // same documents throughout
+  EXPECT_EQ(session.status().solve_cache.executed, 2u);  // icm once, trws once
 }
 
 TEST(Session, OptimizeRejectsUnknownSolversBeforeTheCaches) {
@@ -123,8 +120,6 @@ TEST(Session, OptimizeRejectsUnknownSolversBeforeTheCaches) {
     }
   }
   const StatusResponse status = session.status();
-  EXPECT_EQ(status.model_cache.planned, 0u);
-  EXPECT_EQ(status.model_cache.executed, 0u);
   EXPECT_EQ(status.solve_cache.planned, 0u);
   EXPECT_EQ(status.requests_failed, 2u);
 }
@@ -142,6 +137,48 @@ TEST(Session, OmittedMaxIterationsSharesTheDefaultsCacheKey) {
   EXPECT_TRUE(second.cached);
   EXPECT_EQ(second.assignment.dump(), first.assignment.dump());
   EXPECT_EQ(session.status().solve_cache.executed, 1u);
+}
+
+TEST(Session, SolveCacheEvictsTheLeastRecentlyUsedReply) {
+  // The session keeps 128 solve replies.  One request repeated between
+  // distinct cold ones stays the most recently used, so each insertion past
+  // the capacity evicts the oldest cold reply instead.
+  constexpr std::size_t kCapacity = 128;
+  constexpr std::size_t kCold = kCapacity + 2;
+  Session session;
+  const OptimizeRequest warm = optimize_request(make_documents(8, 1));
+  EXPECT_FALSE(std::get<OptimizeResponse>(session.execute(warm)).cached);
+  std::vector<OptimizeRequest> cold;
+  for (std::size_t i = 0; i < kCold; ++i) {
+    cold.push_back(optimize_request(make_documents(8, 1000 + i)));
+    EXPECT_FALSE(std::get<OptimizeResponse>(session.execute(cold.back())).cached) << i;
+    EXPECT_TRUE(std::get<OptimizeResponse>(session.execute(warm)).cached) << i;
+  }
+  const std::size_t overflow = 1 + kCold - kCapacity;
+  StatusResponse status = session.status();
+  EXPECT_EQ(status.solve_cache.executed, 1 + kCold);
+  EXPECT_EQ(status.solve_cache.hits, kCold);
+  EXPECT_EQ(status.solve_cache.evicted, overflow);
+
+  // The oldest cold reply was evicted and executes again; the newest is
+  // still served warm.
+  EXPECT_FALSE(std::get<OptimizeResponse>(session.execute(cold.front())).cached);
+  EXPECT_TRUE(std::get<OptimizeResponse>(session.execute(cold.back())).cached);
+  status = session.status();
+  EXPECT_EQ(status.solve_cache.executed, 2 + kCold);
+  EXPECT_EQ(status.solve_cache.evicted, overflow + 1);
+}
+
+TEST(Session, TimeoutPastTheClocksRangeNeverExpires) {
+  // 10^13 ms is past what the deadline clock can represent: the request
+  // runs without a deadline instead of failing at admission.
+  const Documents documents = make_documents(8);
+  Session session;
+  OptimizeRequest request = optimize_request(documents);
+  request.timeout_ms = 10'000'000'000'000;
+  const auto response = std::get<OptimizeResponse>(session.execute(request));
+  EXPECT_FALSE(response.truncated);
+  EXPECT_EQ(session.status().requests_deadline, 0u);
 }
 
 TEST(Session, OversizedExhaustiveOptimizeIsInfeasible) {
@@ -304,6 +341,23 @@ TEST(Session, BatchValidatesGridBeforeRunning) {
   EXPECT_EQ(session.status().batch_stages.solve.planned, 0u);
 }
 
+TEST(Session, BatchRejectsThreadsPastTheCeiling) {
+  Session session;
+  BatchRequest batch;
+  batch.grid = support::Json::parse(R"({
+    "hosts": [8], "degrees": [3], "services": [2], "products_per_service": [2],
+    "solvers": ["icm"], "constraints": ["none"], "seeds": [1]
+  })");
+  batch.threads = runner::kMaxBatchThreads + 1;
+  try {
+    (void)session.execute(batch);
+    FAIL() << "expected InvalidArgument";
+  } catch (const std::exception& error) {
+    EXPECT_EQ(status_code_for(error), StatusCode::InvalidArgument) << error.what();
+  }
+  EXPECT_EQ(session.status().batch_stages.solve.planned, 0u);
+}
+
 TEST(Session, SaturationRejectsWithRetryAfterAndKeepsStatusObservable) {
   SessionOptions options;
   options.max_concurrent = 1;
@@ -387,21 +441,15 @@ class SessionDeadline : public ::testing::Test {
 };
 
 TEST_F(SessionDeadline, OptimizeDeadlineReturnsTruncatedBestSoFarAndSkipsTheCache) {
-  // Warm the model with a completed solve at another iteration cap: an
-  // expired token fails a cold model's decode (next test), so only a warm
-  // model lets the delayed compute reach the solver.
+  // Hold the compute past the request deadline after the decode, before
+  // the solver starts: ICM's first cancellation check sees an expired
+  // token and returns the initial labels tagged truncated instead of
+  // throwing.  The deadline leaves the 8-host decode ample time.
+  support::failpoint::arm("session.decode", {support::failpoint::Action::Delay, 1.0, 150});
   const Documents documents = make_documents(8);
   Session session;
-  OptimizeRequest warm = optimize_request(documents);
-  warm.max_iterations = 7;
-  EXPECT_FALSE(std::get<OptimizeResponse>(session.execute(warm)).truncated);
-
-  // Hold the compute past the request deadline before the solver starts:
-  // ICM's first cancellation check sees an expired token and returns the
-  // initial labels tagged truncated instead of throwing.
-  support::failpoint::arm("session.compute", {support::failpoint::Action::Delay, 1.0, 60});
   OptimizeRequest request = optimize_request(documents);
-  request.timeout_ms = 20;
+  request.timeout_ms = 50;
 
   const auto truncated = std::get<OptimizeResponse>(session.execute(request));
   EXPECT_TRUE(truncated.truncated);
@@ -416,12 +464,11 @@ TEST_F(SessionDeadline, OptimizeDeadlineReturnsTruncatedBestSoFarAndSkipsTheCach
   const auto full = std::get<OptimizeResponse>(session.execute(request));
   EXPECT_FALSE(full.cached);
   EXPECT_FALSE(full.truncated);
-  EXPECT_EQ(session.status().solve_cache.executed, 3u);  // warm, truncated, full
-  EXPECT_EQ(session.status().model_cache.executed, 1u);
+  EXPECT_EQ(session.status().solve_cache.executed, 2u);  // truncated, full
 }
 
-TEST_F(SessionDeadline, DeadlineDuringModelDecodeFailsAndLeavesNoModelEntry) {
-  // The delay outlasts the deadline before the cold model is decoded; the
+TEST_F(SessionDeadline, DeadlineDuringDecodeFailsAndCachesNothing) {
+  // The delay outlasts the deadline before the documents are decoded; the
   // decode's first check("model.decode") sees the expired token.
   support::failpoint::arm("session.compute", {support::failpoint::Action::Delay, 1.0, 60});
   const Documents documents = make_documents(8);
@@ -431,26 +478,25 @@ TEST_F(SessionDeadline, DeadlineDuringModelDecodeFailsAndLeavesNoModelEntry) {
   EXPECT_THROW((void)session.execute(request), DeadlineExceededError);
   EXPECT_EQ(session.status().requests_deadline, 1u);
 
-  // Neither the model nor the solve was cached: the same request without a
-  // deadline decodes the model again and completes.
+  // The failed solve was not cached: the same request without a deadline
+  // decodes the documents again and completes.
   support::failpoint::disarm_all();
   request.timeout_ms = 0;
   const auto full = std::get<OptimizeResponse>(session.execute(request));
   EXPECT_FALSE(full.cached);
   EXPECT_FALSE(full.truncated);
   const StatusResponse status = session.status();
-  EXPECT_EQ(status.model_cache.executed, 2u);
   EXPECT_EQ(status.solve_cache.executed, 2u);
   EXPECT_EQ(status.requests_failed, 1u);
 }
 
 TEST_F(SessionDeadline, JoinerWithoutDeadlineOutlivesAColdDecodesFirstDeadline) {
-  // The impatient request starts a cold optimize and its model decode is
-  // held past its deadline.  A request without a deadline joins the solve
-  // meanwhile, so the shared compute must outlive the first deadline: the
-  // decode stops on the model token, is planned again under the joined
-  // reach, and both callers get the full reply.
-  support::failpoint::arm("session.decode", {support::failpoint::Action::Delay, 1.0, 300});
+  // The impatient request starts a cold optimize, held before its decode
+  // past its deadline.  A request without a deadline joins the solve
+  // meanwhile, which removes the entry token's deadline: the decode and
+  // the solve that poll that token run to the end, and both callers get
+  // the full reply.
+  support::failpoint::arm("session.compute", {support::failpoint::Action::Delay, 1.0, 300});
   const Documents documents = make_documents(8);
   SessionOptions options;
   options.max_concurrent = 4;  // both callers must be *executing* to coalesce
@@ -460,8 +506,8 @@ TEST_F(SessionDeadline, JoinerWithoutDeadlineOutlivesAColdDecodesFirstDeadline) 
   auto first = std::async(std::launch::async, [&] {
     return std::get<OptimizeResponse>(session.execute(impatient));
   });
-  // Join only once the impatient request's decode is being held.
-  while (support::failpoint::hits("session.decode") == 0) {
+  // Join only once the impatient request's compute is being held.
+  while (support::failpoint::hits("session.compute") == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -475,7 +521,6 @@ TEST_F(SessionDeadline, JoinerWithoutDeadlineOutlivesAColdDecodesFirstDeadline) 
   const StatusResponse status = session.status();
   EXPECT_EQ(status.solve_cache.planned, 2u);
   EXPECT_EQ(status.solve_cache.executed, 1u);
-  EXPECT_EQ(status.model_cache.executed, 2u);  // stopped once, then decoded
   EXPECT_EQ(status.requests_failed, 0u);
   EXPECT_EQ(status.requests_deadline, 0u);
 }

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "bayes/metric.hpp"
+#include "bayes/propagation.hpp"
 #include "core/baselines.hpp"
 #include "sim/compiled.hpp"
 
@@ -73,11 +75,13 @@ TEST(Propagation, ChannelsListShared_AssignedServicesOnly) {
   partial.assign(0, f.service, f.a);
   // h1 unassigned → no similarity channel yet.
   const bayes::PropagationModel model{0.05, 1.0, true};
-  EXPECT_TRUE(bayes::similarity_channels(partial, 0, 1, model).empty());
+  std::vector<double> channels;
+  EXPECT_EQ(bayes::append_similarity_probabilities(partial, 0, 1, model, channels), 0u);
+  EXPECT_TRUE(channels.empty());
   partial.assign(1, f.service, f.b);
-  const auto channels = bayes::similarity_channels(partial, 0, 1, model);
+  EXPECT_EQ(bayes::append_similarity_probabilities(partial, 0, 1, model, channels), 1u);
   ASSERT_EQ(channels.size(), 1u);
-  EXPECT_NEAR(channels[0].success_probability, 0.4, 1e-12);
+  EXPECT_NEAR(channels[0], 0.4, 1e-12);
 }
 
 TEST(AttackBn, MonoChainProbabilityAnalytic) {

@@ -267,10 +267,6 @@ TEST_F(StuxnetTest, ReportsRenderForCaseStudy) {
       core::diversification_report(optimal.assignment, study().host_constraints());
   EXPECT_NE(report.find("32 hosts"), std::string::npos);
   EXPECT_NE(report.find("all constraints satisfied"), std::string::npos);
-
-  const auto mono = core::mono_assignment(study().network());
-  const std::string migration = core::migration_report(mono, optimal.assignment);
-  EXPECT_NE(migration.find("hosts change"), std::string::npos);
 }
 
 TEST_F(StuxnetTest, DefenderExtendsMttc) {

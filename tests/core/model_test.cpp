@@ -113,19 +113,14 @@ TEST(Assignment, AssignAndQuery) {
 
   Assignment assignment(net);
   EXPECT_FALSE(assignment.complete());
-  EXPECT_EQ(assignment.assigned_count(), 0u);
   EXPECT_FALSE(assignment.product_of(h0, f.os).has_value());
 
   assignment.assign(h0, f.os, f.linux_os);
   assignment.assign(h0, f.wb, f.chrome);
   EXPECT_TRUE(assignment.complete());
   EXPECT_EQ(assignment.product_of(h0, f.os).value(), f.linux_os);
+  EXPECT_EQ(assignment.product_of(h0, f.wb).value(), f.chrome);
   EXPECT_NO_THROW(assignment.validate());
-
-  const auto tuple = assignment.host_tuple(h0);
-  ASSERT_EQ(tuple.size(), 2u);
-  EXPECT_EQ(tuple[0].value(), f.linux_os);
-  EXPECT_EQ(tuple[1].value(), f.chrome);
 }
 
 TEST(Assignment, RejectsNonCandidates) {

@@ -7,11 +7,14 @@ Three groups of checks, each driving a real executable:
             grids, at --threads 1 and 4; the CSV and JSON bytes must equal
             the goldens under tests/goldens/.
   examples  the stdout of five examples must equal
-            tests/goldens/examples/<name>.txt (skipped when the examples
-            are not built, i.e. no --examples directory is given).
-  flags     icsdiv_cli and icsdivd reject flags they do not read, and
-            `icsdivd --max-connections 0`, with exit code 2 and a message
-            naming the flag, before doing any work.
+            tests/goldens/examples/<name>.txt, and daemon_quickstart must
+            solve once and serve the repeat from the warm cache (skipped
+            when the examples are not built, i.e. no --examples directory
+            is given).
+  flags     icsdiv_cli and icsdivd reject flags they do not read, out-of-
+            range --timeout-ms and --threads values, and `icsdivd
+            --max-connections 0`, with exit code 2 and a message naming the
+            flag, before doing any work.
 
 Usage:
   end_to_end_test.py --cli ICSDIV_CLI --icsdivd ICSDIVD [--examples DIR]
@@ -84,7 +87,27 @@ def check_examples(examples: pathlib.Path, work: pathlib.Path, record: bool) -> 
             golden.write_bytes(result.stdout)
         elif result.stdout != golden.read_bytes():
             failures.append(f"example {name}: stdout differs from {golden}")
+    if not record:
+        failures += check_daemon_quickstart(examples, work)
     return failures
+
+
+def check_daemon_quickstart(examples: pathlib.Path, work: pathlib.Path) -> List[str]:
+    """Server, Client and the warm solve cache together.  Its socket path
+    and timings vary, so the lines are matched, not compared to a golden."""
+    result = run([str(examples / "daemon_quickstart")], work, timeout=60.0)
+    if result.returncode != 0:
+        return [f"example daemon_quickstart: exit {result.returncode}"]
+    lines = result.stdout.decode(errors="replace").splitlines()
+    expected = {
+        "optimize #1": lambda line: line.startswith("optimize #1:") and line.endswith("[solved]"),
+        "optimize #2": lambda line: (line.startswith("optimize #2:")
+                                     and line.endswith("[served from cache]")),
+        "status": lambda line: (line.startswith("status:")
+                                and " solve planned/executed/hits=2/1/1 " in line),
+    }
+    return [f"example daemon_quickstart: no {label} line as expected"
+            for label, matches in expected.items() if not any(map(matches, lines))]
 
 
 def tiny_documents(work: pathlib.Path):
@@ -132,10 +155,21 @@ def check_flags(cli: str, icsdivd: str, work: pathlib.Path) -> List[str]:
     catalog, network = tiny_documents(work)
     shard_json = work / "shard.json"
     stray_csv = work / "stray.csv"
+    session_csv = work / "threads_session.csv"
+    local_csv = work / "threads_local.csv"
     socket_path = work / "refused.sock"
     cases = [
         ([cli, "optimize", "--catalog", catalog, "--network", network, "--max-iteration", "1",
           "--solverr", "icm"], ["--max-iteration", "--solverr"], []),
+        # Past INT64_MAX, the wire's signed timeout_ms.
+        ([cli, "optimize", "--catalog", catalog, "--network", network,
+          "--timeout-ms", "9223372036854775808"], ["--timeout-ms"], []),
+        # One past the batch worker ceiling, in the session path and a
+        # local mode.
+        ([cli, "batch", "--grid", grid_path("sweep_small"), "--threads", "257",
+          "--csv", str(session_csv)], ["threads", "256"], [session_csv]),
+        ([cli, "batch", "--grid", grid_path("sweep_small"), "--report", "deterministic",
+          "--threads", "257", "--csv", str(local_csv)], ["threads", "256"], [local_csv]),
         ([cli, "batch", "--grid", grid_path("sweep_small"), "--shard", "0/2",
           "--json", str(shard_json), "--csv", str(stray_csv)], ["--csv"], [shard_json, stray_csv]),
         ([cli, "batch", "--grid", grid_path("sweep_small"), "--report", "deterministic",

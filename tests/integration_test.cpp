@@ -201,16 +201,5 @@ TEST(Reports, ConstraintViolationsListed) {
   EXPECT_NE(report.find("1 violation(s)"), std::string::npos);
 }
 
-TEST(Reports, MigrationWorkOrderListsChangedHostsOnly) {
-  Estate estate(13, 10);
-  const auto mono = core::mono_assignment(*estate.network);
-  core::Assignment changed = mono;
-  changed.assign(3, estate.s1, estate.catalog.product_id(estate.s1, "a2"));
-  const std::string report = core::migration_report(mono, changed);
-  EXPECT_NE(report.find("1 of 10 hosts change"), std::string::npos);
-  EXPECT_NE(report.find("n3"), std::string::npos);
-  EXPECT_EQ(report.find("n4 "), std::string::npos);
-}
-
 }  // namespace
 }  // namespace icsdiv

@@ -4,6 +4,11 @@
 // reproduction trustworthy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <span>
+#include <vector>
+
 #include "nvd/synthetic.hpp"
 #include "support/rng.hpp"
 
@@ -36,7 +41,10 @@ OverlapSpec random_spec(support::Rng& rng) {
   }
   // Occasionally a triple block (requires n ≥ 3).
   if (rng.bernoulli(0.5)) {
-    auto members = rng.sample_without_replacement(n, 3);
+    std::vector<std::size_t> members(n);
+    std::iota(members.begin(), members.end(), std::size_t{0});
+    rng.shuffle(std::span<std::size_t>(members));
+    members.resize(3);
     std::sort(members.begin(), members.end());
     OverlapBlock block;
     block.members = members;

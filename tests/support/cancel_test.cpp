@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -57,6 +58,17 @@ TEST(CancelTokenTest, NonPositiveTimeoutMeansNoDeadline) {
   EXPECT_EQ(zero.deadline_ns(), CancelToken::kNoDeadline);
   const CancelToken negative = CancelToken::after_ms(-5);
   EXPECT_EQ(negative.deadline_ns(), CancelToken::kNoDeadline);
+}
+
+TEST(CancelTokenTest, TimeoutPastTheClocksRangeMeansNoDeadline) {
+  // now + 10^13 ms does not fit the clock's signed nanoseconds; such a
+  // deadline never comes, so it must not wrap into the past.
+  for (const std::int64_t timeout_ms : {std::int64_t{10'000'000'000'000}, INT64_MAX}) {
+    const CancelToken token = CancelToken::after_ms(timeout_ms);
+    EXPECT_TRUE(token.valid());
+    EXPECT_FALSE(token.expired()) << timeout_ms;
+    EXPECT_EQ(token.deadline_ns(), CancelToken::kNoDeadline) << timeout_ms;
+  }
 }
 
 TEST(CancelTokenTest, CopiesShareState) {

@@ -85,32 +85,6 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_EQ(shuffled, values);
 }
 
-class SampleWithoutReplacement : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
-
-TEST_P(SampleWithoutReplacement, ProducesDistinctInRange) {
-  const auto [n, k] = GetParam();
-  Rng rng(17 + n * 31 + k);
-  const auto sample = rng.sample_without_replacement(n, k);
-  EXPECT_EQ(sample.size(), k);
-  std::set<std::size_t> unique(sample.begin(), sample.end());
-  EXPECT_EQ(unique.size(), k);
-  for (std::size_t v : sample) EXPECT_LT(v, n);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, SampleWithoutReplacement,
-                         ::testing::Values(std::pair<std::size_t, std::size_t>{10, 0},
-                                           std::pair<std::size_t, std::size_t>{10, 1},
-                                           std::pair<std::size_t, std::size_t>{10, 5},
-                                           std::pair<std::size_t, std::size_t>{10, 10},
-                                           std::pair<std::size_t, std::size_t>{100, 3},
-                                           std::pair<std::size_t, std::size_t>{100, 97},
-                                           std::pair<std::size_t, std::size_t>{1000, 500}));
-
-TEST(Rng, SampleMoreThanPopulationThrows) {
-  Rng rng(1);
-  EXPECT_THROW((void)rng.sample_without_replacement(3, 4), InvalidArgument);
-}
-
 TEST(Rng, ForkProducesIndependentStream) {
   Rng parent(21);
   Rng child = parent.fork();

@@ -28,11 +28,13 @@
 // single-process run.
 //
 // Every compute command accepts `--timeout-ms N`, a wall-clock deadline
-// enforced by the session (DESIGN.md §11).  It covers decoding the catalog
-// and network too: a deadline that passes before the model is decoded
-// fails the command with deadline_exceeded (exit 10).  Once the solver
-// runs, optimize returns the best assignment seen so far tagged
-// `truncated`; other commands fail with deadline_exceeded.  The three
+// enforced by the session (DESIGN.md §11); N is at most INT64_MAX, and a
+// deadline past what the clock can represent means none.  It covers
+// decoding the catalog and network too: a deadline that passes before
+// they are decoded fails the command with deadline_exceeded (exit 10).
+// Once the solver runs, optimize returns the best assignment seen so far
+// tagged `truncated`; other commands fail with deadline_exceeded.
+// `--threads` is at most 256 in every batch mode.  The three
 // local batch modes (`--report deterministic`, `--shard`, `--merge`) take
 // neither `--timeout-ms` nor `--format`.  Each command and batch mode
 // rejects any flag it does not read (exit 2), so a mistyped flag never
@@ -43,6 +45,7 @@
 // 6 logic error, 8 partial batch failure, 9 internal, 10 deadline
 // exceeded, 11 cancelled.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -178,7 +181,12 @@ std::size_t parse_threads(const std::string& value) { return parse_count("--thre
 std::int64_t parse_timeout_ms(const Arguments& args) {
   const auto it = args.options.find("timeout-ms");
   if (it == args.options.end()) return 0;
-  return static_cast<std::int64_t>(parse_count("--timeout-ms", it->second));
+  // The wire's timeout_ms is a signed 64-bit integer.
+  const std::size_t timeout_ms = parse_count("--timeout-ms", it->second);
+  if (timeout_ms > static_cast<std::size_t>(INT64_MAX)) {
+    throw InvalidArgument("bad --timeout-ms value: " + it->second);
+  }
+  return static_cast<std::int64_t>(timeout_ms);
 }
 
 // ---------------------------------------------------------------------------

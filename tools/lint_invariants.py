@@ -90,7 +90,6 @@ class Config:
     # Files allowed to touch ambient randomness / wall clocks.
     randomness_approved: Tuple[str, ...] = (
         "src/support/rng.hpp",
-        "src/support/rng.cpp",
     )
     # Solver / Monte-Carlo loop files that must reference the CancelToken.
     solver_files: Tuple[str, ...] = (

@@ -31,7 +31,6 @@
 namespace icsdiv::runner {
 
 struct ScenarioResult {
-  std::size_t index = 0;  ///< position in the submitted grid
   std::string name;
   // Axis echo, so a report row is self-describing.
   std::size_t hosts = 0;
@@ -87,8 +86,8 @@ struct ScenarioResult {
   double solve_seconds = 0.0;
   double attack_seconds = 0.0;
   double metric_seconds = 0.0;
-  /// Non-empty when the cell threw; every other field but index/name/axes
-  /// is then meaningless.
+  /// Non-empty when the cell threw; every other field but name/axes is
+  /// then meaningless.
   std::string error;
 };
 
@@ -111,8 +110,9 @@ struct BatchReport {
   /// `stage_stats` block.  `include_timings` off gives the deterministic
   /// subset — threads, wall-clock, stage stats, per-cell seconds and the
   /// aggregates' mean_solve_seconds are omitted, so the document is
-  /// byte-identical across runs, thread counts and process shardings
-  /// (the contract `icsdiv_cli batch --merge` byte-diffs against).
+  /// byte-identical across runs, thread counts, store temperature and
+  /// process shardings (a sharded fleet's final `--report deterministic`
+  /// pass over its shared store writes a single-process run's bytes).
   [[nodiscard]] support::Json to_json(bool include_timings = true) const;
 };
 

@@ -914,15 +914,13 @@ class BatchRun {
     // evict as their cells complete instead of accumulating for the whole
     // batch.
     stage<SolveStage>().store.add_consumer(cell[kIndex<SolveStage>]);
-    const auto body = [this, &spec, &cell, &result = report.results[i], i] {
-      finalize(spec, cell, i, result);
+    const auto body = [this, &spec, &cell, &result = report.results[i]] {
+      finalize(spec, cell, result);
     };
     add_task(body, stage_tasks);
   }
 
-  void finalize(const ScenarioSpec& spec, const CellSlots& cell, std::size_t i,
-                ScenarioResult& result) {
-    result.index = i;
+  void finalize(const ScenarioSpec& spec, const CellSlots& cell, ScenarioResult& result) {
     result.name = spec.name.empty() ? spec.derive_name() : spec.name;
     result.hosts = spec.workload.hosts;
     result.degree = spec.workload.average_degree;

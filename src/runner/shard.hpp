@@ -1,32 +1,23 @@
-// Sharded multi-process batch (DESIGN.md §13).
+// Sharded multi-process batch (DESIGN.md §13.3).
 //
 // N processes split one grid by a deterministic ownership rule over the
 // cells' solve-stage content addresses: shard K of N owns the cells whose
 // solve key satisfies (hi ^ lo) % N == K.  Keying ownership on the solve
 // stage (not the cell index) puts every cell of a shared solve prefix in
-// the same process, so no prefix is computed twice across the fleet; a
-// shared --store directory then deduplicates the coarser workload/problem
-// prefixes between processes too.
+// the same process, so no prefix is computed twice across the fleet.
 //
-// Each process writes a shard document — the owned cells' results tagged
-// with their original grid indices, plus an envelope (format version,
-// grid fingerprint, K/N, total cell count) — and `--merge` stitches the
-// documents back into one BatchReport after validating that exactly the
-// declared shards are present, they agree on the grid, and every cell is
-// covered exactly once.  Merged deterministic reports (`write_csv(out,
-// false)` / `to_json(false)`) are byte-identical to a single-process run
-// over the same grid: results are reassembled in grid order, and the
-// shard codec round-trips every value bit-exactly — non-finite doubles
-// (the all-censored MTTC cells) travel as "nan"/"inf"/"-inf" strings
-// because the JSON writer refuses non-finite numbers, and finite ones use
-// the writer's shortest-round-trip formatting.
+// The shards meet in one on-disk store (disk_store.hpp): each computes
+// the cells it owns into it, and the store deduplicates the coarser
+// workload/problem prefixes between processes too.  The fleet's report
+// is a final deterministic pass over that store, which serves every stage
+// a shard published and computes only what none did, so its bytes equal
+// a single-process run over the same grid.
 #pragma once
 
-#include <string>
 #include <string_view>
-#include <vector>
 
-#include "runner/batch_runner.hpp"
+#include "runner/artifact_cache.hpp"
+#include "runner/scenario.hpp"
 
 namespace icsdiv::runner {
 
@@ -35,7 +26,8 @@ struct ShardSpec {
   std::size_t count = 1;
 };
 
-/// Parses "K/N" with K < N, N >= 1.  Throws InvalidArgument otherwise.
+/// Parses "K/N" with K < N, N >= 1, both within size_t.  Throws
+/// InvalidArgument otherwise.
 [[nodiscard]] ShardSpec parse_shard(std::string_view text);
 
 /// The cell's solve-stage content address (the workload → problem → solve
@@ -47,16 +39,5 @@ struct ShardSpec {
 
 /// The ownership rule: does `shard` own the cell with this solve key?
 [[nodiscard]] bool shard_owns(const ShardSpec& shard, const ArtifactKey& solve_key) noexcept;
-
-/// One shard's results (cells this shard owns, `ScenarioResult::index`
-/// already rewritten to the original grid position) as a shard document.
-[[nodiscard]] support::Json shard_to_json(const ShardSpec& shard, const std::string& grid_key,
-                                          std::size_t total_cells,
-                                          const std::vector<ScenarioResult>& results);
-
-/// Merges shard documents into one report (results in grid order).
-/// Throws InvalidArgument when the envelopes disagree, a shard is missing
-/// or duplicated, or the cells do not cover the grid exactly once.
-[[nodiscard]] BatchReport merge_shards(const std::vector<support::Json>& shards);
 
 }  // namespace icsdiv::runner

@@ -12,9 +12,13 @@ Three groups of checks, each driving a real executable:
             when the examples are not built, i.e. no --examples directory
             is given).
   flags     icsdiv_cli and icsdivd reject flags they do not read, out-of-
-            range --timeout-ms and --threads values, and `icsdivd
-            --max-connections 0`, with exit code 2 and a message naming the
-            flag, before doing any work.
+            range --timeout-ms and --threads values (in every batch mode,
+            a shard that owns no cell included), `batch --shard` without
+            --store, and `icsdivd --max-connections 0`, with exit code 2 and
+            a message naming the flag, before doing any work.  icsdiv_cli
+            prints its usage text after an error in the command line
+            itself, and only then: a --threads value the engine refuses
+            at run time prints its own line alone.
 
 Usage:
   end_to_end_test.py --cli ICSDIV_CLI --icsdivd ICSDIVD [--examples DIR]
@@ -32,7 +36,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
-from typing import List
+from typing import List, Optional
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 GOLDENS = REPO / "tests" / "goldens"
@@ -131,7 +135,10 @@ def tiny_documents(work: pathlib.Path):
 
 
 def expect_usage_error(command: List[str], flags: List[str], work: pathlib.Path,
-                       must_not_exist: List[pathlib.Path]) -> List[str]:
+                       must_not_exist: List[pathlib.Path],
+                       usage: Optional[bool]) -> List[str]:
+    """Exit 2 naming each of `flags`, leaving none of `must_not_exist`;
+    `usage` says whether the usage text must follow (None: not checked)."""
     label = " ".join(pathlib.Path(part).name if part.startswith("/") else part
                      for part in command)
     try:
@@ -140,14 +147,18 @@ def expect_usage_error(command: List[str], flags: List[str], work: pathlib.Path,
         return [f"`{label}`: still running after 30 s (expected exit {USAGE_ERROR})"]
     failures = []
     output = (result.stdout + result.stderr).decode(errors="replace")
+    # The usage text names every flag, so only what precedes it counts.
+    message = output.split("usage:", 1)[0]
     if result.returncode != USAGE_ERROR:
         failures.append(f"`{label}`: exit {result.returncode}, expected {USAGE_ERROR}")
     for flag in flags:
-        if flag not in output:
+        if flag not in message:
             failures.append(f"`{label}`: message does not name {flag}")
     for path in must_not_exist:
         if path.exists():
             failures.append(f"`{label}`: created {path.name}")
+    if usage is not None and ("usage:" in output) != usage:
+        failures.append(f"`{label}`: usage text {'missing' if usage else 'printed'}")
     return failures
 
 
@@ -157,31 +168,42 @@ def check_flags(cli: str, icsdivd: str, work: pathlib.Path) -> List[str]:
     stray_csv = work / "stray.csv"
     session_csv = work / "threads_session.csv"
     local_csv = work / "threads_local.csv"
+    store = work / "store"
     socket_path = work / "refused.sock"
+    # (command, text the message must name, paths it must not create,
+    #  whether icsdiv_cli's usage text follows; icsdivd's is not checked)
     cases = [
         ([cli, "optimize", "--catalog", catalog, "--network", network, "--max-iteration", "1",
-          "--solverr", "icm"], ["--max-iteration", "--solverr"], []),
+          "--solverr", "icm"], ["--max-iteration", "--solverr"], [], True),
         # Past INT64_MAX, the wire's signed timeout_ms.
         ([cli, "optimize", "--catalog", catalog, "--network", network,
-          "--timeout-ms", "9223372036854775808"], ["--timeout-ms"], []),
-        # One past the batch worker ceiling, in the session path and a
-        # local mode.
+          "--timeout-ms", "9223372036854775808"], ["--timeout-ms"], [], True),
+        # One past the batch worker ceiling, in the session path and both
+        # local modes; the engine refuses it at run time, so no usage text.
+        # Shard 999/1000 owns no cell of sweep_small and still refuses it.
         ([cli, "batch", "--grid", grid_path("sweep_small"), "--threads", "257",
-          "--csv", str(session_csv)], ["threads", "256"], [session_csv]),
+          "--csv", str(session_csv)], ["threads", "256"], [session_csv], False),
         ([cli, "batch", "--grid", grid_path("sweep_small"), "--report", "deterministic",
-          "--threads", "257", "--csv", str(local_csv)], ["threads", "256"], [local_csv]),
-        ([cli, "batch", "--grid", grid_path("sweep_small"), "--shard", "0/2",
-          "--json", str(shard_json), "--csv", str(stray_csv)], ["--csv"], [shard_json, stray_csv]),
+          "--threads", "257", "--csv", str(local_csv)], ["threads", "256"], [local_csv], False),
+        ([cli, "batch", "--grid", grid_path("sweep_small"), "--shard", "999/1000",
+          "--store", str(store), "--threads", "257"], ["threads", "256"], [store], False),
+        # A shard writes its results to the store and nowhere else.  The
+        # grid does not exist: --store is checked before it is read.
+        ([cli, "batch", "--grid", str(work / "no_grid.json"), "--shard", "0/2"], ["--store"], [],
+         True),
+        ([cli, "batch", "--grid", grid_path("sweep_small"), "--shard", "0/2", "--store",
+          str(store), "--json", str(shard_json), "--csv", str(stray_csv)], ["--csv", "--json"],
+         [store, shard_json, stray_csv], True),
         ([cli, "batch", "--grid", grid_path("sweep_small"), "--report", "deterministic",
           "--timeout-ms", "1", "--format", "json", "--csv", str(stray_csv)],
-         ["--timeout-ms", "--format"], [stray_csv]),
-        ([cli, "version", "--bogus", "1"], ["--bogus"], []),
+         ["--timeout-ms", "--format"], [stray_csv], True),
+        ([cli, "version", "--bogus", "1"], ["--bogus"], [], True),
         ([icsdivd, "--socket", str(socket_path), "--max-connections", "0"],
-         ["--max-connections"], [socket_path]),
+         ["--max-connections"], [socket_path], None),
     ]
     failures = []
-    for command, flags, must_not_exist in cases:
-        failures += expect_usage_error(command, flags, work, must_not_exist)
+    for command, flags, must_not_exist, usage in cases:
+        failures += expect_usage_error(command, flags, work, must_not_exist, usage)
     return failures
 
 

@@ -9,7 +9,6 @@
 #include "runner/disk_store.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <array>
 #include <atomic>
@@ -22,29 +21,12 @@
 #include <vector>
 
 #include "runner/batch_runner.hpp"
+#include "store_dir.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
 
 namespace icsdiv::runner {
 namespace {
-
-std::string unique_store_dir(const std::string& tag) {
-  static std::atomic<int> counter{0};
-  return (std::filesystem::temp_directory_path() /
-          ("icsdiv_store_" + tag + "_" + std::to_string(::getpid()) + "_" +
-           std::to_string(counter.fetch_add(1))))
-      .string();
-}
-
-/// Removes the store directory at scope exit so /tmp stays clean even
-/// when an assertion fires mid-test.
-struct ScopedDir {
-  explicit ScopedDir(std::string path_in) : path(std::move(path_in)) {}
-  ~ScopedDir() { std::filesystem::remove_all(path); }
-  ScopedDir(const ScopedDir&) = delete;
-  ScopedDir& operator=(const ScopedDir&) = delete;
-  std::string path;
-};
 
 ArtifactKey key_of(std::uint64_t hi, std::uint64_t lo) { return ArtifactKey{hi, lo}; }
 

@@ -16,16 +16,15 @@
 //   icsdiv_cli report    --catalog c.json --network n.json --assignment a.json
 //   icsdiv_cli similarity --feed feed.json --cpe QUERY --cpe QUERY [...]
 //   icsdiv_cli batch     --grid grid.json [--csv FILE] [--json FILE]
-//                        [--threads N] [--store DIR]
-//                        [--shard K/N] [--report deterministic]
-//   icsdiv_cli batch     --merge s0.json,s1.json [--csv FILE] [--json FILE]
+//                        [--threads N] [--store DIR] [--report deterministic]
+//   icsdiv_cli batch     --grid grid.json --shard K/N --store DIR [--threads N]
 //   icsdiv_cli version
 //
 // `--store DIR` layers a persistent on-disk artifact store under the
-// batch (DESIGN.md §13); `--shard K/N` runs only this process's share of
-// the grid and emits a shard document; `--merge` stitches the fleet's
-// documents back into one deterministic report, byte-identical to a
-// single-process run.
+// batch (DESIGN.md §13).  `--shard K/N` computes only this process's
+// share of the grid into that store and writes no report; the fleet's
+// report is a final `--store DIR --report deterministic` pass over the
+// store, byte-identical to a single-process run.
 //
 // Every compute command accepts `--timeout-ms N`, a wall-clock deadline
 // enforced by the session (DESIGN.md §11); N is at most INT64_MAX, and a
@@ -34,22 +33,24 @@
 // they are decoded fails the command with deadline_exceeded (exit 10).
 // Once the solver runs, optimize returns the best assignment seen so far
 // tagged `truncated`; other commands fail with deadline_exceeded.
-// `--threads` is at most 256 in every batch mode.  The three
-// local batch modes (`--report deterministic`, `--shard`, `--merge`) take
-// neither `--timeout-ms` nor `--format`.  Each command and batch mode
-// rejects any flag it does not read (exit 2), so a mistyped flag never
-// silently falls back to a default.
+// `--threads` is at most 256 in every batch mode.  The two local batch
+// modes (`--report deterministic`, `--shard`) take neither `--timeout-ms`
+// nor `--format`.  Each command and batch mode rejects any flag it does
+// not read (exit 2), so a mistyped flag never silently falls back to a
+// default.  Only an error in the command line itself (an unknown
+// command, mode or flag, a missing flag, a malformed flag value) prints
+// the usage text after its message; an error found while running, or in
+// a file's content, prints its own line alone.
 //
 // Exit codes follow the stable api::StatusCode mapping (status.hpp):
 // 0 ok, 2 invalid argument, 3 parse error, 4 not found, 5 infeasible,
 // 6 logic error, 8 partial batch failure, 9 internal, 10 deadline
 // exceeded, 11 cancelled.
-#include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -59,12 +60,21 @@
 #include "api/session.hpp"
 #include "api/status.hpp"
 #include "mrf/registry.hpp"
+#include "runner/batch_runner.hpp"
+#include "runner/scenario.hpp"
 #include "runner/shard.hpp"
 #include "support/table.hpp"
 
 namespace {
 
 using namespace icsdiv;
+
+/// An error in the command line itself: the one kind that prints the
+/// usage text.  Exit code 2 like any other InvalidArgument.
+class UsageError : public InvalidArgument {
+ public:
+  using InvalidArgument::InvalidArgument;
+};
 
 struct Arguments {
   std::string command;
@@ -76,12 +86,12 @@ enum class OutputFormat { Text, Json };
 
 Arguments parse_arguments(int argc, char** argv) {
   Arguments args;
-  if (argc < 2) throw InvalidArgument("missing command");
+  if (argc < 2) throw UsageError("missing command");
   args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
-    if (flag.rfind("--", 0) != 0) throw InvalidArgument("expected --flag, got: " + flag);
-    if (i + 1 >= argc) throw InvalidArgument("flag needs a value: " + flag);
+    if (flag.rfind("--", 0) != 0) throw UsageError("expected --flag, got: " + flag);
+    if (i + 1 >= argc) throw UsageError("flag needs a value: " + flag);
     const std::string value = argv[++i];
     if (flag == "--cpe") {
       args.repeated_cpes.push_back(value);
@@ -104,8 +114,7 @@ const std::map<std::string, std::set<std::string>>& flags_by_mode() {
       {"similarity", {"feed", "cpe", "timeout-ms", "format"}},
       {"batch", {"grid", "csv", "json", "threads", "store", "timeout-ms", "format"}},
       {"batch --report deterministic", {"grid", "csv", "json", "threads", "store", "report"}},
-      {"batch --shard", {"grid", "json", "threads", "store", "shard", "report"}},
-      {"batch --merge", {"merge", "csv", "json", "report"}},
+      {"batch --shard", {"grid", "threads", "shard", "store"}},
       {"version", {"format"}},
   };
   return flags;
@@ -114,20 +123,19 @@ const std::map<std::string, std::set<std::string>>& flags_by_mode() {
 /// The command, or for `batch` the batch mode, that `args` selects.
 std::string mode_of(const Arguments& args) {
   if (!flags_by_mode().contains(args.command)) {
-    throw InvalidArgument("unknown command: " + args.command);
+    throw UsageError("unknown command: " + args.command);
   }
   if (args.command != "batch") return args.command;
   const auto report = args.options.find("report");
   if (report != args.options.end() && report->second != "deterministic") {
-    throw InvalidArgument("bad --report value (deterministic): " + report->second);
+    throw UsageError("bad --report value (deterministic): " + report->second);
   }
-  if (args.options.contains("merge")) return "batch --merge";
   if (args.options.contains("shard")) return "batch --shard";
   if (report != args.options.end()) return "batch --report deterministic";
   return "batch";
 }
 
-/// Throws InvalidArgument naming every flag `mode` does not read.
+/// Throws UsageError naming every flag `mode` does not read.
 void check_flags(const Arguments& args, const std::string& mode) {
   const std::set<std::string>& known = flags_by_mode().at(mode);
   std::string unknown;
@@ -137,14 +145,14 @@ void check_flags(const Arguments& args, const std::string& mode) {
   };
   for (const auto& option : args.options) check(option.first);
   if (!args.repeated_cpes.empty()) check("cpe");
-  if (!unknown.empty()) throw InvalidArgument(mode + " does not take " + unknown);
+  if (!unknown.empty()) throw UsageError(mode + " does not take " + unknown);
 }
 
 OutputFormat parse_format(const Arguments& args) {
   const auto it = args.options.find("format");
   if (it == args.options.end() || it->second == "text") return OutputFormat::Text;
   if (it->second == "json") return OutputFormat::Json;
-  throw InvalidArgument("bad --format value (text|json): " + it->second);
+  throw UsageError("bad --format value (text|json): " + it->second);
 }
 
 std::string read_file(const std::string& path) {
@@ -155,7 +163,7 @@ std::string read_file(const std::string& path) {
 
 support::Json read_json(const Arguments& args, const std::string& name) {
   const auto it = args.options.find(name);
-  if (it == args.options.end()) throw InvalidArgument("missing required --" + name);
+  if (it == args.options.end()) throw UsageError("missing required --" + name);
   return support::Json::parse(read_file(it->second));
 }
 
@@ -167,12 +175,12 @@ std::string option_or(const Arguments& args, const std::string& name, std::strin
 std::size_t parse_count(const std::string& flag, const std::string& value) {
   // Digits only: stoull alone would accept (and wrap) "-1".
   if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
-    throw InvalidArgument("bad " + flag + " value: " + value);
+    throw UsageError("bad " + flag + " value: " + value);
   }
   try {
     return std::stoull(value);
   } catch (const std::out_of_range&) {
-    throw InvalidArgument("bad " + flag + " value: " + value);
+    throw UsageError("bad " + flag + " value: " + value);
   }
 }
 
@@ -184,7 +192,7 @@ std::int64_t parse_timeout_ms(const Arguments& args) {
   // The wire's timeout_ms is a signed 64-bit integer.
   const std::size_t timeout_ms = parse_count("--timeout-ms", it->second);
   if (timeout_ms > static_cast<std::size_t>(INT64_MAX)) {
-    throw InvalidArgument("bad --timeout-ms value: " + it->second);
+    throw UsageError("bad --timeout-ms value: " + it->second);
   }
   return static_cast<std::int64_t>(timeout_ms);
 }
@@ -212,7 +220,7 @@ api::Request build_request(const Arguments& args) {
     request.entry = option_or(args, "entry");
     request.target = option_or(args, "target");
     if (request.entry.empty() != request.target.empty()) {
-      throw InvalidArgument("evaluate needs both --entry and --target, or neither");
+      throw UsageError("evaluate needs both --entry and --target, or neither");
     }
     request.timeout_ms = parse_timeout_ms(args);
     return request;
@@ -227,7 +235,7 @@ api::Request build_request(const Arguments& args) {
   }
   if (args.command == "similarity") {
     if (args.repeated_cpes.size() < 2) {
-      throw InvalidArgument("similarity needs at least two --cpe queries");
+      throw UsageError("similarity needs at least two --cpe queries");
     }
     api::SimilarityRequest request;
     request.feed = read_json(args, "feed");
@@ -246,7 +254,7 @@ api::Request build_request(const Arguments& args) {
     return request;
   }
   if (args.command == "version") return api::VersionRequest{};
-  throw InvalidArgument("unknown command: " + args.command);
+  throw UsageError("unknown command: " + args.command);
 }
 
 // ---------------------------------------------------------------------------
@@ -449,19 +457,18 @@ int render_text(const Arguments& args, const api::Response& response) {
 }
 
 // ---------------------------------------------------------------------------
-// Local batch paths (DESIGN.md §13).  `--shard K/N`, `--merge FILES` and
-// `--report deterministic` bypass the api session — a shard document or a
-// deterministic report is not a BatchResponse — and drive BatchRunner
-// directly, through the session's fail-fast runner::expand_validated.
+// Local batch paths (DESIGN.md §13).  `--report deterministic` and
+// `--shard K/N` bypass the api session (a deterministic report is not a
+// BatchResponse, and a shard writes no report at all) and drive
+// BatchRunner directly, through the session's fail-fast
+// runner::expand_validated.
 
-std::string grid_fingerprint(const std::string& text) {
-  runner::KeyHasher hasher;
-  hasher.mix(text);
-  const runner::ArtifactKey key = hasher.key();
-  char buffer[33];
-  std::snprintf(buffer, sizeof(buffer), "%016llx%016llx",
-                static_cast<unsigned long long>(key.hi), static_cast<unsigned long long>(key.lo));
-  return buffer;
+runner::ShardSpec parse_shard_flag(const std::string& value) {
+  try {
+    return runner::parse_shard(value);
+  } catch (const InvalidArgument& error) {
+    throw UsageError(error.what());
+  }
 }
 
 /// Deterministic outputs: timing-free CSV/JSON (byte-stable across runs,
@@ -482,69 +489,46 @@ void write_deterministic_outputs(const Arguments& args, const runner::BatchRepor
   if (!wrote) std::cout << csv.str();
 }
 
-int run_batch_merge(const Arguments& args) {
-  std::vector<support::Json> documents;
-  const std::string& list = args.options.at("merge");
-  for (std::size_t begin = 0; begin <= list.size();) {
-    const std::size_t comma = std::min(list.find(',', begin), list.size());
-    const std::string path = list.substr(begin, comma - begin);
-    if (!path.empty()) documents.push_back(support::Json::parse(read_file(path)));
-    begin = comma + 1;
-  }
-  if (documents.empty()) throw InvalidArgument("--merge needs a comma-separated file list");
-  const runner::BatchReport report = runner::merge_shards(documents);
-  write_deterministic_outputs(args, report);
-  return report.failed_count() == 0 ? 0 : api::exit_code(api::StatusCode::PartialFailure);
-}
-
+/// `--report deterministic` writes the grid's report; `--shard K/N`
+/// computes the cells shard K owns into --store and writes no report,
+/// because a final `--report deterministic` pass over the store is the
+/// fleet's report.
 int run_batch_local(const Arguments& args) {
-  const auto grid_it = args.options.find("grid");
-  if (grid_it == args.options.end()) throw InvalidArgument("missing required --grid");
-  const std::string grid_text = read_file(grid_it->second);
-  const std::vector<runner::ScenarioSpec> specs =
-      runner::expand_validated(runner::ScenarioGrid::from_json(support::Json::parse(grid_text)));
-
   runner::BatchOptions options;
   if (const auto it = args.options.find("threads"); it != args.options.end()) {
     options.threads = parse_threads(it->second);
   }
   options.store_dir = option_or(args, "store");
-
-  const auto shard_it = args.options.find("shard");
-  if (shard_it == args.options.end()) {
-    const runner::BatchReport report = runner::BatchRunner(std::move(options)).run(specs);
-    write_deterministic_outputs(args, report);
-    return report.failed_count() == 0 ? 0 : api::exit_code(api::StatusCode::PartialFailure);
-  }
-
-  const runner::ShardSpec shard = runner::parse_shard(shard_it->second);
-  std::vector<runner::ScenarioSpec> owned;
-  std::vector<std::size_t> original;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (runner::shard_owns(shard, runner::scenario_solve_key(specs[i]))) {
-      owned.push_back(specs[i]);
-      original.push_back(i);
+  std::optional<runner::ShardSpec> shard;
+  if (const auto it = args.options.find("shard"); it != args.options.end()) {
+    shard = parse_shard_flag(it->second);
+    if (options.store_dir.empty()) {
+      throw UsageError("batch --shard needs --store DIR, where the shards' results meet");
     }
   }
-  runner::BatchReport report;
-  if (!owned.empty()) report = runner::BatchRunner(std::move(options)).run(owned);
-  // The engine numbered the owned cells 0..n-1; restore grid positions so
-  // --merge can reassemble the fleet's documents in grid order.
-  for (std::size_t i = 0; i < report.results.size(); ++i) report.results[i].index = original[i];
-  const support::Json document =
-      runner::shard_to_json(shard, grid_fingerprint(grid_text), specs.size(), report.results);
-  if (const auto it = args.options.find("json"); it != args.options.end()) {
-    write_text_file(it->second, document.dump_pretty() + "\n");
-  } else {
-    std::cout << document.dump_pretty() << "\n";
+  const auto grid_it = args.options.find("grid");
+  if (grid_it == args.options.end()) throw UsageError("missing required --grid");
+  std::vector<runner::ScenarioSpec> specs = runner::expand_validated(
+      runner::ScenarioGrid::from_json(support::Json::parse(read_file(grid_it->second))));
+  const std::size_t grid_cells = specs.size();
+  if (shard) {
+    std::erase_if(specs, [&shard](const runner::ScenarioSpec& spec) {
+      return !runner::shard_owns(*shard, runner::scenario_solve_key(spec));
+    });
   }
-  std::cerr << "shard " << shard.index << "/" << shard.count << ": " << owned.size() << "/"
-            << specs.size() << " cells, " << report.failed_count() << " failed\n";
+  // A shard that owns no cell runs the engine too, so every shard gets
+  // the same checks (the worker ceiling among them).
+  const runner::BatchReport report = runner::BatchRunner(std::move(options)).run(specs);
+  if (shard) {
+    std::cerr << "shard " << shard->index << "/" << shard->count << ": " << specs.size() << "/"
+              << grid_cells << " cells, " << report.failed_count() << " failed\n";
+  } else {
+    write_deterministic_outputs(args, report);
+  }
   return report.failed_count() == 0 ? 0 : api::exit_code(api::StatusCode::PartialFailure);
 }
 
 int dispatch(const Arguments& args, const std::string& mode, OutputFormat format) {
-  if (mode == "batch --merge") return run_batch_merge(args);
   if (mode == "batch --shard" || mode == "batch --report deterministic") {
     return run_batch_local(args);
   }
@@ -579,17 +563,17 @@ void print_usage() {
   report      --catalog FILE --network FILE --assignment FILE
   similarity  --feed FILE --cpe QUERY --cpe QUERY [--cpe QUERY ...]
   batch       --grid FILE [--csv FILE] [--json FILE] [--threads N]
-              [--store DIR] [--shard K/N] [--report deterministic]
+              [--store DIR] [--report deterministic]
               (a grid may carry an "attack" block — MTTC axes — and a
                "metrics" block — d_bn entry/target sweeps; reports then
                add mttc_* and d_bn_*/p_with/p_without columns)
               --store DIR keeps stage artifacts in an on-disk store shared
-              across runs and processes; --shard K/N computes one shard of
-              the grid and writes a shard document (to --json or stdout);
-              --report deterministic emits timing-free CSV/JSON
-  batch       --merge s0.json,s1.json [--csv FILE] [--json FILE]
-              (merges shard documents into one deterministic report,
-               byte-identical to an unsharded run of the same grid)
+              across runs and processes; --report deterministic emits
+              timing-free CSV/JSON
+  batch       --grid FILE --shard K/N --store DIR [--threads N]
+              (computes shard K of N into the store and writes no report;
+               a final --store DIR --report deterministic pass writes the
+               fleet's report, byte-identical to an unsharded run)
   version     (protocol handshake, registered solvers and recipes)
 
 Every compute command also accepts --timeout-ms N (wall-clock deadline;
@@ -599,9 +583,9 @@ commands fail with deadline_exceeded).
 --format json prints the icsdivd wire envelope (machine-readable,
 errors included) instead of tables.
 
-The local batch modes (--report deterministic, --shard, --merge) take
-neither --timeout-ms nor --format.  A flag the command does not read is
-an error (exit 2).
+The local batch modes (--report deterministic, --shard) take neither
+--timeout-ms nor --format.  A flag the command does not read is an
+error (exit 2).
 )";
 }
 
@@ -622,7 +606,7 @@ int main(int argc, char** argv) {
       std::cout << api::error_to_wire(body).dump_pretty() << "\n";
     } else {
       std::cerr << "error: " << body.message << "\n";
-      if (body.code == api::StatusCode::InvalidArgument) {
+      if (dynamic_cast<const UsageError*>(&error) != nullptr) {
         std::cerr << "\n";
         print_usage();
       }

@@ -73,9 +73,9 @@ class Config:
         "src/runner/artifact_cache.hpp",
         "src/runner/artifact_cache.cpp",
         "src/runner/scenario_engine.cpp",
-        # The on-disk store writes manifests and the shard codec writes
-        # merge-diffed documents: hash-order iteration there breaks the
-        # byte-parity contract (DESIGN.md §13).
+        # The on-disk store writes manifests and records, and the shard
+        # rule decides which process computes a cell: hash-order
+        # iteration there breaks the byte-parity contract (DESIGN.md §13).
         "src/runner/disk_store.hpp",
         "src/runner/disk_store.cpp",
         "src/runner/shard.hpp",

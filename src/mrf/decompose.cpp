@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 
 #include "support/stopwatch.hpp"
 #include "support/thread_pool.hpp"
@@ -36,6 +37,46 @@ class UnionFind {
   std::vector<std::size_t> parent_;
 };
 
+constexpr std::uint32_t kUnmapped = static_cast<std::uint32_t>(-1);
+
+/// The one way to build a sub-MRF: the constructor adds `variables` in
+/// order, then add() appends parent edges, which callers pass in parent
+/// order, copying each matrix once, in first-reference order.  `to_sub`
+/// maps every endpoint to its index in `variables`.  Edges come one at a
+/// time so that extract_subproblem adds each as it validates it, in its
+/// one pass over the parent's edge records.
+class SubProblemBuilder {
+ public:
+  SubProblemBuilder(const Mrf& mrf, const std::vector<VariableId>& variables,
+                    const std::vector<VariableId>& to_sub)
+      : mrf_(mrf), to_sub_(to_sub), matrix_map_(mrf.matrix_count(), kUnmapped) {
+    sub_.parent_variable = variables;
+    for (VariableId parent : variables) {
+      const VariableId local = sub_.mrf.add_variable(mrf.label_count(parent));
+      const auto source = mrf.unary(parent);
+      auto target = sub_.mrf.unary(local);
+      std::copy(source.begin(), source.end(), target.begin());
+    }
+  }
+
+  void add(const MrfEdge& edge) {
+    MatrixId& matrix = matrix_map_[edge.matrix];
+    if (matrix == kUnmapped) {
+      const CostMatrix& m = mrf_.matrix(edge.matrix);
+      matrix = sub_.mrf.add_matrix(m.rows, m.cols, m.data);
+    }
+    sub_.mrf.add_edge(to_sub_[edge.u], to_sub_[edge.v], matrix);
+  }
+
+  [[nodiscard]] SubProblem take() { return std::move(sub_); }
+
+ private:
+  const Mrf& mrf_;
+  const std::vector<VariableId>& to_sub_;
+  std::vector<MatrixId> matrix_map_;  ///< parent matrix → sub matrix
+  SubProblem sub_;
+};
+
 }  // namespace
 
 std::vector<std::vector<VariableId>> mrf_components(const Mrf& mrf) {
@@ -57,44 +98,50 @@ std::vector<std::vector<VariableId>> mrf_components(const Mrf& mrf) {
 }
 
 SubProblem extract_subproblem(const Mrf& mrf, const std::vector<VariableId>& variables) {
-  // Dense parent → sub maps; kUnmapped marks ids outside the subproblem.
-  constexpr std::uint32_t kUnmapped = static_cast<std::uint32_t>(-1);
-  SubProblem sub;
-  sub.parent_variable = variables;
-
+  // Dense parent → sub map; kUnmapped marks ids outside the subproblem.
   std::vector<VariableId> to_sub(mrf.variable_count(), kUnmapped);
-  for (VariableId parent : variables) {
-    const std::size_t labels = mrf.label_count(parent);
-    require(to_sub[parent] == kUnmapped, "extract_subproblem", "variable listed twice");
-    const VariableId local = sub.mrf.add_variable(labels);
-    const auto source = mrf.unary(parent);
-    auto target = sub.mrf.unary(local);
-    std::copy(source.begin(), source.end(), target.begin());
-    to_sub[parent] = local;
+  for (std::size_t i = 0; i < variables.size(); ++i) {
+    (void)mrf.label_count(variables[i]);  // throws on an out-of-range id
+    require(to_sub[variables[i]] == kUnmapped, "extract_subproblem", "variable listed twice");
+    to_sub[variables[i]] = static_cast<VariableId>(i);
   }
-
-  // Copy only the matrices actually referenced, de-duplicated, in
-  // first-reference order.
-  std::vector<MatrixId> matrix_map(mrf.matrix_count(), kUnmapped);
+  SubProblemBuilder builder(mrf, variables, to_sub);
   for (const MrfEdge& edge : mrf.edges()) {
     const VariableId u = to_sub[edge.u];
     const VariableId v = to_sub[edge.v];
     if (u == kUnmapped && v == kUnmapped) continue;
     require(u != kUnmapped && v != kUnmapped, "extract_subproblem",
             "variable set is not closed under adjacency");
-    MatrixId& matrix = matrix_map[edge.matrix];
-    if (matrix == kUnmapped) {
-      const CostMatrix& m = mrf.matrix(edge.matrix);
-      matrix = sub.mrf.add_matrix(m.rows, m.cols, m.data);
-    }
-    sub.mrf.add_edge(u, v, matrix);
+    builder.add(edge);
   }
-  return sub;
+  return builder.take();
 }
 
 SolveResult DecomposedSolver::solve(const Mrf& mrf, const SolveOptions& options) const {
   support::Stopwatch watch;
   const auto components = mrf_components(mrf);
+
+  // One pass for every component: each variable's component and index in
+  // it, then the edge ids counting-sorted by component in parent order.
+  std::vector<std::uint32_t> component_of(mrf.variable_count());
+  std::vector<VariableId> to_sub(mrf.variable_count());
+  for (std::size_t c = 0; c < components.size(); ++c) {
+    for (std::size_t i = 0; i < components[c].size(); ++i) {
+      component_of[components[c][i]] = static_cast<std::uint32_t>(c);
+      to_sub[components[c][i]] = static_cast<VariableId>(i);
+    }
+  }
+  const auto edges = mrf.edges();
+  std::vector<std::size_t> bucket_offset(components.size() + 1, 0);
+  for (const MrfEdge& edge : edges) ++bucket_offset[component_of[edge.u] + 1];
+  for (std::size_t c = 0; c < components.size(); ++c) bucket_offset[c + 1] += bucket_offset[c];
+  std::vector<std::uint32_t> edge_ids(edges.size());
+  {
+    std::vector<std::size_t> cursor(bucket_offset.begin(), bucket_offset.end() - 1);
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      edge_ids[cursor[component_of[edges[e].u]]++] = static_cast<std::uint32_t>(e);
+    }
+  }
 
   SolveResult merged;
   merged.labels.assign(mrf.variable_count(), 0);
@@ -104,7 +151,11 @@ SolveResult DecomposedSolver::solve(const Mrf& mrf, const SolveOptions& options)
 
   std::vector<SolveResult> results(components.size());
   const auto solve_component = [&](std::size_t c) {
-    SubProblem sub = extract_subproblem(mrf, components[c]);
+    SubProblemBuilder builder(mrf, components[c], to_sub);
+    for (std::size_t b = bucket_offset[c]; b < bucket_offset[c + 1]; ++b) {
+      builder.add(edges[edge_ids[b]]);
+    }
+    SubProblem sub = builder.take();
     results[c] = base_.solve(sub.mrf, options);
     // Write-back is per-component disjoint, so no synchronisation needed.
     for (std::size_t i = 0; i < sub.parent_variable.size(); ++i) {

@@ -29,12 +29,17 @@ struct SubProblem {
 /// Extracts the sub-MRF induced by `variables`, which must list each
 /// variable once and be closed under edge adjacency (e.g. a component from
 /// mrf_components); throws InvalidArgument otherwise.  One pass over the
-/// parent's edges through dense id maps.
+/// parent's edges through a dense id map.  The sub-MRF keeps the order of
+/// `variables`, the parent's edge order and matrices in first-reference
+/// order — the same sub-MRF DecomposedSolver builds for a component.
 [[nodiscard]] SubProblem extract_subproblem(const Mrf& mrf,
                                             const std::vector<VariableId>& variables);
 
 /// Solves each component with `base`, in parallel when `parallel` is set,
-/// and merges labels; energies and bounds add across components.
+/// and merges labels; energies and bounds add across components.  The
+/// parent's edges are bucketed by component once (a counting sort that
+/// keeps parent order), so building every sub-MRF costs one pass over the
+/// edges in total rather than one per component.
 class DecomposedSolver final : public Solver {
  public:
   explicit DecomposedSolver(const Solver& base, bool parallel = true)

@@ -41,7 +41,6 @@ class Machine {
     scratch_d_.resize(max_labels);
     score_.resize(max_labels);
     fold_.resize(max_labels);
-    cost_u_.resize(max_labels);
     joint_.resize(max_labels * max_labels);
     node_cost_.resize(n_ * max_labels);
     std::size_t max_incident = 0;
@@ -71,6 +70,12 @@ class Machine {
     var_scan_stamp_.assign(n_, 0);
     edge_scan_stamp_.assign(compiled_.edge_count(), 0);
     loo_stamp_.assign(n_, 0);
+    const Mrf& mrf = compiled_.mrf();
+    matrix_min_.resize(mrf.matrix_count());
+    for (MatrixId m = 0; m < mrf.matrix_count(); ++m) {
+      const std::vector<Cost>& data = mrf.matrix(m).data;
+      matrix_min_[m] = *std::min_element(data.begin(), data.end());
+    }
   }
 
   /// One forward (`ascending=true`) or backward sweep.
@@ -201,7 +206,7 @@ class Machine {
     bool changed = false;
     const auto edges = compiled_.edges();
     // Leave-one-out conditional profiles are cached per (variable,
-    // incident slot) — see refresh_loo().  The cache is sized only when a
+    // incident slot) — see loo_profile().  The cache is sized only when a
     // pair sweep actually runs (solves that truncate before the polish
     // never pay for it).
     if (loo_.empty() && incident_offset_.back() > 0) {
@@ -219,6 +224,16 @@ class Machine {
       const Cost* cost_v = loo_profile(v, edge_slot_v_[e], labels);
       Cost best = cost_u[labels[u]] + cost_v[labels[v]] +
                   fwd[static_cast<std::size_t>(labels[u]) * cols + labels[v]];
+      // Exact skip: every joint cell is (cost_u[a] + cost_v[b]) + θ(a, b)
+      // in every dispatch, and round-to-nearest addition is monotone in
+      // each operand, so `bound` is at most every cell and
+      // fl(cell + 1e-12) >= fl(bound + 1e-12) >= best.  No cell can then
+      // pass the strict test below, and the block would leave the pair as
+      // it is.  Costs are NaN-free, as the kernel contract assumes.
+      const Cost bound = (*std::min_element(cost_u, cost_u + rows) +
+                          *std::min_element(cost_v, cost_v + cols)) +
+                         matrix_min_[edges[e].matrix];
+      if (!(bound + 1e-12 < best)) continue;
       Label best_u = labels[u];
       Label best_v = labels[v];
       // Joint block built wide in one fused call; the first-wins argmin
@@ -288,38 +303,24 @@ class Machine {
   /// Leave-one-out conditional profile of variable i excluding its
   /// incident edge at `slot`: unary + Σ recv rows of the other incident
   /// edges at the current neighbour labels.  All deg profiles of a
-  /// variable are built together in O(deg·L) with a prefix/suffix fold —
-  /// O(deg²·L) per-edge recomputation was the polish bottleneck — and
-  /// cached until a neighbour's label changes (the profile never depends
-  /// on labels[i] itself, so the touched stamp is a conservative guard).
-  /// The fold order is fixed and every op goes through the kernel table,
-  /// so results stay deterministic and dispatch-bit-identical.
+  /// variable are built together in O(deg·L) by one fused prefix/suffix
+  /// fold (the `loo_profiles` kernel) — O(deg²·L) per-edge recomputation
+  /// was the polish bottleneck — and cached until a neighbour's label
+  /// changes (the profile never depends on labels[i] itself, so the
+  /// touched stamp is a conservative guard).  The kernel fixes the fold
+  /// order, so results stay deterministic and dispatch-bit-identical.
   const Cost* loo_profile(VariableId i, std::size_t slot, const std::vector<Label>& labels) const {
     const std::size_t stride = compiled_.max_label_count();
     Cost* base = loo_.data() + incident_offset_[i] * stride;
     if (touched_stamp_[i] > loo_stamp_[i]) {
       loo_stamp_[i] = clock_;
-      const auto inc = compiled_.incident(i);
       const std::size_t count = compiled_.label_count(i);
-      const std::size_t deg = inc.size();
-      const auto row_of = [&](std::size_t k) {
-        return inc[k].recv + static_cast<std::size_t>(labels[inc[k].other]) * count;
-      };
-      // Prefix pass: loo[k] = unary + rows[0..k).
-      Cost* run = cost_u_.data();
-      std::copy_n(compiled_.unary(i), count, run);
-      for (std::size_t k = 0; k < deg; ++k) {
-        std::copy_n(run, count, base + k * stride);
-        if (k + 1 < deg) k_.add(run, row_of(k), count);
+      const Cost** rows = rows_.data();
+      std::size_t r = 0;
+      for (const CompiledIncident& in : compiled_.incident(i)) {
+        rows[r++] = in.recv + static_cast<std::size_t>(labels[in.other]) * count;
       }
-      // Suffix pass: loo[k] += rows(k..deg), folded right to left.
-      if (deg >= 2) {
-        std::copy_n(row_of(deg - 1), count, run);
-        for (std::size_t k = deg - 1; k-- > 0;) {
-          k_.add(base + k * stride, run, count);
-          if (k > 0) k_.add(run, row_of(k), count);
-        }
-      }
+      k_.loo_profiles(base, stride, compiled_.unary(i), rows, r, count);
     }
     return base + slot * stride;
   }
@@ -406,7 +407,6 @@ class Machine {
   // queries are logically const).
   mutable std::vector<Cost> score_;
   mutable std::vector<Cost> fold_;
-  mutable std::vector<Cost> cost_u_;  ///< loo_profile prefix/suffix scratch
   mutable std::vector<Cost> joint_;
   mutable std::vector<Cost> node_cost_;
   mutable std::vector<const Cost*> rows_;  ///< sum_rows pointer scratch
@@ -421,6 +421,7 @@ class Machine {
   std::vector<std::size_t> incident_offset_;  ///< CSR offsets into loo_
   std::vector<std::size_t> edge_slot_u_;      ///< edge → slot in u's incident list
   std::vector<std::size_t> edge_slot_v_;      ///< edge → slot in v's incident list
+  std::vector<Cost> matrix_min_;              ///< min entry per shared matrix
   // Spanning forest for the lower bound (see lower_bound()).
   std::vector<VariableId> forest_parent_;
   std::vector<std::size_t> forest_edge_;   ///< edge to parent, per non-root

@@ -51,6 +51,12 @@ std::string hex16(std::uint64_t value) {
   return out;
 }
 
+/// A manifest line from another format version; an empty line is a store
+/// not initialised yet.
+bool foreign_manifest(std::string_view version_line) {
+  return !version_line.empty() && version_line != kManifestVersionLine;
+}
+
 void make_dir(const std::string& path) {
   if (::mkdir(path.c_str(), 0755) != 0 && errno != EEXIST) {
     throw NotFound("cannot create store directory " + path + ": " + std::strerror(errno));
@@ -143,7 +149,7 @@ DiskArtifactStore::DiskArtifactStore(std::string dir) : dir_(std::move(dir)) {
 void DiskArtifactStore::open_manifest() {
   const support::FileLock lock = support::FileLock::acquire(dir_ + "/LOCK");
   const std::string version_line = read_first_line(dir_ + "/MANIFEST");
-  if (!version_line.empty() && version_line != kManifestVersionLine) {
+  if (foreign_manifest(version_line)) {
     // A store written by a different format version: refuse to read or
     // write it (fall back to recompute) rather than mixing layouts.
     usable_ = false;
@@ -154,6 +160,15 @@ void DiskArtifactStore::open_manifest() {
                        std::string(kManifestVersionLine) + "\n");
   }
   collect_abandoned_temp_files(objects_dir_);
+}
+
+std::string DiskArtifactStore::unusable_reason(const std::string& dir) {
+  const std::string version_line = read_first_line(dir + "/MANIFEST");
+  if (!foreign_manifest(version_line)) return {};
+  std::string reason = "store ";
+  reason.append(dir).append(" has MANIFEST line \"").append(version_line);
+  reason.append("\"; this build reads and writes only \"").append(kManifestVersionLine);
+  return reason.append("\"");
 }
 
 std::string DiskArtifactStore::object_path(std::uint32_t stage, const ArtifactKey& key) const {

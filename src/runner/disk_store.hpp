@@ -70,6 +70,11 @@ class DiskArtifactStore {
   [[nodiscard]] bool usable() const noexcept { return usable_; }
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
+  /// Why a store opened on `dir` would not be usable — its MANIFEST names
+  /// another format version — or empty when it would be (a store not yet
+  /// created included).  Reads the manifest only and creates nothing.
+  [[nodiscard]] static std::string unusable_reason(const std::string& dir);
+
   /// The record file for (stage, key) — exposed for tests that corrupt,
   /// truncate or backdate records.
   [[nodiscard]] std::string object_path(std::uint32_t stage, const ArtifactKey& key) const;

@@ -119,10 +119,34 @@ double min_convolve2_scalar(double* out, const double* rows, double s, const dou
   return min_value_scalar(out, out_count);
 }
 
+// Each column's running prefix and suffix stay in one register while the
+// slots are written.  The AVX2 table shares this twin: an AVX2 version
+// saved about 7 of 162 ns per call at L = 5, too little to show in a
+// solve (DESIGN.md §14.2).
+void loo_profiles_scalar(double* dst, std::size_t stride, const double* base,
+                         const double* const* rows, std::size_t deg, std::size_t n) {
+  if (deg == 0) return;
+  for (std::size_t j = 0; j < n; ++j) {
+    double prefix = base[j];
+    for (std::size_t k = 0; k + 1 < deg; ++k) {
+      dst[k * stride + j] = prefix;
+      prefix += rows[k][j];
+    }
+    dst[(deg - 1) * stride + j] = prefix;
+    if (deg < 2) continue;
+    double suffix = rows[deg - 1][j];
+    for (std::size_t k = deg - 1; k-- > 0;) {
+      dst[k * stride + j] += suffix;
+      if (k > 0) suffix += rows[k][j];
+    }
+  }
+}
+
 constexpr Kernels kScalarTable = {
     add_scalar,          min_value_scalar,    sub_scalar_scalar,
     fold_chord_scalar,   fold_tree_cm_scalar, fold_tree_mc_scalar,
     sum_rows_scalar,     joint_block_scalar,  min_convolve2_scalar,
+    loo_profiles_scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -297,6 +321,7 @@ constexpr Kernels kAvx2Table = {
     add_avx2,          min_value_avx2,    sub_scalar_avx2,
     fold_chord_avx2,   fold_tree_cm_avx2, fold_tree_mc_avx2,
     sum_rows_avx2,     joint_block_avx2,  min_convolve2_avx2,
+    loo_profiles_scalar,
 };
 
 #endif  // ICSDIV_SIMD_AVX2

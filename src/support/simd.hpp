@@ -99,6 +99,16 @@ struct Kernels {
   /// form skips the reduced-aggregate scratch buffer entirely.
   double (*min_convolve2)(double* out, const double* rows, double s, const double* a,
                           const double* b, std::size_t in_count, std::size_t out_count);
+
+  /// Fused leave-one-out profiles of one variable (the pair sweep's
+  /// conditional costs), `deg` slots `stride` apart: slot k < deg − 1 is
+  /// dst[k·stride + j] = prefix_k[j] + suffix_k[j] with
+  /// prefix_k = ((base + rows[0]) + …) + rows[k−1] and
+  /// suffix_k = ((rows[deg−1] + rows[deg−2]) + …) + rows[k+1];
+  /// slot deg − 1 is prefix_{deg−1} alone.  Writes nothing when deg is 0.
+  /// Both tables hold the scalar twin (DESIGN.md §14.2).
+  void (*loo_profiles)(double* dst, std::size_t stride, const double* base,
+                       const double* const* rows, std::size_t deg, std::size_t n);
 };
 
 /// The active kernel table (cheap: one relaxed atomic load).

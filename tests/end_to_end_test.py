@@ -19,6 +19,11 @@ Three groups of checks, each driving a real executable:
             prints its usage text after an error in the command line
             itself, and only then: a --threads value the engine refuses
             at run time prints its own line alone.
+  store     a shard over a store whose MANIFEST names another format
+            version fails with exit 5, naming the directory and the line,
+            and writes nothing there; a `--report deterministic` run over
+            the same store treats it as a cache it cannot use and still
+            writes the golden report.
 
 Usage:
   end_to_end_test.py --cli ICSDIV_CLI --icsdivd ICSDIVD [--examples DIR]
@@ -45,6 +50,7 @@ THREADS = (1, 4)
 EXAMPLES = ("quickstart", "enterprise_network", "ics_case_study", "attack_simulation",
             "nvd_pipeline")
 USAGE_ERROR = 2  # api::StatusCode::InvalidArgument's exit code
+INFEASIBLE = 5  # api::StatusCode::Infeasible's exit code
 
 
 def grid_path(name: str) -> str:
@@ -207,6 +213,41 @@ def check_flags(cli: str, icsdivd: str, work: pathlib.Path) -> List[str]:
     return failures
 
 
+def check_unusable_store(cli: str, work: pathlib.Path) -> List[str]:
+    """A store the engine refuses is a shard's only output, so the shard
+    must fail before computing anything; a cache-mode run goes on without
+    it."""
+    store = work / "foreign_store"
+    store.mkdir()
+    manifest_line = "icsdiv-store 999"
+    (store / "MANIFEST").write_text(manifest_line + "\n")
+    failures = []
+    shard = run([cli, "batch", "--grid", grid_path("sweep_small"), "--shard", "0/2",
+                 "--store", str(store)], work, timeout=60.0)
+    output = (shard.stdout + shard.stderr).decode(errors="replace")
+    if shard.returncode != INFEASIBLE:
+        failures.append(f"shard over a foreign store: exit {shard.returncode}, "
+                        f"expected {INFEASIBLE}")
+    for text in (str(store), manifest_line):
+        if text not in output:
+            failures.append(f"shard over a foreign store: message does not name {text}")
+    if "usage:" in output:
+        failures.append("shard over a foreign store: usage text printed")
+    objects = store / "objects"
+    if objects.exists() and any(objects.iterdir()):
+        failures.append("shard over a foreign store: wrote records into it")
+    csv_path = work / "foreign_store.csv"
+    cached = run([cli, "batch", "--grid", grid_path("sweep_small"), "--store", str(store),
+                  "--report", "deterministic", "--csv", str(csv_path)], work, timeout=60.0)
+    if cached.returncode != 0:
+        failures.append(f"--report deterministic over a foreign store: exit {cached.returncode}")
+    elif csv_path.read_bytes() != (GOLDENS / "sweep_small.csv").read_bytes():
+        failures.append("--report deterministic over a foreign store: csv differs from golden")
+    if (store / "MANIFEST").read_text() != manifest_line + "\n":
+        failures.append("a foreign store's MANIFEST was rewritten")
+    return failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cli", required=True, help="path to icsdiv_cli")
@@ -225,6 +266,7 @@ def main() -> int:
             print("examples: skipped (not built)")
         if not args.record:
             failures += check_flags(args.cli, args.icsdivd, work)
+            failures += check_unusable_store(args.cli, work)
 
     for failure in failures:
         print("FAIL:", failure)

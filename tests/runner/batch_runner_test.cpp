@@ -11,6 +11,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "batch_options.hpp"
 #include "runner/batch_runner.hpp"
 #include "support/csv.hpp"
 
@@ -416,7 +417,7 @@ TEST(BatchRunner, FailedCellsDoNotSinkTheBatch) {
   ScenarioGrid grid = small_grid();
   grid.solvers = {"trws", "no-such-solver"};
   grid.constraints = {"none"};
-  const BatchReport report = BatchRunner(BatchOptions{.threads = 2}).run(grid);
+  const BatchReport report = BatchRunner(with_threads(2)).run(grid);
   ASSERT_EQ(report.results.size(), 4u);
   EXPECT_EQ(report.failed_count(), 2u);
   for (const ScenarioResult& result : report.results) {
@@ -572,7 +573,7 @@ TEST(BatchRunner, FailedAttackCellsKeepTheirAxisGroup) {
   attack.runs = 10;
   grid.attack = attack;
 
-  const BatchReport report = BatchRunner(BatchOptions{.threads = 1}).run(grid);
+  const BatchReport report = BatchRunner(with_threads(1)).run(grid);
   ASSERT_EQ(report.results.size(), 2u);
   EXPECT_EQ(report.failed_count(), 2u);
   // A cell that never solved still echoes its attack axes, so the JSON
@@ -598,7 +599,7 @@ TEST(BatchRunner, OnResultFiresOncePerCell) {
 
 TEST(BatchRunner, ResultsStayInSpecOrder) {
   const auto specs = small_grid().expand();
-  const BatchReport report = BatchRunner(BatchOptions{.threads = 4}).run(specs);
+  const BatchReport report = BatchRunner(with_threads(4)).run(specs);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(report.results[i].name, specs[i].name);
   }
@@ -639,7 +640,7 @@ TEST(BatchReport, NonFiniteValuesAreEmptyCsvCellsAndJsonNulls) {
   attack.max_ticks = 1;
   spec.attack = attack;
 
-  const BatchReport report = BatchRunner(BatchOptions{.threads = 1}).run({spec});
+  const BatchReport report = BatchRunner(with_threads(1)).run({spec});
   ASSERT_EQ(report.failed_count(), 0u) << report.results[0].error;
   const ScenarioResult& result = report.results[0];
   EXPECT_EQ(result.mttc_censored, result.mttc_runs);
@@ -667,7 +668,7 @@ TEST(BatchReport, NonFiniteValuesAreEmptyCsvCellsAndJsonNulls) {
 }
 
 TEST(BatchReport, JsonCarriesCellsAndAggregates) {
-  const BatchReport report = BatchRunner(BatchOptions{.threads = 2}).run(small_grid());
+  const BatchReport report = BatchRunner(with_threads(2)).run(small_grid());
   const support::Json json = report.to_json();
   const auto& root = json.as_object();
   EXPECT_EQ(root.at("cells").as_integer(), 12);

@@ -100,11 +100,19 @@ TEST(DiskArtifactStore, TruncatedAndCorruptRecordsAreMissesNotErrors) {
 
 TEST(DiskArtifactStore, VersionMismatchedManifestDisablesTheStore) {
   const ScopedDir dir(unique_store_dir("manifest"));
+  // A store not created yet would be usable, and probing creates nothing.
+  EXPECT_EQ(DiskArtifactStore::unusable_reason(dir.path), "");
+  EXPECT_FALSE(std::filesystem::exists(dir.path));
   {
     const DiskArtifactStore store(dir.path);
     ASSERT_TRUE(store.publish(2, key_of(1, 2), "s", ""));
   }
+  EXPECT_EQ(DiskArtifactStore::unusable_reason(dir.path), "");
   write_bytes(dir.path + "/MANIFEST", "icsdiv-store 999\n");
+  EXPECT_EQ(DiskArtifactStore::unusable_reason(dir.path),
+            "store " + dir.path +
+                " has MANIFEST line \"icsdiv-store 999\"; this build reads and writes only "
+                "\"icsdiv-store 1\"");
   const DiskArtifactStore store(dir.path);
   EXPECT_FALSE(store.usable());
   EXPECT_FALSE(store.load(2, key_of(1, 2)).has_value());

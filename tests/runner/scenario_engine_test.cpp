@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "batch_options.hpp"
 #include "runner/batch_runner.hpp"
 
 namespace icsdiv::runner {
@@ -75,7 +76,7 @@ TEST(StageEngine, CachedAndUncachedAreBitIdenticalAcrossThreadCounts) {
 
 TEST(StageEngine, StageStatsCountSharedPrefixes) {
   const ScenarioGrid grid = shared_prefix_grid();
-  const BatchReport report = BatchRunner(BatchOptions{.threads = 4}).run(grid);
+  const BatchReport report = BatchRunner(with_threads(4)).run(grid);
   ASSERT_EQ(report.results.size(), 8u);
   ASSERT_EQ(report.failed_count(), 0u) << report.results[0].error;
 
@@ -103,7 +104,7 @@ TEST(StageEngine, StageStatsCountSharedPrefixes) {
 
 TEST(StageEngine, RefcountEvictionReleasesEveryConsumedPayload) {
   const BatchReport report =
-      BatchRunner(BatchOptions{.threads = 4}).run(shared_prefix_grid());
+      BatchRunner(with_threads(4)).run(shared_prefix_grid());
   const StageStats& stats = report.stage_stats;
   // Every payload with planned consumers is evicted once the last one
   // finishes: workload (by the problem build), problem (by the solves),
@@ -119,7 +120,7 @@ TEST(StageEngine, RefcountEvictionReleasesEveryConsumedPayload) {
   // pre-refactor per-cell lifetime).
   ScenarioGrid solve_only = shared_prefix_grid();
   solve_only.attack.reset();
-  const BatchReport plain = BatchRunner(BatchOptions{.threads = 2}).run(solve_only);
+  const BatchReport plain = BatchRunner(with_threads(2)).run(solve_only);
   ASSERT_EQ(plain.failed_count(), 0u);
   EXPECT_EQ(plain.stage_stats.solve.executed, 2u);
   EXPECT_EQ(plain.stage_stats.solve.evicted, 2u);
@@ -138,7 +139,7 @@ TEST(StageEngine, MetricEvaluationIsSharedAcrossAttackSiblings) {
   metrics.samples = 10'000;
   grid.metrics = metrics;
 
-  const BatchReport report = BatchRunner(BatchOptions{.threads = 2}).run(grid);
+  const BatchReport report = BatchRunner(with_threads(2)).run(grid);
   ASSERT_EQ(report.results.size(), 4u);
   ASSERT_EQ(report.failed_count(), 0u) << report.results[0].error;
   EXPECT_EQ(report.stage_stats.metric.executed, 1u);
@@ -154,7 +155,7 @@ TEST(StageEngine, MetricEvaluationIsSharedAcrossAttackSiblings) {
 TEST(StageEngine, SharedFailedStageFailsEveryConsumerCell) {
   ScenarioGrid grid = shared_prefix_grid();
   grid.solvers = {"no-such-solver"};
-  const BatchReport report = BatchRunner(BatchOptions{.threads = 2}).run(grid);
+  const BatchReport report = BatchRunner(with_threads(2)).run(grid);
   ASSERT_EQ(report.results.size(), 4u);
   EXPECT_EQ(report.failed_count(), 4u);
   // One shared solve execution fails once; every dependent cell reports

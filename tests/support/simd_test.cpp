@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "dispatch_guard.hpp"
 #include "mrf/trws.hpp"
 #include "support/rng.hpp"
 
@@ -70,18 +72,6 @@ void expect_bitwise_equal(const std::vector<double>& scalar, const std::vector<d
         << what << " diverges from scalar at index " << i << " under " << name(dispatch);
   }
 }
-
-/// RAII guard for the process-global dispatch (the e2e tests flip it).
-class DispatchGuard {
- public:
-  DispatchGuard() : saved_(active()) {}
-  ~DispatchGuard() { set_active(saved_); }
-  DispatchGuard(const DispatchGuard&) = delete;
-  DispatchGuard& operator=(const DispatchGuard&) = delete;
-
- private:
-  Dispatch saved_;
-};
 
 // ---------------------------------------------------------------------------
 // Dispatch plumbing
@@ -209,6 +199,24 @@ TEST(SimdBitIdentity, Folds) {
   }
 }
 
+/// The leave-one-out fold loo_profiles fuses, composed from copies and
+/// add() calls as TRW-S's pair polish built it before the kernel existed:
+/// a prefix pass, then the suffix folded right to left into each slot.
+void loo_profiles_by_add(const Kernels& k, double* dst, std::size_t stride, const double* base,
+                         const double* const* rows, std::size_t deg, std::size_t n) {
+  std::vector<double> run(base, base + n);
+  for (std::size_t slot = 0; slot < deg; ++slot) {
+    std::copy_n(run.data(), n, dst + slot * stride);
+    if (slot + 1 < deg) k.add(run.data(), rows[slot], n);
+  }
+  if (deg < 2) return;
+  std::copy_n(rows[deg - 1], n, run.data());
+  for (std::size_t slot = deg - 1; slot-- > 0;) {
+    k.add(dst + slot * stride, run.data(), n);
+    if (slot > 0) k.add(run.data(), rows[slot], n);
+  }
+}
+
 TEST(SimdBitIdentity, FusedKernels) {
   const Kernels& scalar = kernels(Dispatch::Scalar);
   for (const Dispatch d : supported_dispatches()) {
@@ -255,6 +263,40 @@ TEST(SimdBitIdentity, FusedKernels) {
         scalar.joint_block(jl.data(), col_add.data(), base.data(), block.data(), in_count, n);
         k.joint_block(jr.data(), col_add.data(), base.data(), block.data(), in_count, n);
         expect_bitwise_equal(jl, jr, "joint_block", d);
+      }
+    }
+    // loo_profiles, shape-randomised: every fourth draw takes deg 1 or 2
+    // (no suffix fold, a one-row suffix), the rest deg up to 32, with n 1
+    // to 8.  The add() composition is the fold the kernel replaced, so it
+    // must match that too.
+    Rng loo_rng(83);
+    for (int trial = 0; trial < 400; ++trial) {
+      const std::size_t deg = trial % 4 == 0 ? 1 + trial / 4 % 2 : 1 + loo_rng.uniform_below(32);
+      const std::size_t n = 1 + loo_rng.uniform_below(8);
+      const std::size_t stride = n + loo_rng.uniform_below(3);  // slots may be padded
+      const std::vector<double> base = random_costs(loo_rng, n);
+      std::vector<std::vector<double>> storage;
+      std::vector<const double*> rows;
+      storage.reserve(deg);
+      for (std::size_t r = 0; r < deg; ++r) {
+        storage.push_back(random_costs(loo_rng, n));
+        rows.push_back(storage.back().data());
+      }
+      // The padding between slots starts equal and must stay untouched.
+      const std::vector<double> initial = random_costs(loo_rng, deg * stride);
+      std::vector<double> lhs = initial;
+      std::vector<double> rhs = initial;
+      std::vector<double> composed = initial;
+      scalar.loo_profiles(lhs.data(), stride, base.data(), rows.data(), deg, n);
+      k.loo_profiles(rhs.data(), stride, base.data(), rows.data(), deg, n);
+      loo_profiles_by_add(scalar, composed.data(), stride, base.data(), rows.data(), deg, n);
+      expect_bitwise_equal(lhs, rhs, "loo_profiles", d);
+      expect_bitwise_equal(composed, lhs, "loo_profiles against the add() fold", d);
+      for (std::size_t slot = 0; slot < deg; ++slot) {
+        for (std::size_t j = n; j < stride; ++j) {
+          ASSERT_EQ(bits(rhs[slot * stride + j]), bits(initial[slot * stride + j]))
+              << "loo_profiles wrote slot padding under " << name(d);
+        }
       }
     }
   }
@@ -341,6 +383,56 @@ TEST(SimdGolden, FusedKernelPins) {
     EXPECT_EQ(bits(joint[1]), bits(0.5)) << name(d);    // (1+0.5)−1
     EXPECT_EQ(bits(joint[2]), bits(-0.75)) << name(d);  // (−1+0.25)+0
     EXPECT_EQ(bits(joint[3]), bits(1.5)) << name(d);    // (−1+0.5)+2
+  }
+}
+
+TEST(SimdGolden, LooProfilesPins) {
+  for (const Dispatch d : supported_dispatches()) {
+    const Kernels& k = kernels(d);
+    // Slot k is base plus every row but row k: the total is {2.5, 2.75}.
+    const std::vector<double> base = {1.0, -2.0};
+    const std::vector<double> r0 = {0.5, 0.25};
+    const std::vector<double> r1 = {-1.0, 4.0};
+    const std::vector<double> r2 = {2.0, 0.5};
+    const std::vector<const double*> rows = {r0.data(), r1.data(), r2.data()};
+    std::vector<double> dst(6, 99.0);
+    k.loo_profiles(dst.data(), 2, base.data(), rows.data(), 3, 2);
+    EXPECT_EQ(bits(dst[0]), bits(2.0)) << name(d);    // base + (r2 + r1)
+    EXPECT_EQ(bits(dst[1]), bits(2.5)) << name(d);
+    EXPECT_EQ(bits(dst[2]), bits(3.5)) << name(d);    // (base + r0) + r2
+    EXPECT_EQ(bits(dst[3]), bits(-1.25)) << name(d);
+    EXPECT_EQ(bits(dst[4]), bits(0.5)) << name(d);    // (base + r0) + r1
+    EXPECT_EQ(bits(dst[5]), bits(2.25)) << name(d);
+
+    // deg 1: the base alone, no row read, nothing past the slot written.
+    std::vector<double> one(3, 99.0);
+    k.loo_profiles(one.data(), 3, base.data(), rows.data(), 1, 2);
+    EXPECT_EQ(bits(one[0]), bits(1.0)) << name(d);
+    EXPECT_EQ(bits(one[1]), bits(-2.0)) << name(d);
+    EXPECT_EQ(bits(one[2]), bits(99.0)) << name(d);
+
+    // deg 2: each slot is the base plus the other row.
+    std::vector<double> two(4, 99.0);
+    k.loo_profiles(two.data(), 2, base.data(), rows.data(), 2, 2);
+    EXPECT_EQ(bits(two[0]), bits(0.0)) << name(d);    // 1 + (−1)
+    EXPECT_EQ(bits(two[1]), bits(2.0)) << name(d);    // −2 + 4
+    EXPECT_EQ(bits(two[2]), bits(1.5)) << name(d);    // 1 + 0.5
+    EXPECT_EQ(bits(two[3]), bits(-1.75)) << name(d);  // −2 + 0.25
+
+    // The fold order shows in rounding.  With base 1 and rows
+    // {1, 1, 2^53}, slot 0 is 1 + (2^53 + 1): both sums are ties that round
+    // to the even 2^53, where (1 + 1) + 2^53 would give 2^53 + 2 exactly.
+    const double big = 9007199254740992.0;  // 2^53
+    const std::vector<double> unit = {1.0};
+    const std::vector<double> t0 = {1.0};
+    const std::vector<double> t1 = {1.0};
+    const std::vector<double> t2 = {big};
+    const std::vector<const double*> tie_rows = {t0.data(), t1.data(), t2.data()};
+    std::vector<double> tie(3, 99.0);
+    k.loo_profiles(tie.data(), 1, unit.data(), tie_rows.data(), 3, 1);
+    EXPECT_EQ(bits(tie[0]), bits(big)) << name(d);        // 1 + (2^53 + 1)
+    EXPECT_EQ(bits(tie[1]), bits(big + 2.0)) << name(d);  // (1 + 1) + 2^53
+    EXPECT_EQ(bits(tie[2]), bits(3.0)) << name(d);        // (1 + 1) + 1
   }
 }
 

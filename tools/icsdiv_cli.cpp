@@ -24,7 +24,11 @@
 // batch (DESIGN.md §13).  `--shard K/N` computes only this process's
 // share of the grid into that store and writes no report; the fleet's
 // report is a final `--store DIR --report deterministic` pass over the
-// store, byte-identical to a single-process run.
+// store, byte-identical to a single-process run.  The store is a shard's
+// only output, so a store from another format version, which the engine
+// would run without, fails the shard (exit 5): before any cell runs, or
+// after them when another version's binary created the store meanwhile.
+// Without `--shard` such a store is only a cache and is bypassed.
 //
 // Every compute command accepts `--timeout-ms N`, a wall-clock deadline
 // enforced by the session (DESIGN.md §11); N is at most INT64_MAX, and a
@@ -61,6 +65,7 @@
 #include "api/status.hpp"
 #include "mrf/registry.hpp"
 #include "runner/batch_runner.hpp"
+#include "runner/disk_store.hpp"
 #include "runner/scenario.hpp"
 #include "runner/shard.hpp"
 #include "support/table.hpp"
@@ -511,15 +516,27 @@ int run_batch_local(const Arguments& args) {
   std::vector<runner::ScenarioSpec> specs = runner::expand_validated(
       runner::ScenarioGrid::from_json(support::Json::parse(read_file(grid_it->second))));
   const std::size_t grid_cells = specs.size();
+  // The engine runs without a store it cannot use, which would drop every
+  // result a shard computes.  The probe creates nothing.  A MANIFEST is
+  // written once, under the store's LOCK, so probing again after the run
+  // also catches another format version's binary that created the store
+  // while this one was starting.
+  const std::string store_dir = options.store_dir;
+  const auto check_store = [&store_dir] {
+    const std::string reason = runner::DiskArtifactStore::unusable_reason(store_dir);
+    if (!reason.empty()) throw Infeasible("batch --shard: " + reason);
+  };
   if (shard) {
     std::erase_if(specs, [&shard](const runner::ScenarioSpec& spec) {
       return !runner::shard_owns(*shard, runner::scenario_solve_key(spec));
     });
+    check_store();
   }
   // A shard that owns no cell runs the engine too, so every shard gets
   // the same checks (the worker ceiling among them).
   const runner::BatchReport report = runner::BatchRunner(std::move(options)).run(specs);
   if (shard) {
+    check_store();
     std::cerr << "shard " << shard->index << "/" << shard->count << ": " << specs.size() << "/"
               << grid_cells << " cells, " << report.failed_count() << " failed\n";
   } else {

@@ -42,7 +42,7 @@ struct Fig1Network {
 
     network = std::make_unique<core::Network>(catalog);
     for (int i = 0; i < 8; ++i) {
-      const core::HostId h = network->add_host("n" + std::to_string(i));
+      const core::HostId h = network->add_host(std::string("n").append(std::to_string(i)));
       network->add_service(h, round, {circle, triangle});
       // Variant (c): alternate hosts additionally expose the square
       // service — the red squares of Fig. 1(c).

@@ -9,14 +9,21 @@
 //
 // Wire envelope (shared by the daemon protocol and CLI `--format json`):
 //
-//   request:   {"icsdivd": 1, "request": "optimize", ...fields}
-//   response:  {"icsdivd": 1, "status": "ok", "response": "optimize",
+//   request:   {"icsdivd": 1, "request": <name>, ...fields}
+//   response:  {"icsdivd": 1, "status": "ok", "response": <name>,
 //               "result": {...}}
 //   failure:   {"icsdivd": 1, "status": "<code>", "error":
 //               {"code", "message", "detail"[, "retry_after_seconds"]}}
 //
 // "icsdivd" is the protocol version handshake: requests may omit it, but
 // when present it must equal kProtocolVersion; responses always carry it.
+//
+// requests.cpp lists each struct's wire fields once, in wire order, and
+// one encoder and one decoder per direction walk those lists (DESIGN.md
+// §10).  Adding a wire field means adding its member here and one entry
+// to its struct's list there.  The request names live in one table there,
+// indexed by variant alternative, so `Request` and `Response` list their
+// alternatives in the same order.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +57,7 @@ inline constexpr std::string_view kServerName = "icsdivd/1.0";
 // keys: coalesced executions extend to the *latest* participant deadline,
 // so a shared compute is cancelled only when the last waiter gives up.
 
-/// Compute the diversified assignment α̂ for a network ("optimize").
+/// Compute the diversified assignment α̂ for a network.
 struct OptimizeRequest {
   support::Json catalog;
   support::Json network;
@@ -115,7 +122,7 @@ struct VersionRequest {};
 using Request = std::variant<OptimizeRequest, EvaluateRequest, ReportRequest, SimilarityRequest,
                              BatchRequest, MetricRequest, StatusRequest, VersionRequest>;
 
-/// The request's wire name ("optimize", "evaluate", ...).
+/// The request's wire name.
 [[nodiscard]] std::string_view request_name(const Request& request) noexcept;
 
 /// All request names, in wire order (for `version` and usage strings).

@@ -57,15 +57,20 @@ api::Response Client::call(const api::Request& request) {
   for (std::size_t attempt = 1;; ++attempt) {
     try {
       ensure_connected();
+    } catch (const NotFound&) {
+      // Connect failed (daemon restarting?) — bounded reconnect.  Only the
+      // connect: a server's not_found reply also arrives as NotFound, and
+      // that request has already run.
+      if (attempt >= attempts) throw;
+      backoff(attempt, 0.0, remaining());
+      continue;
+    }
+    try {
       return api::response_from_wire(support::Json::parse(call_text(payload)));
     } catch (const api::SaturatedError& error) {
       // The server answered "try later": honour its hint as the floor.
       if (attempt >= attempts) throw;
       backoff(attempt, std::max(error.retry_after_seconds(), 0.0), remaining());
-    } catch (const NotFound&) {
-      // Connect failed (daemon restarting?) — bounded reconnect.
-      if (attempt >= attempts) throw;
-      backoff(attempt, 0.0, remaining());
     } catch (const ConnectionLost&) {
       if (attempt >= attempts) throw;
       backoff(attempt, 0.0, remaining());

@@ -12,6 +12,8 @@ namespace icsdiv::runner {
 
 namespace {
 
+using support::json_number;
+
 /// Shortest round-trippable decimal form, stable across runs.  Non-finite
 /// values become the empty cell — the CSV spelling of the JSON report's
 /// null (JSON has no NaN/Infinity literal, and a "nan"/"inf" string cell
@@ -21,12 +23,6 @@ std::string format_double(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);
   return buffer;
-}
-
-/// JSON has no Infinity literal; non-finite values become null.
-support::Json json_number(double value) {
-  if (!std::isfinite(value)) return nullptr;
-  return value;
 }
 
 }  // namespace

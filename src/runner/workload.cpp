@@ -13,10 +13,11 @@ WorkloadInstance make_workload(const WorkloadParams& params) {
 
   std::vector<std::vector<core::ProductId>> products_of_service(params.services);
   for (std::size_t s = 0; s < params.services; ++s) {
-    const core::ServiceId service = catalog.add_service("s" + std::to_string(s));
+    const std::string service_name = std::string("s").append(std::to_string(s));
+    const core::ServiceId service = catalog.add_service(service_name);
     for (std::size_t p = 0; p < params.products_per_service; ++p) {
-      products_of_service[s].push_back(
-          catalog.add_product(service, "s" + std::to_string(s) + "p" + std::to_string(p)));
+      products_of_service[s].push_back(catalog.add_product(
+          service, std::string(service_name).append("p").append(std::to_string(p))));
     }
     // Sparse random similarity structure, mirroring how real product
     // families look: some pairs share lineage, most share nothing.
@@ -36,7 +37,7 @@ WorkloadInstance make_workload(const WorkloadParams& params) {
   instance.network = std::make_unique<core::Network>(catalog);
   core::Network& network = *instance.network;
   for (std::size_t h = 0; h < params.hosts; ++h) {
-    const core::HostId host = network.add_host("h" + std::to_string(h));
+    const core::HostId host = network.add_host(std::string("h").append(std::to_string(h)));
     for (std::size_t s = 0; s < params.services; ++s) {
       network.add_service(host, static_cast<core::ServiceId>(s), products_of_service[s]);
     }

@@ -473,4 +473,6 @@ class Parser {
 
 Json Json::parse(std::string_view text) { return Parser(text).parse_document(); }
 
+Json json_number(double value) { return std::isfinite(value) ? Json(value) : Json(nullptr); }
+
 }  // namespace icsdiv::support

@@ -131,4 +131,8 @@ class Json {
   static void write_string(std::string& out, std::string_view s);
 };
 
+/// A double as a JSON value.  JSON has no NaN or Infinity literal, so a
+/// non-finite value becomes null (the report convention, DESIGN.md §9).
+[[nodiscard]] Json json_number(double value);
+
 }  // namespace icsdiv::support

@@ -604,6 +604,47 @@ TEST(ResponseWire, NonFiniteNumbersTravelAsNull) {
   EXPECT_TRUE(std::isnan(decoded.mttc_uncensored_mean));
 }
 
+// A reply that does not decode throws ParseError whichever check caught
+// it, with that check's message.
+TEST(ResponseWire, MalformedRepliesThrowParseError) {
+  struct Case {
+    std::string_view wire;
+    std::string_view message;
+  };
+  const Case cases[] = {
+      {R"({"icsdivd":1,"status":"ok","response":"optimize","result":{"energy":0,)"
+       R"("pairwise_similarity":0,"iterations":0,"converged":false,"solve_seconds":0,)"
+       R"("cached":false}})",
+       R"(missing required "assignment" in optimize)"},
+      {R"({"icsdivd":1,"response":"version","result":{}})",
+       R"(missing required "status" in response envelope)"},
+      {R"({"icsdivd":1,"status":"ok","response":"metric","result":{"d_bn":"high",)"
+       R"("p_with":0,"p_without":0,"cached":false}})",
+       "Json: value is not a number"},
+      {R"({"icsdivd":1,"status":"bogus"})", R"(missing required "error" in error envelope)"},
+      {R"({"icsdivd":1,"status":"bogus","error":{"code":"bogus","message":"m"}})",
+       "unknown status code: bogus"},
+      {R"({"icsdivd":2,"status":"ok","response":"version","result":{}})",
+       "unsupported protocol version 2 (this server speaks 1)"},
+      {R"({"icsdivd":1,"status":"ok","response":"frobnicate","result":{}})",
+       "unknown response: frobnicate"},
+      {R"({"icsdivd":1,"status":"ok","response":"status","result":{"protocol":1,)"
+       R"("server":"s","uptime_seconds":0,"requests":{"total":0}}})",
+       R"(missing required "failed" in requests)"},
+      {R"([])", "response must be a JSON object"},
+  };
+  for (const Case& c : cases) {
+    try {
+      (void)response_from_wire(support::Json::parse(c.wire));
+      ADD_FAILURE() << "accepted " << c.wire;
+    } catch (const ParseError& error) {
+      EXPECT_EQ(error.what(), c.message) << c.wire;
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "not a ParseError: " << error.what() << " from " << c.wire;
+    }
+  }
+}
+
 TEST(ResponseWire, SuccessEnvelopeShape) {
   const support::Json wire = response_to_wire(VersionResponse{});
   const support::JsonObject& object = wire.as_object();

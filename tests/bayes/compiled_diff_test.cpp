@@ -34,7 +34,7 @@ struct LineFixture {
     if (sim_ab > 0.0) catalog.set_similarity(a, b, sim_ab);
     network = std::make_unique<core::Network>(catalog);
     for (int i = 0; i < 4; ++i) {
-      const core::HostId h = network->add_host("h" + std::to_string(i));
+      const core::HostId h = network->add_host(std::string("h").append(std::to_string(i)));
       network->add_service(h, service, {a, b});
     }
     network->add_link(0, 1);
@@ -86,7 +86,7 @@ struct WideHubFixture {
     catalog.set_similarity(a, b, 0.5);
     network = std::make_unique<core::Network>(catalog);
     for (int i = 0; i < kHosts; ++i) {
-      const core::HostId h = network->add_host("h" + std::to_string(i));
+      const core::HostId h = network->add_host(std::string("h").append(std::to_string(i)));
       network->add_service(h, service, {a, b});
     }
     for (core::HostId h = 1; h <= kSpokes; ++h) network->add_link(0, h);

@@ -24,7 +24,7 @@ struct PathFixture {
     c = catalog.add_product(service, "c");
     network = std::make_unique<core::Network>(catalog);
     for (int i = 0; i < 5; ++i) {
-      network->add_host("h" + std::to_string(i));
+      network->add_host(std::string("h").append(std::to_string(i)));
       network->add_service(static_cast<core::HostId>(i), service, {a, b, c});
     }
     for (int i = 0; i < 4; ++i) {

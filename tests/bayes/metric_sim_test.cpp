@@ -30,7 +30,7 @@ struct LineFixture {
     if (sim_ab > 0.0) catalog.set_similarity(a, b, sim_ab);
     network = std::make_unique<core::Network>(catalog);
     for (int i = 0; i < 4; ++i) {
-      const HostId h = network->add_host("h" + std::to_string(i));
+      const HostId h = network->add_host(std::string("h").append(std::to_string(i)));
       network->add_service(h, service, {a, b});
     }
     network->add_link(0, 1);

@@ -35,7 +35,7 @@ struct Instance {
 
     network = std::make_unique<Network>(catalog);
     for (int i = 0; i < 5; ++i) {
-      const HostId h = network->add_host("h" + std::to_string(i));
+      const HostId h = network->add_host(std::string("h").append(std::to_string(i)));
       network->add_service(h, os, os_products);
       if (i != 4) network->add_service(h, wb, wb_products);
     }

@@ -34,7 +34,7 @@ struct Fixture {
 
     network = std::make_unique<Network>(catalog);
     for (int i = 0; i < 6; ++i) {
-      const HostId h = network->add_host("h" + std::to_string(i));
+      const HostId h = network->add_host(std::string("h").append(std::to_string(i)));
       network->add_service(h, os, os_products);
       if (i < 4) network->add_service(h, wb, wb_products);
     }

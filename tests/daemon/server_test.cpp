@@ -310,6 +310,31 @@ TEST(DaemonClient, ReconnectsAcrossAServerRestart) {
   EXPECT_THROW((void)client.call(api::VersionRequest{}), Error);
 }
 
+TEST(DaemonClient, NotFoundReplyIsNeverRetried) {
+  Server server(unix_options(unique_socket_path("not_found")));
+  server.start();
+
+  const api::OptimizeRequest optimize = small_optimize_request();
+  api::EvaluateRequest evaluate;
+  evaluate.catalog = optimize.catalog;
+  evaluate.network = optimize.network;
+  evaluate.assignment =
+      std::get<api::OptimizeResponse>(server.session().execute(optimize)).assignment;
+  evaluate.entry = "no-such-host";
+  evaluate.target = "h0";
+  const std::size_t before = server.session().status().requests_total;
+
+  // Retries are for failed connects.  The server answered not_found, so
+  // the request has run; a retry would run it again.
+  ClientOptions options;
+  options.max_attempts = 3;
+  options.backoff_base_seconds = 0.001;
+  Client client = Client::connect(server.endpoint(), options);
+  EXPECT_THROW((void)client.call(evaluate), NotFound);
+  EXPECT_EQ(server.session().status().requests_total, before + 1);
+  server.shutdown();
+}
+
 TEST(DaemonClient, ReadTimeoutSurfacesAsDeadlineExceededAndNeverRetries) {
   const std::string socket_path = unique_socket_path("read_timeout");
   ServerOptions options = unix_options(socket_path);

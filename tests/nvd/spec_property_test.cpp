@@ -22,8 +22,11 @@ OverlapSpec random_spec(support::Rng& rng) {
   const std::size_t n = 4 + rng.index(4);
   for (std::size_t i = 0; i < n; ++i) {
     spec.products.push_back(ProductRef{
-        "p" + std::to_string(i),
-        CpeUri::parse("cpe:/a:vendor" + std::to_string(i % 3) + ":p" + std::to_string(i))});
+        std::string("p").append(std::to_string(i)),
+        CpeUri::parse(std::string("cpe:/a:vendor")
+                          .append(std::to_string(i % 3))
+                          .append(":p")
+                          .append(std::to_string(i)))});
   }
   std::vector<std::size_t> allocated(n, 0);
   // Random pair blocks.

@@ -74,8 +74,8 @@ TEST(PaperScale, NetworkRoundTripsThroughItsWireForm) {
   EXPECT_EQ(network.instance_count(), kHosts * kServices);
   EXPECT_EQ(network.topology().edges().size(), original.topology().edges().size());
   EXPECT_EQ(network.host_id("h0"), 0u);
-  EXPECT_EQ(network.host_id("h" + std::to_string(kHosts - 1)), kHosts - 1);
-  EXPECT_FALSE(network.find_host("h" + std::to_string(kHosts)).has_value());
+  EXPECT_EQ(network.host_id(std::string("h").append(std::to_string(kHosts - 1))), kHosts - 1);
+  EXPECT_FALSE(network.find_host(std::string("h").append(std::to_string(kHosts))).has_value());
 }
 
 TEST(PaperScale, PinnedProblemBuildsOneVariablePerSlot) {

@@ -32,7 +32,7 @@ struct LineFixture {
     if (sim_ab > 0.0) catalog.set_similarity(a, b, sim_ab);
     network = std::make_unique<core::Network>(catalog);
     for (int i = 0; i < hosts; ++i) {
-      const HostId h = network->add_host("h" + std::to_string(i));
+      const HostId h = network->add_host(std::string("h").append(std::to_string(i)));
       network->add_service(h, service, {a, b});
     }
     for (HostId h = 0; h + 1 < static_cast<HostId>(hosts); ++h) network->add_link(h, h + 1);
@@ -139,7 +139,7 @@ struct WideHubFixture {
     catalog.set_similarity(a, b, 0.5);
     network = std::make_unique<core::Network>(catalog);
     for (int i = 0; i < kHosts; ++i) {
-      const HostId h = network->add_host("h" + std::to_string(i));
+      const HostId h = network->add_host(std::string("h").append(std::to_string(i)));
       network->add_service(h, service, {a, b});
     }
     for (HostId h = 1; h <= kSpokes; ++h) network->add_link(0, h);
@@ -236,7 +236,7 @@ TEST(DeadState, WalledOffWormExitsImmediately) {
   const auto a = catalog.add_product(service, "A");
   core::Network network(catalog);
   for (int i = 0; i < 3; ++i) {
-    const HostId h = network.add_host("n" + std::to_string(i));
+    const HostId h = network.add_host(std::string("n").append(std::to_string(i)));
     network.add_service(h, service, {a});
   }
   network.add_link(0, 1);  // h2 stays unreachable
@@ -329,7 +329,7 @@ TEST(Mttc, AllCensoredReportsNaNUncensoredMean) {
   const auto a = catalog.add_product(service, "A");
   core::Network network(catalog);
   for (int i = 0; i < 2; ++i) {
-    const HostId h = network.add_host("n" + std::to_string(i));
+    const HostId h = network.add_host(std::string("n").append(std::to_string(i)));
     network.add_service(h, service, {a});
   }
   core::Assignment assignment(network);  // two isolated hosts

@@ -123,7 +123,9 @@ TEST(JsonObject, MissingKeyThrows) {
 /// An object of `count` keys "k0", "k1", ... whose values are their indices.
 JsonObject numbered_object(std::size_t count) {
   JsonObject object;
-  for (std::size_t i = 0; i < count; ++i) object.set("k" + std::to_string(i), Json(i));
+  for (std::size_t i = 0; i < count; ++i) {
+    object.set(std::string("k").append(std::to_string(i)), Json(i));
+  }
   return object;
 }
 
@@ -132,7 +134,7 @@ JsonObject numbered_object(std::size_t count) {
 void expect_numbered_lookups(const JsonObject& object, std::size_t count) {
   ASSERT_EQ(object.size(), count);
   for (std::size_t i = 0; i < count; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = std::string("k").append(std::to_string(i));
     ASSERT_TRUE(object.contains(key)) << key;
     EXPECT_EQ(object.at(key).as_integer(), static_cast<std::int64_t>(i)) << key;
   }

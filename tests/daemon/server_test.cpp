@@ -301,13 +301,15 @@ TEST(DaemonClient, ReconnectsAcrossAServerRestart) {
   // policy reconnects to its successor transparently.
   EXPECT_EQ(std::get<api::VersionResponse>(client.call(api::VersionRequest{})).protocol,
             api::kProtocolVersion);
-  second.shutdown();
 
-  // With the successor gone too, a single-attempt exchange surfaces the
-  // transport failure instead of hanging.
+  // A single-attempt client connected to the successor: once that server
+  // is gone too, its exchange surfaces the transport failure instead of
+  // reconnecting or hanging.
   ClientOptions one_shot;
   one_shot.max_attempts = 1;
-  EXPECT_THROW((void)client.call(api::VersionRequest{}), Error);
+  Client single = Client::connect(support::Endpoint::parse("unix:" + socket_path), one_shot);
+  second.shutdown();
+  EXPECT_THROW((void)single.call(api::VersionRequest{}), Error);
 }
 
 TEST(DaemonClient, NotFoundReplyIsNeverRetried) {

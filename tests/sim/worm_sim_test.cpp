@@ -1,13 +1,17 @@
 // The compiled propagation substrate (sim::CompiledPropagation):
 // seed-era golden pins (bit-for-bit stream preservation), detection-mode
 // infection accounting, dead-state early exit, thread-count determinism,
-// censoring-bias reporting, and the integer-threshold Bernoulli identity.
+// censoring-bias reporting, MTTC against closed forms on chains and stars,
+// and the integer-threshold Bernoulli identity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <utility>
 
 #include "sim/compiled.hpp"
 
@@ -342,6 +346,75 @@ TEST(Mttc, AllCensoredReportsNaNUncensoredMean) {
   EXPECT_EQ(r.censored, 20u);
   EXPECT_DOUBLE_EQ(r.mean, 10.0);
   EXPECT_TRUE(std::isnan(r.uncensored_mean));
+}
+
+// ---------------------------------------------------------------------------
+// MTTC against closed forms.  With the defender off and every host on one
+// product, each link on the path to the target is crossed after a
+// geometric number of ticks with per-tick success q: max(p_avg, w) for the
+// Sophisticated attacker, the mean (p_avg + w) / 2 of its two exploits for
+// the Uniform one.  A path of k links therefore has MTTC k/q and variance
+// k(1 − q)/q².  Off-path hosts never shorten the wait for the next hop.
+
+constexpr double kClosedFormPAvg = 0.1;
+constexpr double kClosedFormWeight = 0.3;
+constexpr std::size_t kClosedFormRuns = 4000;
+
+double per_tick_success(sim::AttackerStrategy strategy) {
+  return strategy == sim::AttackerStrategy::Sophisticated
+             ? std::max(kClosedFormPAvg, kClosedFormWeight)
+             : (kClosedFormPAvg + kClosedFormWeight) / 2.0;
+}
+
+/// MTTC from `entry` to `target` on a mono-culture of `hosts` hosts over
+/// `links`, checked against a path of `hops` links within 5 standard
+/// errors.
+void expect_closed_form_mttc(std::size_t hosts, std::initializer_list<std::pair<HostId, HostId>> links,
+                             HostId entry, HostId target, std::size_t hops,
+                             sim::AttackerStrategy strategy) {
+  core::ProductCatalog catalog;
+  const auto service = catalog.add_service("OS");
+  const auto a = catalog.add_product(service, "A");
+  core::Network network(catalog);
+  for (std::size_t i = 0; i < hosts; ++i) {
+    const HostId h = network.add_host(std::string("n").append(std::to_string(i)));
+    network.add_service(h, service, {a});
+  }
+  for (const auto& [u, v] : links) network.add_link(u, v);
+  core::Assignment mono(network);
+  for (HostId h = 0; h < hosts; ++h) mono.assign(h, service, a);
+
+  sim::SimulationParams params;
+  params.model.p_avg = kClosedFormPAvg;
+  params.model.similarity_weight = kClosedFormWeight;
+  params.strategy = strategy;
+  const auto r =
+      sim::CompiledPropagation(mono, params).mttc(entry, target, kClosedFormRuns, 2024);
+
+  const double q = per_tick_success(strategy);
+  const double k = static_cast<double>(hops);
+  const double expected = k / q;
+  const double standard_error =
+      std::sqrt(k * (1.0 - q) / (q * q) / static_cast<double>(kClosedFormRuns));
+  EXPECT_EQ(r.censored, 0u);
+  EXPECT_NEAR(r.mean, expected, 5.0 * standard_error)
+      << "z = " << (r.mean - expected) / standard_error;
+}
+
+TEST(MttcClosedForm, ChainIsKOverQForBothAttackers) {
+  for (const auto strategy : {sim::AttackerStrategy::Sophisticated, sim::AttackerStrategy::Uniform}) {
+    SCOPED_TRACE(strategy == sim::AttackerStrategy::Sophisticated ? "sophisticated" : "uniform");
+    expect_closed_form_mttc(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}, 0, 5, 5, strategy);
+  }
+}
+
+TEST(MttcClosedForm, StarLeafToLeafIsTwoOverQForBothAttackers) {
+  for (const auto strategy : {sim::AttackerStrategy::Sophisticated, sim::AttackerStrategy::Uniform}) {
+    SCOPED_TRACE(strategy == sim::AttackerStrategy::Sophisticated ? "sophisticated" : "uniform");
+    // Hub 0 with six leaves; the worm enters at leaf 1 and targets leaf 4.
+    expect_closed_form_mttc(7, {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}}, 1, 4, 2,
+                            strategy);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -88,10 +88,11 @@ CompiledReliability::CompiledReliability(const core::Assignment& assignment, cor
   require(model_.p_avg >= 0.0 && model_.p_avg <= 1.0, "CompiledReliability",
           "p_avg must be in [0,1]");
 
+  const core::SharedServices shared(assignment);
   const auto& edges = dag_.edges();
   rates_.reserve(edges.size());
   for (const graph::DagEdge& edge : edges) {
-    rates_.push_back(edge_infection_rate(assignment, edge.from, edge.to, model_));
+    rates_.push_back(edge_infection_rate(shared, edge.from, edge.to, model_));
   }
 
   baseline_threshold_ = support::acceptance_threshold(model_.p_avg);

@@ -25,9 +25,7 @@
 // a larger per-attempt weight.
 #pragma once
 
-#include <vector>
-
-#include "core/assignment.hpp"
+#include "core/metrics.hpp"
 
 namespace icsdiv::bayes {
 
@@ -40,17 +38,11 @@ struct PropagationModel {
   bool consider_similarity = true;
 };
 
-/// Similarity channels from u towards v, one per service both hosts run
-/// with an assigned product, for channel-table builds (the simulator's
-/// compiled substrate): appends each channel's success probability w·sim
-/// to `out`, in the order of u's services, and returns how many were
-/// added.
-std::size_t append_similarity_probabilities(const core::Assignment& assignment, core::HostId u,
-                                            core::HostId v, const PropagationModel& model,
-                                            std::vector<double>& out);
-
-/// Noisy-OR edge infection rate r(u, v) under the model.
-[[nodiscard]] double edge_infection_rate(const core::Assignment& assignment, core::HostId u,
+/// Noisy-OR edge infection rate r(u, v) under the model, over the
+/// similarity channels `shared` lists from u towards v: the product of
+/// the misses 1 − w·sim is taken in the order of u's services.  Callers
+/// build the table once per assignment and rate every edge from it.
+[[nodiscard]] double edge_infection_rate(const core::SharedServices& shared, core::HostId u,
                                          core::HostId v, const PropagationModel& model);
 
 }  // namespace icsdiv::bayes

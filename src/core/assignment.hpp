@@ -43,6 +43,8 @@ class Assignment {
   }
 
  private:
+  friend class SharedServices;  ///< reads slots_ in one pass (core/metrics.hpp)
+
   static constexpr ProductId kUnassigned = static_cast<ProductId>(-1);
 
   const Network* network_;

@@ -4,63 +4,73 @@
 
 namespace icsdiv::core {
 
-namespace {
+SharedServices::SharedServices(const Assignment& assignment)
+    : network_(&assignment.network()),
+      host_count_(network_->host_count()),
+      service_count_(network_->catalog().service_count()) {
+  const ProductCatalog& catalog = network_->catalog();
+  std::vector<std::uint32_t> position(catalog.product_count(), kNone);
+  blocks_.reserve(service_count_);
+  for (ServiceId service = 0; service < service_count_; ++service) {
+    const std::vector<ProductId>& products = catalog.products_of(service);
+    blocks_.push_back(Block{similarity_.size(), products.size()});
+    for (std::size_t i = 0; i < products.size(); ++i) {
+      position[products[i]] = static_cast<std::uint32_t>(i);
+      for (const ProductId other : products) {
+        similarity_.push_back(catalog.similarity(products[i], other));
+      }
+    }
+  }
 
-/// Applies `body(u, v, service, product_u, product_v)` to every link and
-/// shared assigned service.
-template <typename Body>
-void for_each_shared_service(const Assignment& assignment, Body&& body) {
-  const Network& network = assignment.network();
-  for (const graph::Edge& link : network.topology().edges()) {
-    for (const ServiceInstance& instance : network.services_of(link.u)) {
-      if (!network.host_runs(link.v, instance.service)) continue;
-      const auto product_u = assignment.product_of(link.u, instance.service);
-      const auto product_v = assignment.product_of(link.v, instance.service);
-      if (!product_u || !product_v) continue;
-      body(link.u, link.v, instance.service, *product_u, *product_v);
+  require(assignment.slots_.size() == host_count_, "SharedServices",
+          "network shape changed under the assignment");
+  product_index_.assign(host_count_ * service_count_, kNone);
+  for (HostId host = 0; host < host_count_; ++host) {
+    const auto services = network_->services_of(host);
+    const std::vector<ProductId>& slots = assignment.slots_[host];
+    require(slots.size() == services.size(), "SharedServices",
+            "network shape changed under the assignment");
+    for (std::size_t slot = 0; slot < slots.size(); ++slot) {
+      if (slots[slot] == Assignment::kUnassigned) continue;
+      product_index_[std::size_t{host} * service_count_ + services[slot].service] =
+          position[slots[slot]];
     }
   }
 }
 
-}  // namespace
-
 double total_edge_similarity(const Assignment& assignment) {
-  const ProductCatalog& catalog = assignment.network().catalog();
+  const SharedServices shared(assignment);
   double total = 0.0;
-  for_each_shared_service(assignment,
-                          [&](HostId, HostId, ServiceId, ProductId a, ProductId b) {
-                            total += catalog.similarity(a, b);
-                          });
+  for (const graph::Edge& link : assignment.network().topology().edges()) {
+    shared.for_each(link.u, link.v, [&](double similarity, bool) { total += similarity; });
+  }
   return total;
 }
 
 double average_edge_similarity(const Assignment& assignment) {
-  const ProductCatalog& catalog = assignment.network().catalog();
+  const SharedServices shared(assignment);
   double total = 0.0;
   std::size_t terms = 0;
-  for_each_shared_service(assignment,
-                          [&](HostId, HostId, ServiceId, ProductId a, ProductId b) {
-                            total += catalog.similarity(a, b);
-                            ++terms;
-                          });
+  for (const graph::Edge& link : assignment.network().topology().edges()) {
+    shared.for_each(link.u, link.v, [&](double similarity, bool) {
+      total += similarity;
+      ++terms;
+    });
+  }
   return terms == 0 ? 0.0 : total / static_cast<double>(terms);
 }
 
 double identical_neighbor_ratio(const Assignment& assignment) {
-  const Network& network = assignment.network();
+  const SharedServices shared(assignment);
   std::size_t links_with_identical = 0;
   std::size_t links_considered = 0;
-  for (const graph::Edge& link : network.topology().edges()) {
+  for (const graph::Edge& link : assignment.network().topology().edges()) {
     bool any_shared = false;
     bool any_identical = false;
-    for (const ServiceInstance& instance : network.services_of(link.u)) {
-      if (!network.host_runs(link.v, instance.service)) continue;
-      const auto product_u = assignment.product_of(link.u, instance.service);
-      const auto product_v = assignment.product_of(link.v, instance.service);
-      if (!product_u || !product_v) continue;
+    shared.for_each(link.u, link.v, [&](double, bool same_product) {
       any_shared = true;
-      any_identical = any_identical || (*product_u == *product_v);
-    }
+      any_identical = any_identical || same_product;
+    });
     if (any_shared) {
       ++links_considered;
       if (any_identical) ++links_with_identical;

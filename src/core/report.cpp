@@ -20,17 +20,11 @@ struct RiskyLink {
 };
 
 std::vector<RiskyLink> riskiest_links(const Assignment& assignment, std::size_t count) {
-  const Network& network = assignment.network();
-  const ProductCatalog& catalog = network.catalog();
+  const SharedServices shared(assignment);
   std::vector<RiskyLink> links;
-  for (const graph::Edge& link : network.topology().edges()) {
+  for (const graph::Edge& link : assignment.network().topology().edges()) {
     double total = 0.0;
-    for (const ServiceInstance& instance : network.services_of(link.u)) {
-      if (!network.host_runs(link.v, instance.service)) continue;
-      const auto pu = assignment.product_of(link.u, instance.service);
-      const auto pv = assignment.product_of(link.v, instance.service);
-      if (pu && pv) total += catalog.similarity(*pu, *pv);
-    }
+    shared.for_each(link.u, link.v, [&](double similarity, bool) { total += similarity; });
     if (total > 0.0) links.push_back(RiskyLink{link.u, link.v, total});
   }
   std::partial_sort(links.begin(), links.begin() + std::min(count, links.size()), links.end(),

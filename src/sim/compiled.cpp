@@ -66,41 +66,45 @@ PropagationChannels::PropagationChannels(const core::Assignment& assignment,
 
   const std::size_t link_count = offsets_[host_count_];
   link_to_.resize(link_count);
-  link_best_threshold_.resize(link_count);
   std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  std::vector<double> scratch_pool;  // channel picks in edge-scan order
-  scratch_pool.reserve(link_count);
-  std::vector<std::uint32_t> scratch_begin(link_count, 0);
-  std::vector<std::uint32_t> scratch_count(link_count, 0);
   for (const graph::Edge& link : edges) {
-    for (const auto& [from, to] : {std::pair{link.u, link.v}, std::pair{link.v, link.u}}) {
-      const auto begin = static_cast<std::uint32_t>(scratch_pool.size());
-      scratch_pool.push_back(model_.p_avg);  // pick 0: the baseline channel
-      double best = model_.p_avg;
-      if (model_.consider_similarity) {
-        bayes::append_similarity_probabilities(assignment, from, to, model_, scratch_pool);
-        for (std::size_t p = begin + 1; p < scratch_pool.size(); ++p) {
-          best = std::max(best, scratch_pool[p]);
-        }
-      }
-      const std::uint32_t slot = cursor[from]++;
-      link_to_[slot] = to;
-      link_best_threshold_[slot] = acceptance_threshold(best);
-      scratch_begin[slot] = begin;
-      scratch_count[slot] = static_cast<std::uint32_t>(scratch_pool.size() - begin);
-    }
+    link_to_[cursor[link.u]++] = link.v;
+    link_to_[cursor[link.v]++] = link.u;
   }
-  // Re-lay the pick pool in CSR link order so a host's uniform-pick tables
-  // are contiguous during the tick scan.
+
+  // Each link's uniform-pick table [p_avg, channel...] goes straight into
+  // the pool in CSR link order, so a host's tables are contiguous during
+  // the tick scan.  A counting walk sizes the pool exactly first.
+  const core::SharedServices shared(assignment);
+  const auto for_each_link = [&](auto&& visit) {
+    for (core::HostId from = 0; from < host_count_; ++from) {
+      for (std::uint32_t l = offsets_[from]; l < offsets_[from + 1]; ++l) visit(from, l);
+    }
+  };
   pick_begin_.resize(link_count + 1);
-  pick_pool_.reserve(scratch_pool.size());
-  for (std::size_t l = 0; l < link_count; ++l) {
-    pick_begin_[l] = static_cast<std::uint32_t>(pick_pool_.size());
-    for (std::uint32_t p = 0; p < scratch_count[l]; ++p) {
-      pick_pool_.push_back(acceptance_threshold(scratch_pool[scratch_begin[l] + p]));
+  std::uint32_t picks = 0;
+  for_each_link([&](core::HostId from, std::uint32_t l) {
+    pick_begin_[l] = picks++;  // pick 0: the baseline channel
+    if (model_.consider_similarity) shared.for_each(from, link_to_[l], [&](double, bool) { ++picks; });
+  });
+  pick_begin_[link_count] = picks;
+
+  pick_pool_.resize(picks);
+  link_best_threshold_.resize(link_count);
+  const std::uint64_t baseline = acceptance_threshold(model_.p_avg);
+  for_each_link([&](core::HostId from, std::uint32_t l) {
+    std::uint32_t pick = pick_begin_[l];
+    pick_pool_[pick++] = baseline;
+    double best = model_.p_avg;
+    if (model_.consider_similarity) {
+      shared.for_each(from, link_to_[l], [&](double similarity, bool) {
+        const double probability = model_.similarity_weight * similarity;
+        pick_pool_[pick++] = acceptance_threshold(probability);
+        best = std::max(best, probability);
+      });
     }
-  }
-  pick_begin_[link_count] = static_cast<std::uint32_t>(pick_pool_.size());
+    link_best_threshold_[l] = acceptance_threshold(best);
+  });
 }
 
 std::string PropagationChannels::serialize() const {

@@ -48,13 +48,13 @@ struct LineFixture {
 
 TEST(Propagation, EdgeRateFormula) {
   LineFixture f(0.5);
-  const auto mono = f.assign({f.a, f.a, f.a, f.a});
+  const core::SharedServices mono(f.assign({f.a, f.a, f.a, f.a}));
   bayes::PropagationModel model{/*p_avg=*/0.1, /*similarity_weight=*/0.2,
                                 /*consider_similarity=*/true};
   // Identical products: 1 − (1−0.1)(1−0.2·1) = 0.28.
   EXPECT_NEAR(bayes::edge_infection_rate(mono, 0, 1, model), 0.28, 1e-12);
 
-  const auto mixed = f.assign({f.a, f.b, f.a, f.b});
+  const core::SharedServices mixed(f.assign({f.a, f.b, f.a, f.b}));
   // sim 0.5: 1 − 0.9·(1−0.1) = 0.19.
   EXPECT_NEAR(bayes::edge_infection_rate(mixed, 0, 1, model), 0.19, 1e-12);
 
@@ -64,7 +64,7 @@ TEST(Propagation, EdgeRateFormula) {
 
 TEST(Propagation, FullyDissimilarFallsToBaseline) {
   LineFixture f(0.0);
-  const auto diverse = f.assign({f.a, f.b, f.a, f.b});
+  const core::SharedServices diverse(f.assign({f.a, f.b, f.a, f.b}));
   const bayes::PropagationModel model{0.07, 0.07, true};
   EXPECT_NEAR(bayes::edge_infection_rate(diverse, 0, 1, model), 0.07, 1e-12);
 }
@@ -73,15 +73,20 @@ TEST(Propagation, ChannelsListShared_AssignedServicesOnly) {
   LineFixture f(0.4);
   core::Assignment partial(*f.network);
   partial.assign(0, f.service, f.a);
-  // h1 unassigned → no similarity channel yet.
   const bayes::PropagationModel model{0.05, 1.0, true};
-  std::vector<double> channels;
-  EXPECT_EQ(bayes::append_similarity_probabilities(partial, 0, 1, model, channels), 0u);
-  EXPECT_TRUE(channels.empty());
+  // The success probability w·sim of each u→v similarity channel.
+  const auto channels = [&] {
+    std::vector<double> out;
+    core::SharedServices(partial).for_each(
+        0, 1, [&](double similarity, bool) { out.push_back(model.similarity_weight * similarity); });
+    return out;
+  };
+  // h1 unassigned → no similarity channel yet.
+  EXPECT_TRUE(channels().empty());
   partial.assign(1, f.service, f.b);
-  EXPECT_EQ(bayes::append_similarity_probabilities(partial, 0, 1, model, channels), 1u);
-  ASSERT_EQ(channels.size(), 1u);
-  EXPECT_NEAR(channels[0], 0.4, 1e-12);
+  const std::vector<double> shared = channels();
+  ASSERT_EQ(shared.size(), 1u);
+  EXPECT_NEAR(shared[0], 0.4, 1e-12);
 }
 
 TEST(AttackBn, MonoChainProbabilityAnalytic) {

@@ -7,7 +7,9 @@
 // slot order, about a fifth of the slots are unassigned, the services
 // offer 5, 2 and 3 products, and one product pair has no registered
 // similarity.  The constants below were recorded at commit 5f911aa, whose
-// walks looked each (host, service) up by a linear slot scan.
+// walks looked each (host, service) up by a linear slot scan; every walk
+// now goes through core::SharedServices, which the last two cases check
+// directly.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -200,6 +202,33 @@ TEST(SharedServicesPin, AProductNoHostMayRunChangesNoPin) {
   const Pins a = measure(base, /*whole_report=*/false);
   const Pins b = measure(widened, /*whole_report=*/false);
   EXPECT_EQ(row(a), row(b));
+}
+
+TEST(SharedServices, WalksUsSlotOrderAndRejectsUnknownHosts) {
+  const IrregularFixture f(/*unused_product=*/false);
+  const SharedServices shared(*f.assignment);
+  // Every link's visits, in u's slot order, against a direct lookup.
+  for (const graph::Edge& link : f.network->topology().edges()) {
+    std::vector<double> expected;
+    for (const ServiceInstance& instance : f.network->services_of(link.u)) {
+      if (!f.network->host_runs(link.v, instance.service)) continue;
+      const auto a = f.assignment->product_of(link.u, instance.service);
+      const auto b = f.assignment->product_of(link.v, instance.service);
+      if (a && b) expected.push_back(f.catalog.similarity(*a, *b));
+    }
+    std::vector<double> visited;
+    shared.for_each(link.u, link.v, [&](double similarity, bool) { visited.push_back(similarity); });
+    EXPECT_EQ(visited, expected) << link.u << "--" << link.v;
+  }
+  const auto nothing = [](double, bool) {};
+  EXPECT_THROW(shared.for_each(0, kHosts, nothing), InvalidArgument);
+  EXPECT_THROW(shared.for_each(kHosts, 0, nothing), InvalidArgument);
+}
+
+TEST(SharedServices, RejectsAnAssignmentOlderThanItsNetwork) {
+  IrregularFixture f(/*unused_product=*/false);
+  f.network->add_host("late");
+  EXPECT_THROW(SharedServices{*f.assignment}, InvalidArgument);
 }
 
 }  // namespace

@@ -33,8 +33,6 @@ class SharedServices {
   /// after the assignment was created.
   explicit SharedServices(const Assignment& assignment);
 
-  [[nodiscard]] const Network& network() const noexcept { return *network_; }
-
   /// Calls visit(similarity, same_product) for each service u runs, in u's
   /// slot order, that v runs too with both slots assigned.  `similarity`
   /// is catalog.similarity(α'(u,s), α'(v,s)), bit for bit.  Throws

@@ -85,7 +85,9 @@ PropagationChannels::PropagationChannels(const core::Assignment& assignment,
   std::uint32_t picks = 0;
   for_each_link([&](core::HostId from, std::uint32_t l) {
     pick_begin_[l] = picks++;  // pick 0: the baseline channel
-    if (model_.consider_similarity) shared.for_each(from, link_to_[l], [&](double, bool) { ++picks; });
+    if (model_.consider_similarity) {
+      shared.for_each(from, link_to_[l], [&](double, bool) { ++picks; });
+    }
   });
   pick_begin_[link_count] = picks;
 

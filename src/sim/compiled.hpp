@@ -44,7 +44,9 @@
 //     contiguous `pick_pool_` slice `[p_avg, channel...]` in CSR link
 //     order (`pick_begin_` holds the E+1 prefix offsets), so the Uniform
 //     attacker's draw is one indexed load with no branch on the
-//     baseline-vs-channel split.
+//     baseline-vs-channel split.  The channels come from one
+//     core::SharedServices table per build and are written straight in
+//     CSR order, the pool sized exactly by a counting walk first.
 //   * Per-link best table — the Sophisticated attacker's
 //     `max(p_avg, channels...)` is precomputed per directed link.
 //

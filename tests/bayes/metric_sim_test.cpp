@@ -77,8 +77,9 @@ TEST(Propagation, ChannelsListShared_AssignedServicesOnly) {
   // The success probability w·sim of each u→v similarity channel.
   const auto channels = [&] {
     std::vector<double> out;
-    core::SharedServices(partial).for_each(
-        0, 1, [&](double similarity, bool) { out.push_back(model.similarity_weight * similarity); });
+    core::SharedServices(partial).for_each(0, 1, [&](double similarity, bool) {
+      out.push_back(model.similarity_weight * similarity);
+    });
     return out;
   };
   // h1 unassigned → no similarity channel yet.

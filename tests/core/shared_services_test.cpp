@@ -217,7 +217,8 @@ TEST(SharedServices, WalksUsSlotOrderAndRejectsUnknownHosts) {
       if (a && b) expected.push_back(f.catalog.similarity(*a, *b));
     }
     std::vector<double> visited;
-    shared.for_each(link.u, link.v, [&](double similarity, bool) { visited.push_back(similarity); });
+    shared.for_each(link.u, link.v,
+                    [&](double similarity, bool) { visited.push_back(similarity); });
     EXPECT_EQ(visited, expected) << link.u << "--" << link.v;
   }
   const auto nothing = [](double, bool) {};

@@ -369,7 +369,8 @@ double per_tick_success(sim::AttackerStrategy strategy) {
 /// MTTC from `entry` to `target` on a mono-culture of `hosts` hosts over
 /// `links`, checked against a path of `hops` links within 5 standard
 /// errors.
-void expect_closed_form_mttc(std::size_t hosts, std::initializer_list<std::pair<HostId, HostId>> links,
+void expect_closed_form_mttc(std::size_t hosts,
+                             std::initializer_list<std::pair<HostId, HostId>> links,
                              HostId entry, HostId target, std::size_t hops,
                              sim::AttackerStrategy strategy) {
   core::ProductCatalog catalog;
@@ -402,14 +403,16 @@ void expect_closed_form_mttc(std::size_t hosts, std::initializer_list<std::pair<
 }
 
 TEST(MttcClosedForm, ChainIsKOverQForBothAttackers) {
-  for (const auto strategy : {sim::AttackerStrategy::Sophisticated, sim::AttackerStrategy::Uniform}) {
+  for (const auto strategy :
+       {sim::AttackerStrategy::Sophisticated, sim::AttackerStrategy::Uniform}) {
     SCOPED_TRACE(strategy == sim::AttackerStrategy::Sophisticated ? "sophisticated" : "uniform");
     expect_closed_form_mttc(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}, 0, 5, 5, strategy);
   }
 }
 
 TEST(MttcClosedForm, StarLeafToLeafIsTwoOverQForBothAttackers) {
-  for (const auto strategy : {sim::AttackerStrategy::Sophisticated, sim::AttackerStrategy::Uniform}) {
+  for (const auto strategy :
+       {sim::AttackerStrategy::Sophisticated, sim::AttackerStrategy::Uniform}) {
     SCOPED_TRACE(strategy == sim::AttackerStrategy::Sophisticated ? "sophisticated" : "uniform");
     // Hub 0 with six leaves; the worm enters at leaf 1 and targets leaf 4.
     expect_closed_form_mttc(7, {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}}, 1, 4, 2,

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>

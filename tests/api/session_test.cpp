@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -137,6 +138,90 @@ TEST(Session, OmittedMaxIterationsSharesTheDefaultsCacheKey) {
   EXPECT_TRUE(second.cached);
   EXPECT_EQ(second.assignment.dump(), first.assignment.dump());
   EXPECT_EQ(session.status().solve_cache.executed, 1u);
+}
+
+/// `documents` with `edit` applied to copies of its network's "hosts" and
+/// "links" arrays.
+template <typename Edit>
+Documents with_network_edit(const Documents& documents, Edit&& edit) {
+  Documents copy = documents;
+  support::JsonObject& network = copy.network.as_object();
+  support::JsonArray hosts = network.at("hosts").as_array();
+  support::JsonArray links = network.at("links").as_array();
+  edit(hosts, links);
+  network.set("hosts", support::Json(std::move(hosts)));
+  network.set("links", support::Json(std::move(links)));
+  return copy;
+}
+
+TEST(Session, SolveKeysFollowTheDocumentsNotTheirWhitespace) {
+  const Documents documents = make_documents();
+  Session session;
+  EXPECT_FALSE(std::get<OptimizeResponse>(session.execute(optimize_request(documents))).cached);
+
+  // The same documents read back from indented text are the same documents.
+  const Documents reread{support::Json::parse(documents.catalog.dump_pretty()),
+                         support::Json::parse(documents.network.dump_pretty())};
+  EXPECT_TRUE(std::get<OptimizeResponse>(session.execute(optimize_request(reread))).cached);
+
+  // Each edit below leaves a network that decodes, yet is one the session
+  // has not solved.
+  using support::JsonArray;
+  std::vector<std::pair<std::string, Documents>> edits;
+  edits.emplace_back("host name", with_network_edit(documents, [](JsonArray& hosts,
+                                                                  JsonArray& links) {
+    const std::string old_name = hosts[3].as_object().at("name").as_string();
+    hosts[3].as_object().set("name", support::Json("renamed"));
+    for (support::Json& link : links) {
+      for (support::Json& end : link.as_array()) {
+        if (end.as_string() == old_name) end = support::Json("renamed");
+      }
+    }
+  }));
+  edits.emplace_back("candidate", with_network_edit(documents, [](JsonArray& hosts, JsonArray&) {
+    support::JsonObject& host = hosts[0].as_object();
+    JsonArray services = host.at("services").as_array();
+    support::JsonObject& instance = services[0].as_object();
+    JsonArray candidates = instance.at("candidates").as_array();
+    ASSERT_GT(candidates.size(), 1u);
+    candidates.pop_back();
+    instance.set("candidates", support::Json(std::move(candidates)));
+    host.set("services", support::Json(std::move(services)));
+  }));
+  edits.emplace_back("link endpoint", with_network_edit(documents, [](JsonArray& hosts,
+                                                                      JsonArray& links) {
+    const std::string from = links[0].as_array()[0].as_string();
+    const std::string to = links[0].as_array()[1].as_string();
+    // The first host that is neither end and not yet linked to `from`.
+    for (const support::Json& host : hosts) {
+      const std::string& name = host.as_object().at("name").as_string();
+      const bool linked = std::any_of(links.begin(), links.end(), [&](const support::Json& link) {
+        const JsonArray& ends = link.as_array();
+        return (ends[0].as_string() == from && ends[1].as_string() == name) ||
+               (ends[0].as_string() == name && ends[1].as_string() == from);
+      });
+      if (name != from && name != to && !linked) {
+        links[0].as_array()[1] = support::Json(name);
+        return;
+      }
+    }
+    FAIL() << "no free endpoint";
+  }));
+  edits.emplace_back("key order", with_network_edit(documents, [](JsonArray& hosts, JsonArray&) {
+    support::JsonObject swapped;
+    swapped.set("services", hosts[0].as_object().at("services"));
+    swapped.set("name", hosts[0].as_object().at("name"));
+    hosts[0] = support::Json(std::move(swapped));
+  }));
+  for (const auto& [what, edited] : edits) {
+    ASSERT_NE(edited.network.dump(), documents.network.dump()) << what;
+    EXPECT_FALSE(std::get<OptimizeResponse>(session.execute(optimize_request(edited))).cached)
+        << what;
+  }
+  const StatusResponse status = session.status();
+  EXPECT_EQ(status.solve_cache.executed, 1 + edits.size());
+  EXPECT_EQ(status.solve_cache.hits, 1u);
+  EXPECT_EQ(status.requests_failed, 0u);
 }
 
 TEST(Session, SolveCacheEvictsTheLeastRecentlyUsedReply) {

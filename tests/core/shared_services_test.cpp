@@ -205,6 +205,64 @@ TEST(SharedServicesPin, AProductNoHostMayRunChangesNoPin) {
   EXPECT_EQ(row(a), row(b));
 }
 
+/// The bits of effective_richness per service, then of
+/// normalized_effective_richness.
+std::array<std::uint64_t, 4> richness_bits(const Assignment& assignment) {
+  std::array<std::uint64_t, 4> out{};
+  for (ServiceId s = 0; s < 3; ++s) out[s] = bits(effective_richness(assignment, s));
+  out[3] = bits(normalized_effective_richness(assignment));
+  return out;
+}
+
+std::string richness_row(const std::array<std::uint64_t, 4>& b) {
+  std::ostringstream out;
+  out << "{" << b[0] << "ull, " << b[1] << "ull, " << b[2] << "ull, " << b[3] << "ull}";
+  return out.str();
+}
+
+TEST(SharedServicesPin, RichnessMatchesRecordedBits) {
+  // Entropies are summed in product-name order; these bits were recorded
+  // while the counts were still kept in a map keyed by product name.
+  const IrregularFixture base(/*unused_product=*/false);
+  const auto actual = richness_bits(*base.assignment);
+  EXPECT_EQ(richness_row(actual),
+            richness_row({4617070044720782236ull, 4611190089128881104ull, 4613262378233288679ull,
+                          4606585994413063133ull}));
+
+  // An unused OS product changes no per-service richness; the normalised
+  // value divides the OS term by six products instead of five.
+  const IrregularFixture widened(/*unused_product=*/true);
+  const auto widened_bits = richness_bits(*widened.assignment);
+  EXPECT_EQ(richness_row(widened_bits),
+            richness_row({4617070044720782236ull, 4611190089128881104ull, 4613262378233288679ull,
+                          4606107414298094748ull}));
+
+  // A service some host runs with no slot assigned counts as richness 0;
+  // a service no host runs is left out of the average.
+  ProductCatalog catalog;
+  const ServiceId os = catalog.add_service("OS");
+  const ServiceId db = catalog.add_service("DB");
+  const ServiceId unrun = catalog.add_service("Unrun");
+  (void)catalog.add_product(unrun, "idle");
+  std::vector<ProductId> os_products;
+  for (const char* name : {"zeta", "alpha", "mu"}) {
+    os_products.push_back(catalog.add_product(os, name));
+  }
+  const ProductId db_product = catalog.add_product(db, "only");
+  Network network(catalog);
+  for (std::size_t h = 0; h < 7; ++h) {
+    const HostId host = network.add_host(std::string("h").append(std::to_string(h)));
+    network.add_service(host, db, {db_product});
+    network.add_service(host, os, os_products);
+  }
+  Assignment assignment(network);
+  for (HostId host = 0; host < 7; ++host) assignment.assign(host, os, os_products[host % 3]);
+  EXPECT_EQ(bits(effective_richness(assignment, db)), bits(0.0));
+  EXPECT_EQ(bits(effective_richness(assignment, unrun)), bits(0.0));
+  EXPECT_EQ(bits(effective_richness(assignment, os)), 4613806568533527902ull);
+  EXPECT_EQ(bits(normalized_effective_richness(assignment)), 4602503819562586579ull);
+}
+
 TEST(SharedServices, WalksUsSlotOrderAndRejectsUnknownHosts) {
   const IrregularFixture f(/*unused_product=*/false);
   const SharedServices shared(*f.assignment);

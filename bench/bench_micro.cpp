@@ -1,17 +1,22 @@
 // M1 — google-benchmark micro-benchmarks of the library's hot kernels:
 // Jaccard set intersection, TRW-S and ICM sweeps, exact and sampled
-// reliability, the worm simulator tick loop, and JSON feed parsing.
+// reliability, the worm simulator tick loop, JSON feed parsing, and the
+// steps of a warm daemon optimize.
 #include <benchmark/benchmark.h>
 
+#include "api/requests.hpp"
+#include "api/session.hpp"
 #include "bayes/metric.hpp"
 #include "bayes/reliability.hpp"
 #include "bench_util.hpp"
 #include "core/optimizer.hpp"
+#include "core/serialization.hpp"
 #include "mrf/compiled.hpp"
 #include "mrf/icm.hpp"
 #include "mrf/trws.hpp"
 #include "nvd/paper_tables.hpp"
 #include "runner/batch_runner.hpp"
+#include "runner/workload.hpp"
 #include "sim/compiled.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
@@ -316,6 +321,67 @@ void BM_JsonParseFeed(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_JsonParseFeed);
+
+/// The text of one warm daemon optimize at daemon_loop's shape: 1000
+/// hosts of average degree 6, 5 services of 4 products, TRW-S capped at
+/// 50 iterations (about 380 KB).
+const std::string& warm_frame() {
+  static const std::string text = [] {
+    runner::WorkloadParams params;
+    params.hosts = 1000;
+    params.average_degree = 6.0;
+    params.services = 5;
+    params.products_per_service = 4;
+    params.seed = 101;
+    const runner::WorkloadInstance workload = runner::make_workload(params);
+    api::OptimizeRequest request;
+    request.catalog = core::catalog_to_json(*workload.catalog);
+    request.network = core::network_to_json(*workload.network);
+    request.solver = "trws";
+    request.max_iterations = 50;
+    return api::request_to_wire(request).dump();
+  }();
+  return text;
+}
+
+void BM_JsonParseWarmFrame(benchmark::State& state) {
+  const std::string& text = warm_frame();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(support::Json::parse(text));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_JsonParseWarmFrame);
+
+void BM_JsonDumpWarmFrame(benchmark::State& state) {
+  const support::Json envelope = support::Json::parse(warm_frame());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(envelope.dump());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(warm_frame().size()));
+}
+BENCHMARK(BM_JsonDumpWarmFrame);
+
+/// A warm optimize after its parse: decode the envelope, hit the session's
+/// solve cache, encode the reply and write its text.  Each iteration
+/// decodes its own copy of the envelope, made with the timer paused.
+void BM_WarmOptimizeHit(benchmark::State& state) {
+  const support::Json envelope = support::Json::parse(warm_frame());
+  api::SessionOptions options;
+  options.max_concurrent = 1;
+  api::Session session(options);
+  (void)session.execute(api::request_from_wire(envelope));  // the cold solve
+  for (auto _ : state) {
+    state.PauseTiming();
+    support::Json copy = envelope;
+    state.ResumeTiming();
+    const api::Request request = api::request_from_wire(std::move(copy));
+    benchmark::DoNotOptimize(api::response_to_wire(session.execute(request)).dump());
+  }
+}
+BENCHMARK(BM_WarmOptimizeHit)->Unit(benchmark::kMillisecond);
 
 void BM_Rng(benchmark::State& state) {
   support::Rng rng(1);

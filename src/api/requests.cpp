@@ -212,10 +212,14 @@ void check(const SimilarityRequest& request) {
 void check(const auto&) {}
 
 // ---------------------------------------------------------------------------
-// Value codecs, one overload per member type.
+// Value codecs, one overload per member type.  The encoder hands each
+// member over as an rvalue when the value it encodes is its own to give
+// up (response_to_wire), so documents and strings move; a const member
+// binds as an lvalue and is copied.  The decoder likewise moves documents
+// out of the envelope it was given.
 
-support::Json to_json(const support::Json& value) { return value; }
-support::Json to_json(const std::string& value) { return support::Json(value); }
+support::Json to_json(support::Json value) { return value; }
+support::Json to_json(std::string value) { return support::Json(std::move(value)); }
 support::Json to_json(std::int64_t value) { return support::Json(value); }
 support::Json to_json(std::size_t value) { return support::Json(value); }
 support::Json to_json(bool value) { return support::Json(value); }
@@ -231,7 +235,7 @@ support::Json to_json(const std::vector<std::string>& values) {
 support::Json to_json(const runner::StageCounters& value) { return value.to_json(); }
 support::Json to_json(const runner::StageStats& value) { return value.to_json(); }
 
-void from_json(const support::Json& json, support::Json& value) { value = json; }
+void from_json(support::Json& json, support::Json& value) { value = std::move(json); }
 void from_json(const support::Json& json, std::string& value) { value = json.as_string(); }
 void from_json(const support::Json& json, std::int64_t& value) { value = json.as_integer(); }
 void from_json(const support::Json& json, std::size_t& value) {
@@ -264,20 +268,21 @@ support::Json encode(List&& list);
 
 template <typename T>
 void put(support::JsonObject& object, const Field<T>& field) {
-  object.set(std::string(field.key), to_json(field.value));
+  object.set(std::string(field.key), to_json(std::move(field.value)));
 }
 
 template <typename T>
 void put(support::JsonObject& object, const OmitDefault<T>& field) {
   if (field.value != std::remove_const_t<T>{}) {
-    object.set(std::string(field.key), to_json(field.value));
+    object.set(std::string(field.key), to_json(std::move(field.value)));
   }
 }
 
 template <typename T>
 void put(support::JsonObject& object, const Records<T>& field) {
   support::JsonArray array;
-  for (const auto& value : field.values) array.push_back(encode(list_of(value)));
+  array.reserve(field.values.size());
+  for (auto& value : field.values) array.push_back(encode(list_of(value)));
   object.set(std::string(field.key), support::Json(std::move(array)));
 }
 
@@ -308,11 +313,11 @@ support::Json encode(List&& list) {
 // ignore them.
 
 struct Reader {
-  const support::JsonObject& object;
+  support::JsonObject& object;
   std::string_view context;
 
-  [[nodiscard]] const support::Json& required(std::string_view key) const {
-    const support::Json* value = object.find(key);
+  [[nodiscard]] support::Json& required(std::string_view key) const {
+    support::Json* value = object.find(key);
     if (value == nullptr) {
       throw InvalidArgument(std::string("missing required \"")
                                 .append(key)
@@ -350,7 +355,7 @@ void take(const Reader& in, const OmitDefault<T>& field) {
 template <typename T>
 void take(const Reader& in, const Records<T>& field) {
   field.values.clear();
-  for (const support::Json& item : in.required(field.key).as_array()) {
+  for (support::Json& item : in.required(field.key).as_array()) {
     decode(Reader{item.as_object(), field.key}, list_of(field.values.emplace_back()));
   }
 }
@@ -422,9 +427,9 @@ support::Json request_to_wire(const Request& request) {
   return support::Json(std::move(object));
 }
 
-Request request_from_wire(const support::Json& wire) {
+Request request_from_wire(support::Json wire) {
   if (!wire.is_object()) throw InvalidArgument("request must be a JSON object");
-  const support::JsonObject& object = wire.as_object();
+  support::JsonObject& object = wire.as_object();
   check_protocol(object);
   const std::string& name = Reader{object, "request envelope"}.required("request").as_string();
   const std::size_t index = name_index(name);
@@ -440,13 +445,12 @@ std::string_view response_name(const Response& response) noexcept {
   return kNames[response.index()];
 }
 
-support::Json response_to_wire(const Response& response) {
+support::Json response_to_wire(Response response) {
   support::JsonObject object;
   object.set("icsdivd", kProtocolVersion);
   object.set("status", support::Json(status_code_name(StatusCode::Ok)));
   object.set("response", support::Json(response_name(response)));
-  object.set("result", std::visit([](const auto& typed) { return encode(list_of(typed)); },
-                                  response));
+  object.set("result", std::visit([](auto& typed) { return encode(list_of(typed)); }, response));
   return support::Json(std::move(object));
 }
 
@@ -458,16 +462,16 @@ support::Json error_to_wire(const ErrorBody& body) {
   return support::Json(std::move(object));
 }
 
-Response response_from_wire(const support::Json& wire) {
+Response response_from_wire(support::Json wire) {
   ErrorBody error;
   try {
     if (!wire.is_object()) throw ParseError("response must be a JSON object");
-    const support::JsonObject& object = wire.as_object();
+    support::JsonObject& object = wire.as_object();
     check_protocol(object);
     const Reader envelope{object, "response envelope"};
     if (envelope.required("status").as_string() == status_code_name(StatusCode::Ok)) {
       const std::string& name = envelope.required("response").as_string();
-      const support::JsonObject& result = envelope.required("result").as_object();
+      support::JsonObject& result = envelope.required("result").as_object();
       const std::size_t index = name_index(name);
       if (index == kNames.size()) throw ParseError("unknown response: " + name);
       return make_alternative<Response>(index, [&result, &name](auto& response) {

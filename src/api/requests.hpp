@@ -131,9 +131,11 @@ using Request = std::variant<OptimizeRequest, EvaluateRequest, ReportRequest, Si
 /// Full wire envelope, {"icsdivd": 1, "request": name, ...fields}.
 [[nodiscard]] support::Json request_to_wire(const Request& request);
 
-/// Parses a wire envelope.  Throws InvalidArgument on unknown request
-/// names, unknown keys, missing fields, or a protocol version mismatch.
-[[nodiscard]] Request request_from_wire(const support::Json& wire);
+/// Parses a wire envelope.  The documents move from the envelope into the
+/// request, so pass a temporary; an lvalue is copied at the call.  Throws
+/// InvalidArgument on unknown request names, unknown keys, missing fields,
+/// or a protocol version mismatch.
+[[nodiscard]] Request request_from_wire(support::Json wire);
 
 // ---------------------------------------------------------------------------
 // Responses.  `cached` reports whether the session served the result from
@@ -249,14 +251,16 @@ using Response = std::variant<OptimizeResponse, EvaluateResponse, ReportResponse
 [[nodiscard]] std::string_view response_name(const Response& response) noexcept;
 
 /// Success envelope, {"icsdivd": 1, "status": "ok", "response": name,
-/// "result": {...}}.
-[[nodiscard]] support::Json response_to_wire(const Response& response);
+/// "result": {...}}.  The reply's documents move into the envelope; an
+/// lvalue argument is copied at the call.
+[[nodiscard]] support::Json response_to_wire(Response response);
 
 /// Failure envelope, {"icsdivd": 1, "status": code, "error": body}.
 [[nodiscard]] support::Json error_to_wire(const ErrorBody& body);
 
-/// Parses a response envelope; an error envelope rethrows the error it
+/// Parses a response envelope, moving its documents into the reply as
+/// request_from_wire does; an error envelope rethrows the error it
 /// describes (throw_error_body), a malformed one throws ParseError.
-[[nodiscard]] Response response_from_wire(const support::Json& wire);
+[[nodiscard]] Response response_from_wire(support::Json wire);
 
 }  // namespace icsdiv::api

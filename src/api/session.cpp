@@ -1,8 +1,10 @@
 #include "api/session.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <exception>
 #include <sstream>
 #include <string_view>
@@ -127,7 +129,8 @@ constexpr std::size_t kBatchCacheCapacity = 8;
 // Cache keys.  Domain constants separate the key spaces: the model key,
 // which solve and eval keys chain, and the three caches' own keys.
 // Within one, keys hash the exact request documents the computation
-// depends on.
+// depends on.  The keys live only in this process, so how a document is
+// hashed may change between builds.
 
 enum class CacheDomain : std::uint64_t { Model = 101, Solve = 102, Eval = 103, Batch = 104 };
 
@@ -140,9 +143,120 @@ runner::KeyHasher domain_hasher(CacheDomain domain) {
   return hasher;
 }
 
+/// One document's structure as a byte stream, fed to a KeyHasher eight
+/// bytes at a time by one walk over the DOM, with no text written.  Each
+/// value is a tag byte, then a string's length and bytes, an array's length
+/// and elements, an object's length and its keys (tagged strings) each
+/// followed by its value, or a number's eight bytes.  The lengths make the
+/// stream self-delimiting, so two documents mix alike exactly when they are
+/// equal values with their keys in the same order; whitespace never reaches
+/// the DOM.  The stream's length is mixed last.
+class DocumentMixer {
+ public:
+  explicit DocumentMixer(runner::KeyHasher& hasher) : hasher_(hasher) {}
+
+  void finish() {
+    const std::size_t total = mixed_ + used_;
+    flush();
+    if (used_ > 0) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, buffer_.data(), used_);
+      hasher_.mix(word);
+    }
+    hasher_.mix(static_cast<std::uint64_t>(total));
+  }
+
+  void value(const support::Json& json) {
+    using Type = support::Json::Type;
+    switch (json.type()) {
+      case Type::Null: header(kNull); break;
+      case Type::Boolean: header(json.as_boolean() ? kTrue : kFalse); break;
+      case Type::Integer: number(kInteger, json.as_integer()); break;
+      case Type::Double: number(kDouble, json.as_double()); break;
+      case Type::String: text(kString, json.as_string()); break;
+      case Type::Array: {
+        const support::JsonArray& array = json.as_array();
+        header(kArray, array.size());
+        for (const support::Json& element : array) value(element);
+        break;
+      }
+      case Type::Object: {
+        const support::JsonObject& object = json.as_object();
+        header(kObject, object.size());
+        for (const auto& [key, member] : object) {
+          text(kKey, key);
+          value(member);
+        }
+        break;
+      }
+    }
+  }
+
+ private:
+  enum Tag : unsigned char { kNull, kFalse, kTrue, kInteger, kDouble, kString, kArray, kObject, kKey };
+
+  static constexpr std::size_t kBuffer = 4096;
+
+  /// A tag byte, then `size` seven bits a byte, low bits first, the high
+  /// bit set on every byte but the last.
+  void header(Tag tag, std::size_t size = 0) {
+    if (kBuffer - used_ < 11) flush();
+    buffer_[used_++] = tag;
+    while (size > 0x7f) {
+      buffer_[used_++] = static_cast<unsigned char>(size | 0x80);
+      size >>= 7;
+    }
+    buffer_[used_++] = static_cast<unsigned char>(size);
+  }
+
+  template <typename Number>
+  void number(Tag tag, Number n) {
+    static_assert(sizeof n == 8);
+    if (kBuffer - used_ < 9) flush();
+    buffer_[used_++] = tag;
+    std::memcpy(buffer_.data() + used_, &n, 8);
+    used_ += 8;
+  }
+
+  void text(Tag tag, const std::string& bytes) {
+    header(tag, bytes.size());
+    const char* from = bytes.data();
+    std::size_t size = bytes.size();
+    while (size > kBuffer - used_) {
+      const std::size_t room = kBuffer - used_;
+      std::memcpy(buffer_.data() + used_, from, room);
+      used_ += room;
+      from += room;
+      size -= room;
+      flush();
+    }
+    std::memcpy(buffer_.data() + used_, from, size);
+    used_ += size;
+  }
+
+  /// Mixes the buffer's whole words and keeps the rest.
+  void flush() {
+    const std::size_t whole = used_ & ~std::size_t{7};
+    for (std::size_t offset = 0; offset < whole; offset += 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, buffer_.data() + offset, sizeof word);
+      hasher_.mix(word);
+    }
+    std::memmove(buffer_.data(), buffer_.data() + whole, used_ - whole);
+    mixed_ += whole;
+    used_ -= whole;
+  }
+
+  runner::KeyHasher& hasher_;
+  std::array<unsigned char, kBuffer> buffer_{};
+  std::size_t used_ = 0;
+  std::size_t mixed_ = 0;
+};
+
 void mix_json(runner::KeyHasher& hasher, const support::Json& json) {
-  const std::string dump = json.dump();
-  hasher.mix(dump);
+  DocumentMixer mixer(hasher);
+  mixer.value(json);
+  mixer.finish();
 }
 
 runner::ArtifactKey model_key(const support::Json& catalog, const support::Json& network) {

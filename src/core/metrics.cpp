@@ -1,6 +1,8 @@
 #include "core/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace icsdiv::core {
 
@@ -81,47 +83,93 @@ double identical_neighbor_ratio(const Assignment& assignment) {
              : static_cast<double>(links_with_identical) / static_cast<double>(links_considered);
 }
 
-std::map<std::string, std::size_t> product_histogram(const Assignment& assignment,
-                                                     ServiceId service) {
+namespace {
+
+/// How many hosts run each product of each service, indexed like
+/// catalog.products_of(service), from one pass over the slots.  A service
+/// no host runs, or one with no products, gets no counts.
+std::vector<std::vector<std::size_t>> product_counts(const Assignment& assignment) {
   const Network& network = assignment.network();
   const ProductCatalog& catalog = network.catalog();
-  std::map<std::string, std::size_t> histogram;
-  for (HostId host = 0; host < network.host_count(); ++host) {
-    if (!network.host_runs(host, service)) continue;
-    if (const auto product = assignment.product_of(host, service)) {
-      histogram[catalog.product(*product).name] += 1;
+  std::vector<std::uint32_t> position(catalog.product_count());
+  for (ServiceId service = 0; service < catalog.service_count(); ++service) {
+    const std::vector<ProductId>& products = catalog.products_of(service);
+    for (std::size_t i = 0; i < products.size(); ++i) {
+      position[products[i]] = static_cast<std::uint32_t>(i);
     }
   }
-  return histogram;
+  std::vector<std::vector<std::size_t>> counts(catalog.service_count());
+  for (HostId host = 0; host < network.host_count(); ++host) {
+    for (const ServiceInstance& instance : network.services_of(host)) {
+      std::vector<std::size_t>& service_counts = counts[instance.service];
+      if (service_counts.empty()) {
+        service_counts.assign(catalog.products_of(instance.service).size(), 0);
+      }
+    }
+  }
+  assignment.for_each_assigned([&](HostId, ServiceId service, ProductId product) {
+    ++counts[service][position[product]];
+  });
+  return counts;
 }
 
-double effective_richness(const Assignment& assignment, ServiceId service) {
-  const auto histogram = product_histogram(assignment, service);
+/// Positions into catalog.products_of(service), in product-name order: the
+/// order a name-keyed histogram visits them.
+std::vector<std::size_t> name_order(const ProductCatalog& catalog, ServiceId service) {
+  const std::vector<ProductId>& products = catalog.products_of(service);
+  std::vector<std::size_t> order(products.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return catalog.product(products[a]).name < catalog.product(products[b]).name;
+  });
+  return order;
+}
+
+/// exp(−Σ p_i ln p_i) over one service's counts.  The terms are summed in
+/// product-name order, so every bit matches a sum over a name-keyed map.
+double richness_of(const ProductCatalog& catalog, ServiceId service,
+                   const std::vector<std::size_t>& counts) {
+  if (counts.empty()) return 0.0;
+  const std::vector<std::size_t> order = name_order(catalog, service);
   double total = 0.0;
-  for (const auto& [name, count] : histogram) total += static_cast<double>(count);
+  for (const std::size_t i : order) total += static_cast<double>(counts[i]);
   if (total == 0.0) return 0.0;
   double entropy = 0.0;
-  for (const auto& [name, count] : histogram) {
-    const double p = static_cast<double>(count) / total;
+  for (const std::size_t i : order) {
+    if (counts[i] == 0) continue;
+    const double p = static_cast<double>(counts[i]) / total;
     entropy -= p * std::log(p);
   }
   return std::exp(entropy);
 }
 
+}  // namespace
+
+std::map<std::string, std::size_t> product_histogram(const Assignment& assignment,
+                                                     ServiceId service) {
+  const ProductCatalog& catalog = assignment.network().catalog();
+  const std::vector<std::vector<std::size_t>> all = product_counts(assignment);
+  const std::vector<std::size_t>& counts = all[service];
+  std::map<std::string, std::size_t> histogram;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] > 0) histogram[catalog.product(catalog.products_of(service)[i]).name] = counts[i];
+  }
+  return histogram;
+}
+
+double effective_richness(const Assignment& assignment, ServiceId service) {
+  return richness_of(assignment.network().catalog(), service, product_counts(assignment)[service]);
+}
+
 double normalized_effective_richness(const Assignment& assignment) {
-  const Network& network = assignment.network();
-  const ProductCatalog& catalog = network.catalog();
+  const ProductCatalog& catalog = assignment.network().catalog();
+  const std::vector<std::vector<std::size_t>> counts = product_counts(assignment);
   double sum = 0.0;
   std::size_t services_seen = 0;
   for (ServiceId service = 0; service < catalog.service_count(); ++service) {
-    const auto& available = catalog.products_of(service);
-    if (available.empty()) continue;
-    bool in_use = false;
-    for (HostId host = 0; host < network.host_count() && !in_use; ++host) {
-      in_use = network.host_runs(host, service);
-    }
-    if (!in_use) continue;
-    sum += effective_richness(assignment, service) / static_cast<double>(available.size());
+    if (counts[service].empty()) continue;
+    sum += richness_of(catalog, service, counts[service]) /
+           static_cast<double>(counts[service].size());
     ++services_seen;
   }
   return services_seen == 0 ? 0.0 : sum / static_cast<double>(services_seen);

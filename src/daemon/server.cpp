@@ -148,17 +148,21 @@ struct Server::Impl {
           return;
         }
         if (!payload) break;
-        if (!serve_frame(connection, *payload)) return;
+        if (!serve_frame(connection, std::move(*payload))) return;
       }
     }
   }
 
   /// Executes one framed request; returns false when the reply cannot be
-  /// written (peer vanished) and the connection should close.
-  bool serve_frame(Connection& connection, const std::string& payload) {
+  /// written (peer vanished) and the connection should close.  Each form
+  /// of the request lives once: the text until it is parsed, the envelope
+  /// until its documents move into the request, and the reply likewise.
+  bool serve_frame(Connection& connection, std::string payload) {
     support::Json reply;
     try {
-      const api::Request request = api::request_from_wire(support::Json::parse(payload));
+      support::Json envelope = support::Json::parse(payload);
+      payload = std::string();
+      const api::Request request = api::request_from_wire(std::move(envelope));
       reply = api::response_to_wire(session_.execute(request));
     } catch (const std::exception& error) {
       reply = api::error_to_wire(api::make_error_body(error));

@@ -1,10 +1,10 @@
 #include "support/json.hpp"
 
 #include <array>
-#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstddef>
+#include <iterator>
 #include <type_traits>
 
 namespace icsdiv::support {
@@ -50,9 +50,17 @@ void JsonObject::set(std::string key, Json value) {
     index_->insert(position, entry_key());
   } else if (entries_.size() > kIndexThreshold) {
     auto index = std::make_unique<NameIndex>();
+    // Sized for the room reserve() made, so a parsed object's index is
+    // built once.
+    index->reserve(entries_.capacity(), entry_key());
     for (std::uint32_t i = 0; i <= position; ++i) index->insert(i, entry_key());
     index_ = std::move(index);
   }
+}
+
+void JsonObject::reserve(std::size_t count) {
+  entries_.reserve(count);
+  if (index_) index_->reserve(count, entry_key());
 }
 
 bool JsonObject::contains(std::string_view key) const noexcept { return find(key) != nullptr; }
@@ -63,6 +71,11 @@ const Json& JsonObject::at(std::string_view key) const {
 }
 
 const Json* JsonObject::find(std::string_view key) const noexcept {
+  const std::uint32_t found = position_of(key);
+  return found == NameIndex::kAbsent ? nullptr : &entries_[found].second;
+}
+
+Json* JsonObject::find(std::string_view key) noexcept {
   const std::uint32_t found = position_of(key);
   return found == NameIndex::kAbsent ? nullptr : &entries_[found].second;
 }
@@ -137,25 +150,31 @@ JsonObject& Json::as_object() {
 
 void Json::write_string(std::string& out, std::string_view s) {
   out.push_back('"');
-  for (char c : s) {
+  // Bytes that need no escape are appended a run at a time; UTF-8 passes
+  // through verbatim.
+  const char* run = s.data();
+  const char* const end = run + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const auto c = static_cast<unsigned char>(*p);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(run, p);
+    run = p + 1;
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::array<char, 8> buf{};
-          std::snprintf(buf.data(), buf.size(), "\\u%04x", c);
-          out += buf.data();
-        } else {
-          out.push_back(c);  // UTF-8 bytes pass through verbatim
-        }
+      case '"': out.append("\\\""); break;
+      case '\\': out.append("\\\\"); break;
+      case '\b': out.append("\\b"); break;
+      case '\f': out.append("\\f"); break;
+      case '\n': out.append("\\n"); break;
+      case '\r': out.append("\\r"); break;
+      case '\t': out.append("\\t"); break;
+      default: {
+        constexpr std::string_view kHex = "0123456789abcdef";
+        const std::array<char, 6> escape{'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(escape.data(), escape.size());
+      }
     }
   }
+  out.append(run, end);
   out.push_back('"');
 }
 
@@ -168,7 +187,14 @@ void Json::write(std::string& out, int indent, int depth) const {
   switch (type()) {
     case Type::Null: out += "null"; break;
     case Type::Boolean: out += (std::get<bool>(value_) ? "true" : "false"); break;
-    case Type::Integer: out += std::to_string(std::get<std::int64_t>(value_)); break;
+    case Type::Integer: {
+      std::array<char, 24> buf{};
+      const auto [ptr, ec] =
+          std::to_chars(buf.data(), buf.data() + buf.size(), std::get<std::int64_t>(value_));
+      ensure(ec == std::errc(), "Json::write", "to_chars failed");
+      out.append(buf.data(), ptr);
+      break;
+    }
     case Type::Double: {
       const double d = std::get<double>(value_);
       if (!std::isfinite(d)) throw InvalidArgument("Json::dump: non-finite number");
@@ -234,157 +260,219 @@ std::string Json::dump_pretty() const {
 
 // ---------------------------------------------------------------------------
 // Parser
+//
+// One loop over the text, with no recursion: the values of every open array
+// and object wait on a scratch stack, the keys of open objects on another,
+// and a container is built once its closing bracket arrives, at its final
+// size.  Only the read position is tracked; fail() works out the line and
+// column from it.
 
 namespace {
 
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit Parser(std::string_view text)
+      : begin_(text.data()), p_(text.data()), end_(text.data() + text.size()) {}
 
   Json parse_document() {
     skip_whitespace();
     Json value = parse_value();
     skip_whitespace();
-    if (pos_ != text_.size()) fail("trailing characters after JSON document");
+    if (p_ != end_) fail("trailing characters after JSON document");
     return value;
   }
 
  private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-  std::size_t line_start_ = 0;
+  /// An array or object whose closing bracket has not arrived yet.
+  struct Open {
+    bool object;
+    std::size_t first_value;  ///< its first element's place in values_
+    std::size_t first_key;    ///< an object's first key's place in keys_
+  };
 
-  [[noreturn]] void fail(const std::string& message) const {
-    throw ParseError("JSON: " + message, line_, pos_ - line_start_ + 1);
+  const char* begin_;
+  const char* p_;
+  const char* end_;
+  std::vector<Json> values_;
+  std::vector<std::string> keys_;
+  std::vector<Open> open_;
+
+  [[noreturn]] void fail(std::string_view message) const {
+    std::size_t line = 1;
+    const char* line_start = begin_;
+    for (const char* c = begin_; c != p_; ++c) {
+      if (*c == '\n') {
+        ++line;
+        line_start = c + 1;
+      }
+    }
+    throw ParseError(std::string("JSON: ").append(message), line,
+                     static_cast<std::size_t>(p_ - line_start) + 1);
   }
-
-  [[nodiscard]] bool eof() const noexcept { return pos_ >= text_.size(); }
 
   [[nodiscard]] char peek() const {
-    if (eof()) fail("unexpected end of input");
-    return text_[pos_];
+    if (p_ == end_) fail("unexpected end of input");
+    return *p_;
   }
 
-  char advance() {
-    char c = peek();
-    ++pos_;
-    if (c == '\n') {
-      ++line_;
-      line_start_ = pos_;
-    }
+  char next() {
+    const char c = peek();
+    ++p_;
     return c;
   }
 
-  void expect(char c) {
-    if (advance() != c) fail(std::string("expected '") + c + "'");
-  }
+  [[nodiscard]] static bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
 
-  void skip_whitespace() {
-    while (!eof()) {
-      char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        advance();
-      } else {
-        break;
-      }
-    }
+  void skip_whitespace() noexcept {
+    while (p_ != end_ && (*p_ == ' ' || *p_ == '\n' || *p_ == '\t' || *p_ == '\r')) ++p_;
   }
 
   Json parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Json(parse_string());
-      case 't': parse_literal("true"); return Json(true);
-      case 'f': parse_literal("false"); return Json(false);
-      case 'n': parse_literal("null"); return Json(nullptr);
-      default: return parse_number();
+    while (true) {
+      const char c = peek();
+      if (c == '[' || c == '{') {
+        if (open_.size() == Json::kMaxDepth) {
+          fail(std::string("nesting deeper than ")
+                   .append(std::to_string(Json::kMaxDepth))
+                   .append(" levels"));
+        }
+        const bool object = c == '{';
+        ++p_;
+        skip_whitespace();
+        if (peek() != (object ? '}' : ']')) {
+          open_.push_back(Open{object, values_.size(), keys_.size()});
+          if (object) parse_key();
+          continue;  // to the first element
+        }
+        ++p_;
+        if (object) {
+          values_.emplace_back(JsonObject());
+        } else {
+          values_.emplace_back(JsonArray());
+        }
+      } else {
+        push_scalar(c);
+      }
+      // The value on top of values_ is complete.  It is the document, or
+      // an element of the innermost open container, whose closing bracket
+      // may complete the next one out.
+      while (true) {
+        if (open_.empty()) {
+          Json document = std::move(values_.back());
+          values_.pop_back();
+          return document;
+        }
+        const Open& top = open_.back();
+        skip_whitespace();
+        const char after = next();
+        if (after == ',') {
+          skip_whitespace();
+          if (top.object) parse_key();
+          break;  // to the next element
+        }
+        if (top.object) {
+          if (after != '}') fail("expected ',' or '}' in object");
+          close_object(top);
+        } else {
+          if (after != ']') fail("expected ',' or ']' in array");
+          close_array(top);
+        }
+        open_.pop_back();
+      }
     }
+  }
+
+  /// Scalars are built in place on the stack: a move into it would cost a
+  /// variant dispatch per value.
+  void push_scalar(char c) {
+    switch (c) {
+      case '"': values_.emplace_back(parse_string()); break;
+      case 't':
+        parse_literal("true");
+        values_.emplace_back(true);
+        break;
+      case 'f':
+        parse_literal("false");
+        values_.emplace_back(false);
+        break;
+      case 'n':
+        parse_literal("null");
+        values_.emplace_back(nullptr);
+        break;
+      default: values_.push_back(parse_number());
+    }
+  }
+
+  /// An object's key and its colon, leaving the position at the value.
+  void parse_key() {
+    if (peek() != '"') fail("expected object key string");
+    keys_.push_back(parse_string());
+    skip_whitespace();
+    if (next() != ':') fail("expected ':'");
+    skip_whitespace();
+  }
+
+  void close_array(const Open& open) {
+    const auto first = values_.begin() + static_cast<std::ptrdiff_t>(open.first_value);
+    JsonArray array(std::make_move_iterator(first), std::make_move_iterator(values_.end()));
+    values_.resize(open.first_value);
+    values_.emplace_back(std::move(array));
+  }
+
+  void close_object(const Open& open) {
+    JsonObject object;
+    object.reserve(keys_.size() - open.first_key);
+    for (std::size_t i = 0; open.first_key + i < keys_.size(); ++i) {
+      object.set(std::move(keys_[open.first_key + i]), std::move(values_[open.first_value + i]));
+    }
+    keys_.resize(open.first_key);
+    values_.resize(open.first_value);
+    values_.emplace_back(std::move(object));
   }
 
   void parse_literal(std::string_view literal) {
-    for (char c : literal) {
-      if (eof() || advance() != c) fail("invalid literal");
+    for (const char c : literal) {
+      if (p_ == end_ || *p_++ != c) fail("invalid literal");
     }
   }
 
-  Json parse_object() {
-    expect('{');
-    JsonObject object;
-    skip_whitespace();
-    if (peek() == '}') {
-      advance();
-      return Json(std::move(object));
-    }
-    while (true) {
-      skip_whitespace();
-      if (peek() != '"') fail("expected object key string");
-      std::string key = parse_string();
-      skip_whitespace();
-      expect(':');
-      skip_whitespace();
-      object.set(std::move(key), parse_value());
-      skip_whitespace();
-      char c = advance();
-      if (c == '}') break;
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
-    return Json(std::move(object));
-  }
-
-  Json parse_array() {
-    expect('[');
-    JsonArray array;
-    skip_whitespace();
-    if (peek() == ']') {
-      advance();
-      return Json(std::move(array));
-    }
-    while (true) {
-      skip_whitespace();
-      array.push_back(parse_value());
-      skip_whitespace();
-      char c = advance();
-      if (c == ']') break;
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
-    return Json(std::move(array));
+  [[nodiscard]] static bool plain(char c) noexcept {
+    return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
   }
 
   std::string parse_string() {
-    expect('"');
-    std::string out;
+    ++p_;  // the opening quote
+    const char* run = p_;
+    while (p_ != end_ && plain(*p_)) ++p_;
+    std::string out(run, p_);
     while (true) {
-      char c = advance();
-      if (c == '"') break;
-      if (c == '\\') {
-        char esc = advance();
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u': append_unicode_escape(out); break;
-          default: fail("invalid escape sequence");
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-      } else {
-        out.push_back(c);
+      // The scans stop only at a quote, a backslash, a control character
+      // or the end of the text.
+      const char c = next();
+      if (c == '"') return out;
+      if (c != '\\') fail("unescaped control character in string");
+      switch (next()) {
+        case '"': out.push_back('"'); break;
+        case '\\': out.push_back('\\'); break;
+        case '/': out.push_back('/'); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'n': out.push_back('\n'); break;
+        case 'r': out.push_back('\r'); break;
+        case 't': out.push_back('\t'); break;
+        case 'u': append_unicode_escape(out); break;
+        default: fail("invalid escape sequence");
       }
+      run = p_;
+      while (p_ != end_ && plain(*p_)) ++p_;
+      out.append(run, p_);
     }
-    return out;
   }
 
   unsigned parse_hex4() {
     unsigned value = 0;
     for (int i = 0; i < 4; ++i) {
-      char c = advance();
+      const char c = next();
       value <<= 4;
       if (c >= '0' && c <= '9') {
         value |= static_cast<unsigned>(c - '0');
@@ -402,8 +490,8 @@ class Parser {
   void append_unicode_escape(std::string& out) {
     unsigned code = parse_hex4();
     if (code >= 0xD800 && code <= 0xDBFF) {  // high surrogate: a low one must follow
-      if (advance() != '\\' || advance() != 'u') fail("unpaired surrogate");
-      unsigned low = parse_hex4();
+      if (next() != '\\' || next() != 'u') fail("unpaired surrogate");
+      const unsigned low = parse_hex4();
       if (low < 0xDC00 || low > 0xDFFF) fail("invalid low surrogate");
       code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
     } else if (code >= 0xDC00 && code <= 0xDFFF) {
@@ -430,41 +518,44 @@ class Parser {
     }
   }
 
+  void skip_digits() noexcept {
+    while (p_ != end_ && is_digit(*p_)) ++p_;
+  }
+
   Json parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') advance();
-    if (eof()) fail("truncated number");
-    if (peek() == '0') {
-      advance();
-    } else if (std::isdigit(static_cast<unsigned char>(peek()))) {
-      while (!eof() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) advance();
+    const char* const start = p_;
+    if (*p_ == '-') ++p_;
+    if (p_ == end_) fail("truncated number");
+    if (*p_ == '0') {
+      ++p_;
+    } else if (is_digit(*p_)) {
+      skip_digits();
     } else {
       fail("invalid number");
     }
     bool is_integer = true;
-    if (!eof() && text_[pos_] == '.') {
+    if (p_ != end_ && *p_ == '.') {
       is_integer = false;
-      advance();
-      if (eof() || !std::isdigit(static_cast<unsigned char>(peek()))) fail("invalid fraction");
-      while (!eof() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) advance();
+      ++p_;
+      if (p_ == end_ || !is_digit(*p_)) fail("invalid fraction");
+      skip_digits();
     }
-    if (!eof() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    if (p_ != end_ && (*p_ == 'e' || *p_ == 'E')) {
       is_integer = false;
-      advance();
-      if (!eof() && (text_[pos_] == '+' || text_[pos_] == '-')) advance();
-      if (eof() || !std::isdigit(static_cast<unsigned char>(peek()))) fail("invalid exponent");
-      while (!eof() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) advance();
+      ++p_;
+      if (p_ != end_ && (*p_ == '+' || *p_ == '-')) ++p_;
+      if (p_ == end_ || !is_digit(*p_)) fail("invalid exponent");
+      skip_digits();
     }
-    const std::string_view token = text_.substr(start, pos_ - start);
     if (is_integer) {
       std::int64_t value = 0;
-      auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
-      if (ec == std::errc() && ptr == token.data() + token.size()) return Json(value);
+      const auto [ptr, ec] = std::from_chars(start, p_, value);
+      if (ec == std::errc() && ptr == p_) return Json(value);
       // Fall through to double on overflow.
     }
     double value = 0.0;
-    auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
-    if (ec != std::errc() || ptr != token.data() + token.size()) fail("unparseable number");
+    const auto [ptr, ec] = std::from_chars(start, p_, value);
+    if (ec != std::errc() || ptr != p_) fail("unparseable number");
     return Json(value);
   }
 };

@@ -10,7 +10,8 @@
 // pairs), numbers (doubles and exact 64-bit integers), booleans, null.
 // Not supported (by design): comments, NaN/Infinity literals, duplicate-key
 // detection (a repeated key keeps its first position and takes the last
-// value, as with most parsers).
+// value, as with most parsers), and arrays and objects nested deeper than
+// Json::kMaxDepth.
 #pragma once
 
 #include <cstdint>
@@ -52,11 +53,16 @@ class JsonObject {
   /// Inserts `key`, or overwrites its value in place when present (the
   /// key keeps its first position).
   void set(std::string key, Json value);
+  /// Makes room for `count` keys, so that many set() calls allocate
+  /// nothing more.
+  void reserve(std::size_t count);
   [[nodiscard]] bool contains(std::string_view key) const noexcept;
   /// Throws NotFound if the key is absent.
   [[nodiscard]] const Json& at(std::string_view key) const;
   /// Returns nullptr if the key is absent.
   [[nodiscard]] const Json* find(std::string_view key) const noexcept;
+  /// As above, for a caller that takes the value apart or moves it out.
+  [[nodiscard]] Json* find(std::string_view key) noexcept;
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
@@ -81,6 +87,12 @@ using JsonArray = std::vector<Json>;
 class Json {
  public:
   enum class Type { Null, Boolean, Integer, Double, String, Array, Object };
+
+  /// parse() refuses arrays and objects nested deeper than this.  Reading,
+  /// writing, copying and destroying a value each recurse once per level,
+  /// so the limit is what keeps a hostile document from exhausting the
+  /// stack; real documents nest a handful of levels.
+  static constexpr std::size_t kMaxDepth = 512;
 
   Json() : value_(nullptr) {}
   Json(std::nullptr_t) : value_(nullptr) {}
@@ -120,7 +132,9 @@ class Json {
   /// Serialises with two-space indentation.
   [[nodiscard]] std::string dump_pretty() const;
 
-  /// Parses a complete JSON document; trailing garbage is an error.
+  /// Parses a complete JSON document; trailing garbage is an error, and so
+  /// is nesting past kMaxDepth.  Throws ParseError with the line and column
+  /// (in bytes, from 1) where reading stopped.
   static Json parse(std::string_view text);
 
  private:

@@ -137,6 +137,26 @@ TEST(DaemonServer, MalformedPayloadGetsErrorEnvelopeAndConnectionSurvives) {
   server.shutdown();
 }
 
+TEST(DaemonServer, DeeplyNestedFrameGetsParseErrorAndConnectionSurvives) {
+  const std::string socket_path = unique_socket_path("nested");
+  Server server(unix_options(socket_path));
+  server.start();
+
+  // 100,000 levels of '[' once overflowed the connection thread's stack.
+  Client client = Client::connect(server.endpoint());
+  const support::Json reply =
+      support::Json::parse(client.call_text(std::string(100000, '[')));
+  EXPECT_EQ(reply.as_object().at("status").as_string(), "parse_error");
+  EXPECT_EQ(reply.as_object().at("error").as_object().at("message").as_string(),
+            "JSON: nesting deeper than 512 levels (line 1, column 513)");
+
+  // The same connection serves the next request.
+  const auto remote = std::get<api::OptimizeResponse>(client.call(small_optimize_request()));
+  EXPECT_FALSE(remote.cached);
+  EXPECT_EQ(server.session().status().requests_failed, 0u);
+  server.shutdown();
+}
+
 TEST(DaemonServer, TcpEphemeralPortRoundTrip) {
   ServerOptions options;
   options.endpoint = support::Endpoint::parse("tcp:127.0.0.1:0");

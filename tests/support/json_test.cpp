@@ -373,6 +373,45 @@ TEST(JsonParse, EveryRefusalHasItsMessageLineAndColumn) {
   }
 }
 
+TEST(JsonParse, NestingStopsAtMaxDepth) {
+  constexpr std::size_t kLimit = Json::kMaxDepth;
+  static_assert(kLimit == 512);
+  const auto nested = [](std::size_t depth, char open, char close) {
+    return std::string(depth, open).append("0").append(depth, close);
+  };
+  // The limit itself reads back, in arrays and in objects.
+  EXPECT_EQ(Json::parse(nested(kLimit, '[', ']')).dump(), nested(kLimit, '[', ']'));
+  std::string objects;
+  for (std::size_t i = 0; i < kLimit; ++i) objects += "{\"k\":";
+  objects.append("0").append(kLimit, '}');
+  EXPECT_EQ(Json::parse(objects).dump(), objects);
+  std::string too_deep = objects;
+  too_deep.replace(too_deep.find('0'), 1, "[]");
+  EXPECT_THROW((void)Json::parse(too_deep), ParseError);
+
+  // One level more is refused at the bracket that opens it, empty or not,
+  // after a newline too, and however deep the text goes on.
+  const std::string message = "JSON: nesting deeper than 512 levels (line 1, column 513)";
+  for (const std::string& text :
+       {nested(kLimit + 1, '[', ']'), std::string(kLimit, '[').append("[]"),
+        std::string(kLimit, '[').append("{}"), std::string(100000, '[')}) {
+    try {
+      (void)Json::parse(text);
+      ADD_FAILURE() << "accepted " << text.size() << " bytes";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.what(), message);
+      EXPECT_EQ(e.line(), 1u);
+      EXPECT_EQ(e.column(), kLimit + 1);
+    }
+  }
+  try {
+    (void)Json::parse(std::string("{\"a\":\n").append(kLimit, '['));
+    ADD_FAILURE() << "accepted";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.what(), std::string("JSON: nesting deeper than 512 levels (line 2, column 512)"));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Writer pins: seeded documents that cover every escape, every control
 // character, multi-byte UTF-8, int64 edges, doubles, deep nesting and

@@ -13,8 +13,10 @@ frames, no icsdiv code on this side):
 
 Assertions: the daemon never hangs or crashes, error replies are
 well-formed envelopes, every *successful* reply is bit-identical to the
-fault-free baseline (modulo timings), and SIGTERM still drains cleanly
-to exit 0 with the socket file removed.
+fault-free baseline (modulo timings), a frame of arrays nested past the
+parser's depth limit gets a parse_error envelope from a daemon that
+lives on, and SIGTERM still drains cleanly to exit 0 with the socket
+file removed.
 
 Usage: chaos_smoke.py ICSDIVD_BIN
 """
@@ -31,6 +33,7 @@ import threading
 import time
 
 PROTOCOL = 1
+NESTED_FRAME_BYTES = 100_000  # of '[': far past the parser's 512 levels
 CLIENTS = 4
 ROUNDS = 6
 CALL_TIMEOUT = 20.0
@@ -149,11 +152,15 @@ def strip_volatile(value):
 
 def call_once(socket_path, request):
     """One connect/request/reply exchange; any socket error propagates."""
+    return call_payload(socket_path, json.dumps(request).encode())
+
+
+def call_payload(socket_path, payload):
+    """call_once for a frame payload given as bytes."""
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     sock.settimeout(CALL_TIMEOUT)
     try:
         sock.connect(socket_path)
-        payload = json.dumps(request).encode()
         sock.sendall(struct.pack(">I", len(payload)) + payload)
         data = b""
         while len(data) < 4:
@@ -212,7 +219,8 @@ def stop_daemon(daemon, socket_path):
 
 
 def record_baseline(icsdivd, workdir):
-    """Fault-free replies for every request in the mix."""
+    """Fault-free replies for every request in the mix, then the
+    deeply nested frame."""
     socket_path = os.path.join(workdir, "baseline.sock")
     daemon = start_daemon(icsdivd, socket_path)
     try:
@@ -221,9 +229,21 @@ def record_baseline(icsdivd, workdir):
             reply = call_once(socket_path, request)
             expect(reply.get("status") == "ok", f"baseline {name} failed: {reply}")
             baseline[name] = strip_volatile(reply["result"])
+        check_nested_frame(socket_path, daemon)
         return baseline
     finally:
         stop_daemon(daemon, socket_path)
+
+
+def check_nested_frame(socket_path, daemon):
+    """Nesting past the limit is a malformed payload, not a crash."""
+    reply = call_payload(socket_path, b"[" * NESTED_FRAME_BYTES)
+    expect(reply.get("status") == "parse_error", f"nested frame: {reply}")
+    message = reply.get("error", {}).get("message", "")
+    expect("nesting deeper than" in message, f"nested frame message: {message}")
+    expect(daemon.poll() is None, f"daemon died on a nested frame: {daemon.returncode}")
+    version = call_once(socket_path, {"icsdivd": PROTOCOL, "request": "version"})
+    expect(version.get("status") == "ok", f"version after the nested frame: {version}")
 
 
 def chaos_worker(socket_path, baseline, failures, mismatches, successes):

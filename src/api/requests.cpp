@@ -281,7 +281,6 @@ void put(support::JsonObject& object, const OmitDefault<T>& field) {
 template <typename T>
 void put(support::JsonObject& object, const Records<T>& field) {
   support::JsonArray array;
-  array.reserve(field.values.size());
   for (auto& value : field.values) array.push_back(encode(list_of(value)));
   object.set(std::string(field.key), support::Json(std::move(array)));
 }

@@ -36,6 +36,7 @@ class Assignment {
       }
     }
   }
+
   [[nodiscard]] bool complete() const noexcept;
 
   /// Throws unless every slot is assigned a valid candidate.

@@ -160,8 +160,7 @@ struct Server::Impl {
   bool serve_frame(Connection& connection, std::string payload) {
     support::Json reply;
     try {
-      support::Json envelope = support::Json::parse(payload);
-      payload = std::string();
+      support::Json envelope = support::Json::parse(std::exchange(payload, {}));
       const api::Request request = api::request_from_wire(std::move(envelope));
       reply = api::response_to_wire(session_.execute(request));
     } catch (const std::exception& error) {

@@ -88,8 +88,8 @@ class Json {
  public:
   enum class Type { Null, Boolean, Integer, Double, String, Array, Object };
 
-  /// parse() refuses arrays and objects nested deeper than this.  Reading,
-  /// writing, copying and destroying a value each recurse once per level,
+  /// parse() refuses arrays and objects nested deeper than this.  Writing,
+  /// copying, hashing and destroying a value each recurse once per level,
   /// so the limit is what keeps a hostile document from exhausting the
   /// stack; real documents nest a handful of levels.
   static constexpr std::size_t kMaxDepth = 512;

@@ -24,19 +24,6 @@ class Assignment {
   /// running the service throw NotFound.
   [[nodiscard]] std::optional<ProductId> product_of(HostId host, ServiceId service) const;
 
-  /// Calls visit(host, service, product) for every assigned slot, host by
-  /// host in slot order, with no per-slot lookup.
-  template <typename Visit>
-  void for_each_assigned(Visit&& visit) const {
-    for (HostId host = 0; host < slots_.size(); ++host) {
-      const auto services = network_->services_of(host);
-      const std::vector<ProductId>& slots = slots_[host];
-      for (std::size_t slot = 0; slot < slots.size(); ++slot) {
-        if (slots[slot] != kUnassigned) visit(host, services[slot].service, slots[slot]);
-      }
-    }
-  }
-
   [[nodiscard]] bool complete() const noexcept;
 
   /// Throws unless every slot is assigned a valid candidate.

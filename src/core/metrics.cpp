@@ -86,18 +86,12 @@ double identical_neighbor_ratio(const Assignment& assignment) {
 namespace {
 
 /// How many hosts run each product of each service, indexed like
-/// catalog.products_of(service), from one pass over the slots.  A service
-/// no host runs, or one with no products, gets no counts.
+/// catalog.products_of(service), read from one SharedServices table.  A
+/// service no host runs, or one with no products, gets no counts.
 std::vector<std::vector<std::size_t>> product_counts(const Assignment& assignment) {
   const Network& network = assignment.network();
   const ProductCatalog& catalog = network.catalog();
-  std::vector<std::uint32_t> position(catalog.product_count());
-  for (ServiceId service = 0; service < catalog.service_count(); ++service) {
-    const std::vector<ProductId>& products = catalog.products_of(service);
-    for (std::size_t i = 0; i < products.size(); ++i) {
-      position[products[i]] = static_cast<std::uint32_t>(i);
-    }
-  }
+  const SharedServices shared(assignment);
   std::vector<std::vector<std::size_t>> counts(catalog.service_count());
   for (HostId host = 0; host < network.host_count(); ++host) {
     for (const ServiceInstance& instance : network.services_of(host)) {
@@ -105,11 +99,11 @@ std::vector<std::vector<std::size_t>> product_counts(const Assignment& assignmen
       if (service_counts.empty()) {
         service_counts.assign(catalog.products_of(instance.service).size(), 0);
       }
+      if (const auto position = shared.product_position(host, instance.service)) {
+        ++service_counts[*position];
+      }
     }
   }
-  assignment.for_each_assigned([&](HostId, ServiceId service, ProductId product) {
-    ++counts[service][position[product]];
-  });
   return counts;
 }
 

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,18 @@ class SharedServices {
   /// Throws InvalidArgument when the network gained hosts or services
   /// after the assignment was created.
   explicit SharedServices(const Assignment& assignment);
+
+  /// The position of α'(host, service) in catalog.products_of(service), or
+  /// nullopt when the host does not run the service or left it unassigned.
+  /// Throws InvalidArgument for an unknown host or service.
+  [[nodiscard]] std::optional<std::uint32_t> product_position(HostId host,
+                                                              ServiceId service) const {
+    require(host < host_count_ && service < service_count_, "SharedServices::product_position",
+            "unknown host or service id");
+    const std::uint32_t index = product_index_[std::size_t{host} * service_count_ + service];
+    if (index == kNone) return std::nullopt;
+    return index;
+  }
 
   /// Calls visit(similarity, same_product) for each service u runs, in u's
   /// slot order, that v runs too with both slots assigned.  `similarity`

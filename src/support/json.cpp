@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <iterator>
 #include <type_traits>
 
@@ -150,31 +151,25 @@ JsonObject& Json::as_object() {
 
 void Json::write_string(std::string& out, std::string_view s) {
   out.push_back('"');
-  // Bytes that need no escape are appended a run at a time; UTF-8 passes
-  // through verbatim.
-  const char* run = s.data();
-  const char* const end = run + s.size();
-  for (const char* p = run; p != end; ++p) {
-    const auto c = static_cast<unsigned char>(*p);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
-    out.append(run, p);
-    run = p + 1;
+  for (char c : s) {
     switch (c) {
-      case '"': out.append("\\\""); break;
-      case '\\': out.append("\\\\"); break;
-      case '\b': out.append("\\b"); break;
-      case '\f': out.append("\\f"); break;
-      case '\n': out.append("\\n"); break;
-      case '\r': out.append("\\r"); break;
-      case '\t': out.append("\\t"); break;
-      default: {
-        constexpr std::string_view kHex = "0123456789abcdef";
-        const std::array<char, 6> escape{'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
-        out.append(escape.data(), escape.size());
-      }
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          std::array<char, 8> buf{};
+          std::snprintf(buf.data(), buf.size(), "\\u%04x", c);
+          out += buf.data();
+        } else {
+          out.push_back(c);  // UTF-8 bytes pass through verbatim
+        }
     }
   }
-  out.append(run, end);
   out.push_back('"');
 }
 
@@ -187,14 +182,7 @@ void Json::write(std::string& out, int indent, int depth) const {
   switch (type()) {
     case Type::Null: out += "null"; break;
     case Type::Boolean: out += (std::get<bool>(value_) ? "true" : "false"); break;
-    case Type::Integer: {
-      std::array<char, 24> buf{};
-      const auto [ptr, ec] =
-          std::to_chars(buf.data(), buf.data() + buf.size(), std::get<std::int64_t>(value_));
-      ensure(ec == std::errc(), "Json::write", "to_chars failed");
-      out.append(buf.data(), ptr);
-      break;
-    }
+    case Type::Integer: out += std::to_string(std::get<std::int64_t>(value_)); break;
     case Type::Double: {
       const double d = std::get<double>(value_);
       if (!std::isfinite(d)) throw InvalidArgument("Json::dump: non-finite number");

@@ -383,6 +383,20 @@ void BM_WarmOptimizeHit(benchmark::State& state) {
 }
 BENCHMARK(BM_WarmOptimizeHit)->Unit(benchmark::kMillisecond);
 
+/// A warm optimize frame answered whole, as icsdivd answers it: the frame's
+/// text in, the reply's text out, the documents freed.
+void BM_WarmFrameHit(benchmark::State& state) {
+  const std::string& text = warm_frame();
+  api::SessionOptions options;
+  options.max_concurrent = 1;
+  api::Session session(options);
+  (void)session.serve(text);  // the cold solve
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(session.serve(text));
+  }
+}
+BENCHMARK(BM_WarmFrameHit)->Unit(benchmark::kMillisecond);
+
 void BM_Rng(benchmark::State& state) {
   support::Rng rng(1);
   for (auto _ : state) {

@@ -754,6 +754,16 @@ Session::~Session() = default;
 
 Response Session::execute(const Request& request) { return impl_->execute(request); }
 
+std::string Session::serve(std::string_view frame) {
+  support::Json reply;
+  try {
+    reply = response_to_wire(impl_->execute(request_from_wire(support::Json::parse(frame))));
+  } catch (const std::exception& error) {
+    reply = error_to_wire(make_error_body(error));
+  }
+  return reply.dump();
+}
+
 StatusResponse Session::status() const { return impl_->status(); }
 
 Response execute(const Request& request, Session& session) { return session.execute(request); }

@@ -37,6 +37,8 @@
 
 #include <cstddef>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "api/requests.hpp"
 #include "runner/batch_runner.hpp"
@@ -119,6 +121,11 @@ class Session {
   /// Executes one request against the warm caches.  Throws the mapped
   /// `icsdiv::Error` subclass on failure (status.hpp).
   [[nodiscard]] Response execute(const Request& request);
+
+  /// Answers one request frame: `frame` is a wire envelope's text and the
+  /// result is the reply envelope's text, a failure envelope when the
+  /// request fails (malformed text included).  The daemon's entry point.
+  [[nodiscard]] std::string serve(std::string_view frame);
 
   /// The `status` snapshot (also what a StatusRequest returns).
   [[nodiscard]] StatusResponse status() const;

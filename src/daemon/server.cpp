@@ -148,25 +148,21 @@ struct Server::Impl {
           return;
         }
         if (!payload) break;
-        if (!serve_frame(connection, std::move(*payload))) return;
+        if (!serve_frame(connection, *payload)) return;
       }
     }
   }
 
   /// Executes one framed request; returns false when the reply cannot be
-  /// written (peer vanished) and the connection should close.  Each form
-  /// of the request lives once: the text until it is parsed, the envelope
-  /// until its documents move into the request, and the reply likewise.
-  bool serve_frame(Connection& connection, std::string payload) {
-    support::Json reply;
+  /// written (peer vanished) and the connection should close.  The frame's
+  /// text is freed only after its reply is written.
+  bool serve_frame(Connection& connection, const std::string& payload) {
     try {
-      support::Json envelope = support::Json::parse(std::exchange(payload, {}));
-      const api::Request request = api::request_from_wire(std::move(envelope));
-      reply = api::response_to_wire(session_.execute(request));
-    } catch (const std::exception& error) {
-      reply = api::error_to_wire(api::make_error_body(error));
+      connection.socket.write_all(encode_frame(session_.serve(payload)));
+      return true;
+    } catch (const std::exception&) {
+      return false;
     }
-    return write_reply(connection, reply);
   }
 
   bool write_reply(Connection& connection, const support::Json& reply) {

@@ -4,8 +4,8 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <exception>
+#include <span>
 #include <sstream>
 #include <string_view>
 #include <thread>
@@ -143,126 +143,59 @@ runner::KeyHasher domain_hasher(CacheDomain domain) {
   return hasher;
 }
 
-/// One document's structure as a byte stream, fed to a KeyHasher eight
-/// bytes at a time by one walk over the DOM, with no text written.  Each
-/// value is a tag byte, then a string's length and bytes, an array's length
-/// and elements, an object's length and its keys (tagged strings) each
-/// followed by its value, or a number's eight bytes.  The lengths make the
-/// stream self-delimiting, so two documents mix alike exactly when they are
-/// equal values with their keys in the same order; whitespace never reaches
-/// the DOM.  The stream's length is mixed last.
-class DocumentMixer {
+/// The names of the wire fields that carry documents (requests.hpp).  A
+/// frame's scan digests these members' values instead of building them.
+constexpr std::array<std::string_view, 5> kDocumentKeys = {"catalog", "network", "assignment",
+                                                           "feed", "grid"};
+
+/// One request document as the session reads it: its digest for the cache
+/// keys, and its DOM for a compute that misses.  The DOM is the caller's
+/// own, or one parsed from the frame's text for as long as the read lasts.
+class Document {
  public:
-  explicit DocumentMixer(runner::KeyHasher& hasher) : hasher_(hasher) {}
+  explicit Document(const support::Json& dom) : digest_(dom.digest()), dom_(&dom) {}
+  explicit Document(const support::DigestedMember& scanned)
+      : digest_(scanned.digest), text_(scanned.text) {}
 
-  void finish() {
-    const std::size_t total = mixed_ + used_;
-    flush();
-    if (used_ > 0) {
-      std::uint64_t word = 0;
-      std::memcpy(&word, buffer_.data(), used_);
-      hasher_.mix(word);
-    }
-    hasher_.mix(static_cast<std::uint64_t>(total));
-  }
+  void mix_into(runner::KeyHasher& hasher) const { hasher.mix(digest_.hi).mix(digest_.lo); }
 
-  void value(const support::Json& json) {
-    using Type = support::Json::Type;
-    switch (json.type()) {
-      case Type::Null: header(kNull); break;
-      case Type::Boolean: header(json.as_boolean() ? kTrue : kFalse); break;
-      case Type::Integer: number(kInteger, json.as_integer()); break;
-      case Type::Double: number(kDouble, json.as_double()); break;
-      case Type::String: text(kString, json.as_string()); break;
-      case Type::Array: {
-        const support::JsonArray& array = json.as_array();
-        header(kArray, array.size());
-        for (const support::Json& element : array) value(element);
-        break;
-      }
-      case Type::Object: {
-        const support::JsonObject& object = json.as_object();
-        header(kObject, object.size());
-        for (const auto& [key, member] : object) {
-          text(kKey, key);
-          value(member);
-        }
-        break;
-      }
-    }
+  /// `use(dom)`'s result.
+  template <typename Use>
+  auto read(Use&& use) const {
+    if (dom_ != nullptr) return use(*dom_);
+    const support::Json parsed = support::Json::parse(text_);
+    return use(parsed);
   }
 
  private:
-  enum Tag : unsigned char { kNull, kFalse, kTrue, kInteger, kDouble, kString, kArray, kObject, kKey };
-
-  static constexpr std::size_t kBuffer = 4096;
-
-  /// A tag byte, then `size` seven bits a byte, low bits first, the high
-  /// bit set on every byte but the last.
-  void header(Tag tag, std::size_t size = 0) {
-    if (kBuffer - used_ < 11) flush();
-    buffer_[used_++] = tag;
-    while (size > 0x7f) {
-      buffer_[used_++] = static_cast<unsigned char>(size | 0x80);
-      size >>= 7;
-    }
-    buffer_[used_++] = static_cast<unsigned char>(size);
-  }
-
-  template <typename Number>
-  void number(Tag tag, Number n) {
-    static_assert(sizeof n == 8);
-    if (kBuffer - used_ < 9) flush();
-    buffer_[used_++] = tag;
-    std::memcpy(buffer_.data() + used_, &n, 8);
-    used_ += 8;
-  }
-
-  void text(Tag tag, const std::string& bytes) {
-    header(tag, bytes.size());
-    const char* from = bytes.data();
-    std::size_t size = bytes.size();
-    while (size > kBuffer - used_) {
-      const std::size_t room = kBuffer - used_;
-      std::memcpy(buffer_.data() + used_, from, room);
-      used_ += room;
-      from += room;
-      size -= room;
-      flush();
-    }
-    std::memcpy(buffer_.data() + used_, from, size);
-    used_ += size;
-  }
-
-  /// Mixes the buffer's whole words and keeps the rest.
-  void flush() {
-    const std::size_t whole = used_ & ~std::size_t{7};
-    for (std::size_t offset = 0; offset < whole; offset += 8) {
-      std::uint64_t word = 0;
-      std::memcpy(&word, buffer_.data() + offset, sizeof word);
-      hasher_.mix(word);
-    }
-    std::memmove(buffer_.data(), buffer_.data() + whole, used_ - whole);
-    mixed_ += whole;
-    used_ -= whole;
-  }
-
-  runner::KeyHasher& hasher_;
-  std::array<unsigned char, kBuffer> buffer_{};
-  std::size_t used_ = 0;
-  std::size_t mixed_ = 0;
+  support::JsonDigest digest_;
+  const support::Json* dom_ = nullptr;
+  std::string_view text_;
 };
 
-void mix_json(runner::KeyHasher& hasher, const support::Json& json) {
-  DocumentMixer mixer(hasher);
-  mixer.value(json);
-  mixer.finish();
-}
+/// Where a request's documents come from: the request's own DOM, or the
+/// members of the frame it was decoded from.
+class Documents {
+ public:
+  Documents() = default;
+  explicit Documents(std::span<const support::DigestedMember> scanned) : scanned_(scanned) {}
 
-runner::ArtifactKey model_key(const support::Json& catalog, const support::Json& network) {
+  /// The document of the wire field `key`, whose DOM is `dom`.
+  [[nodiscard]] Document operator()(const support::Json& dom, std::string_view key) const {
+    for (const support::DigestedMember& member : scanned_) {
+      if (member.key == key) return Document(member);
+    }
+    return Document(dom);
+  }
+
+ private:
+  std::span<const support::DigestedMember> scanned_;
+};
+
+runner::ArtifactKey model_key(const Document& catalog, const Document& network) {
   runner::KeyHasher hasher = domain_hasher(CacheDomain::Model);
-  mix_json(hasher, catalog);
-  mix_json(hasher, network);
+  catalog.mix_into(hasher);
+  network.mix_into(hasher);
   return hasher.key();
 }
 
@@ -403,15 +336,24 @@ struct DecodedModel {
   core::ProductCatalog catalog;
   core::Network network;
 
-  DecodedModel(const support::Json& catalog_json, const support::Json& network_json,
+  DecodedModel(const Document& catalog_document, const Document& network_document,
                const support::CancelToken& cancel)
-      : catalog(core::catalog_from_json(catalog_json)),
-        network(core::network_from_json(catalog, network_json, cancel)) {
+      : catalog(catalog_document.read(
+            [](const support::Json& json) { return core::catalog_from_json(json); })),
+        network(network_document.read([&](const support::Json& json) {
+          return core::network_from_json(catalog, json, cancel);
+        })) {
     support::failpoint::evaluate("session.decode");
   }
   DecodedModel(const DecodedModel&) = delete;
   DecodedModel& operator=(const DecodedModel&) = delete;
 };
+
+/// The assignment document decoded against `network`.
+core::Assignment decode_assignment(const core::Network& network, const Document& assignment) {
+  return assignment.read(
+      [&](const support::Json& json) { return core::Assignment::from_json(network, json); });
+}
 
 /// A truncated optimize (best-so-far labels under an expired deadline) is
 /// a timing artifact: it serves the participants of its execution but is
@@ -449,7 +391,7 @@ struct Session::Impl {
         evals_(kEvalCacheCapacity),
         batches_(kBatchCacheCapacity) {}
 
-  Response execute(const Request& request) {
+  Response execute(const Request& request, const Documents& documents = {}) {
     {
       const support::MutexLock lock(stats_mutex_);
       ++requests_total_;
@@ -462,8 +404,8 @@ struct Session::Impl {
       // The deadline clock starts here — queue wait counts against it.
       const support::CancelToken cancel = request_token(request);
       const AdmissionGate::Ticket ticket = gate_.admit(cancel);
-      return std::visit([this, &cancel](const auto& typed) { return run(typed, cancel); },
-                        request);
+      return std::visit(
+          [&](const auto& typed) { return run(typed, documents, cancel); }, request);
     } catch (const SaturatedError&) {
       throw;  // counted via rejected_total(), not as a failure
     } catch (const CancelledError&) {
@@ -544,7 +486,8 @@ struct Session::Impl {
     return response;
   }
 
-  [[nodiscard]] Response run(const OptimizeRequest& request, const support::CancelToken& cancel) {
+  [[nodiscard]] Response run(const OptimizeRequest& request, const Documents& documents,
+                             const support::CancelToken& cancel) {
     // Defaults are filled in before hashing, so an omitted field and its
     // default value share one key.  An unknown solver fails here, before
     // any model parse or cache entry.
@@ -553,14 +496,16 @@ struct Session::Impl {
     mrf::SolverRegistry::instance().require_known(solver);
     const std::size_t max_iterations =
         request.max_iterations != 0 ? request.max_iterations : mrf::SolveOptions{}.max_iterations;
+    const Document catalog = documents(request.catalog, "catalog");
+    const Document network = documents(request.network, "network");
     runner::KeyHasher hasher = domain_hasher(CacheDomain::Solve);
-    const runner::ArtifactKey model = model_key(request.catalog, request.network);
+    const runner::ArtifactKey model = model_key(catalog, network);
     hasher.mix(model.hi).mix(model.lo).mix(solver);
     // Different iteration caps are different solves; the deadline is NOT
     // part of the key (it never changes a completed result).
     hasher.mix(static_cast<std::uint64_t>(max_iterations));
     return cached_reply(solves_, hasher.key(), cancel, [&](const support::CancelToken& token) {
-      const DecodedModel decoded(request.catalog, request.network, token);
+      const DecodedModel decoded(catalog, network, token);
       core::OptimizeOptions options;
       options.solver = solver;
       options.solve.max_iterations = max_iterations;
@@ -580,17 +525,20 @@ struct Session::Impl {
     });
   }
 
-  [[nodiscard]] Response run(const EvaluateRequest& request, const support::CancelToken& cancel) {
+  [[nodiscard]] Response run(const EvaluateRequest& request, const Documents& documents,
+                             const support::CancelToken& cancel) {
+    const Document catalog = documents(request.catalog, "catalog");
+    const Document network = documents(request.network, "network");
+    const Document assignment_document = documents(request.assignment, "assignment");
     runner::KeyHasher hasher = domain_hasher(CacheDomain::Eval);
     hasher.mix(static_cast<std::uint64_t>(EvalOp::Evaluate));
-    const runner::ArtifactKey model = model_key(request.catalog, request.network);
+    const runner::ArtifactKey model = model_key(catalog, network);
     hasher.mix(model.hi).mix(model.lo);
-    mix_json(hasher, request.assignment);
+    assignment_document.mix_into(hasher);
     hasher.mix(request.entry).mix(request.target);
     return cached_reply(evals_, hasher.key(), cancel, [&](const support::CancelToken& token) {
-      const DecodedModel decoded(request.catalog, request.network, token);
-      const core::Assignment assignment =
-          core::Assignment::from_json(decoded.network, request.assignment);
+      const DecodedModel decoded(catalog, network, token);
+      const core::Assignment assignment = decode_assignment(decoded.network, assignment_document);
       EvaluateResponse response;
       response.edge_similarity = core::total_edge_similarity(assignment);
       response.average_similarity = core::average_edge_similarity(assignment);
@@ -619,30 +567,36 @@ struct Session::Impl {
     });
   }
 
-  [[nodiscard]] Response run(const ReportRequest& request, const support::CancelToken& cancel) {
+  [[nodiscard]] Response run(const ReportRequest& request, const Documents& documents,
+                             const support::CancelToken& cancel) {
+    const Document catalog = documents(request.catalog, "catalog");
+    const Document network = documents(request.network, "network");
+    const Document assignment_document = documents(request.assignment, "assignment");
     runner::KeyHasher hasher = domain_hasher(CacheDomain::Eval);
     hasher.mix(static_cast<std::uint64_t>(EvalOp::Report));
-    const runner::ArtifactKey model = model_key(request.catalog, request.network);
+    const runner::ArtifactKey model = model_key(catalog, network);
     hasher.mix(model.hi).mix(model.lo);
-    mix_json(hasher, request.assignment);
+    assignment_document.mix_into(hasher);
     return cached_reply(evals_, hasher.key(), cancel, [&](const support::CancelToken& token) {
-      const DecodedModel decoded(request.catalog, request.network, token);
+      const DecodedModel decoded(catalog, network, token);
       token.check("session.report");
-      const core::Assignment assignment =
-          core::Assignment::from_json(decoded.network, request.assignment);
+      const core::Assignment assignment = decode_assignment(decoded.network, assignment_document);
       ReportResponse response;
       response.text = core::diversification_report(assignment);
       return response;
     });
   }
 
-  [[nodiscard]] Response run(const SimilarityRequest& request, const support::CancelToken& cancel) {
+  [[nodiscard]] Response run(const SimilarityRequest& request, const Documents& documents,
+                             const support::CancelToken& cancel) {
+    const Document feed_document = documents(request.feed, "feed");
     runner::KeyHasher hasher = domain_hasher(CacheDomain::Eval);
     hasher.mix(static_cast<std::uint64_t>(EvalOp::Similarity));
-    mix_json(hasher, request.feed);
+    feed_document.mix_into(hasher);
     hasher.mix_range(request.cpes);
     return cached_reply(evals_, hasher.key(), cancel, [&](const support::CancelToken& token) {
-      const nvd::VulnerabilityDatabase feed = nvd::VulnerabilityDatabase::from_json(request.feed);
+      const nvd::VulnerabilityDatabase feed = feed_document.read(
+          [](const support::Json& json) { return nvd::VulnerabilityDatabase::from_json(json); });
       token.check("session.similarity");
       std::vector<nvd::ProductRef> products;
       for (const std::string& cpe : request.cpes) {
@@ -661,17 +615,20 @@ struct Session::Impl {
     });
   }
 
-  [[nodiscard]] Response run(const MetricRequest& request, const support::CancelToken& cancel) {
+  [[nodiscard]] Response run(const MetricRequest& request, const Documents& documents,
+                             const support::CancelToken& cancel) {
+    const Document catalog = documents(request.catalog, "catalog");
+    const Document network = documents(request.network, "network");
+    const Document assignment_document = documents(request.assignment, "assignment");
     runner::KeyHasher hasher = domain_hasher(CacheDomain::Eval);
     hasher.mix(static_cast<std::uint64_t>(EvalOp::Metric));
-    const runner::ArtifactKey model = model_key(request.catalog, request.network);
+    const runner::ArtifactKey model = model_key(catalog, network);
     hasher.mix(model.hi).mix(model.lo);
-    mix_json(hasher, request.assignment);
+    assignment_document.mix_into(hasher);
     hasher.mix(request.entry).mix(request.target);
     return cached_reply(evals_, hasher.key(), cancel, [&](const support::CancelToken& token) {
-      const DecodedModel decoded(request.catalog, request.network, token);
-      const core::Assignment assignment =
-          core::Assignment::from_json(decoded.network, request.assignment);
+      const DecodedModel decoded(catalog, network, token);
+      const core::Assignment assignment = decode_assignment(decoded.network, assignment_document);
       bayes::InferenceOptions inference;
       inference.cancel = token;
       const bayes::DiversityMetricResult metric =
@@ -685,9 +642,11 @@ struct Session::Impl {
     });
   }
 
-  [[nodiscard]] Response run(const BatchRequest& request, const support::CancelToken& cancel) {
+  [[nodiscard]] Response run(const BatchRequest& request, const Documents& documents,
+                             const support::CancelToken& cancel) {
+    const Document grid = documents(request.grid, "grid");
     runner::KeyHasher hasher = domain_hasher(CacheDomain::Batch);
-    mix_json(hasher, request.grid);
+    grid.mix_into(hasher);
     hasher.mix(static_cast<std::uint64_t>(request.threads));
     // The store is part of the identity: a store-backed run and a bare
     // run of the same grid report different stage counters, so they must
@@ -696,8 +655,8 @@ struct Session::Impl {
         request.store_dir.empty() ? options_.store_dir : request.store_dir;
     hasher.mix(store_dir);
     return cached_reply(batches_, hasher.key(), cancel, [&](const support::CancelToken& token) {
-      const std::vector<runner::ScenarioSpec> specs =
-          runner::expand_validated(runner::ScenarioGrid::from_json(request.grid));
+      const std::vector<runner::ScenarioSpec> specs = runner::expand_validated(grid.read(
+          [](const support::Json& json) { return runner::ScenarioGrid::from_json(json); }));
       runner::BatchOptions options;
       options.threads = request.threads;
       options.store_dir = store_dir;
@@ -725,10 +684,11 @@ struct Session::Impl {
     });
   }
 
-  [[nodiscard]] Response run(const StatusRequest&, const support::CancelToken&) {
+  [[nodiscard]] Response run(const StatusRequest&, const Documents&, const support::CancelToken&) {
     return status();
   }
-  [[nodiscard]] Response run(const VersionRequest&, const support::CancelToken&) {
+  [[nodiscard]] Response run(const VersionRequest&, const Documents&,
+                             const support::CancelToken&) {
     return version();
   }
 
@@ -757,7 +717,10 @@ Response Session::execute(const Request& request) { return impl_->execute(reques
 std::string Session::serve(std::string_view frame) {
   support::Json reply;
   try {
-    reply = response_to_wire(impl_->execute(request_from_wire(support::Json::parse(frame))));
+    std::array<support::DigestedMember, kDocumentKeys.size()> scanned;
+    for (std::size_t i = 0; i < scanned.size(); ++i) scanned[i].key = kDocumentKeys[i];
+    const Request request = request_from_wire(support::Json::parse_digesting(frame, scanned));
+    reply = response_to_wire(impl_->execute(request, Documents(scanned)));
   } catch (const std::exception& error) {
     reply = error_to_wire(make_error_body(error));
   }

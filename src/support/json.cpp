@@ -1,10 +1,12 @@
 #include "support/json.hpp"
 
 #include <array>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <iterator>
 #include <type_traits>
 
@@ -186,6 +188,10 @@ void Json::write(std::string& out, int indent, int depth) const {
     case Type::Double: {
       const double d = std::get<double>(value_);
       if (!std::isfinite(d)) throw InvalidArgument("Json::dump: non-finite number");
+      if (d == 0.0 && std::signbit(d)) {
+        out += "-0.0";  // "-0" would read back as the integer 0
+        break;
+      }
       std::array<char, 32> buf{};
       auto [ptr, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), d);
       ensure(ec == std::errc(), "Json::write", "to_chars failed");
@@ -247,43 +253,48 @@ std::string Json::dump_pretty() const {
 }
 
 // ---------------------------------------------------------------------------
-// Parser
+// Reader
 //
-// One loop over the text, with no recursion: the values of every open array
-// and object wait on a scratch stack, the keys of open objects on another,
-// and a container is built once its closing bracket arrives, at its final
-// size.  Only the read position is tracked; fail() works out the line and
-// column from it.
+// One loop over the text, with no recursion, that checks the grammar and
+// reports each value to a sink in text order: scalars as they are read,
+// containers as an open event, their elements (an object's each after its
+// key), and a close event.  The reader keeps only whether each open
+// container is an object; what the values become is the sink's business.
+// Only the read position is tracked; fail() works out the line and column
+// from it.  The sinks below build a DOM (Json::parse), digest the values
+// (Json::digest_text), or build the top-level object while digesting the
+// values of some of its members (Json::parse_digesting).
+//
+// A sink has null(), boolean(b), integer(i), real(d), string(s), open(object)
+// and close(object); key(k, value), where `value` is the first byte of the
+// member's value; and done(end) after every complete value, `end` being one
+// past its last byte.  Strings reach a sink unescaped, as views that last
+// until the next event.
 
 namespace {
 
-class Parser {
+template <typename Sink>
+class Reader {
  public:
-  explicit Parser(std::string_view text)
-      : begin_(text.data()), p_(text.data()), end_(text.data() + text.size()) {}
+  Reader(std::string_view text, Sink& sink)
+      : begin_(text.data()), p_(text.data()), end_(text.data() + text.size()), sink_(sink) {}
 
-  Json parse_document() {
+  void read_document() {
     skip_whitespace();
-    Json value = parse_value();
+    read_values();
     skip_whitespace();
     if (p_ != end_) fail("trailing characters after JSON document");
-    return value;
   }
 
  private:
-  /// An array or object whose closing bracket has not arrived yet.
-  struct Open {
-    bool object;
-    std::size_t first_value;  ///< its first element's place in values_
-    std::size_t first_key;    ///< an object's first key's place in keys_
-  };
-
   const char* begin_;
   const char* p_;
   const char* end_;
-  std::vector<Json> values_;
-  std::vector<std::string> keys_;
-  std::vector<Open> open_;
+  Sink& sink_;
+  /// One entry per open container: whether it is an object.
+  std::vector<bool> open_;
+  /// The unescaped bytes of the last string that held an escape.
+  std::string scratch_;
 
   [[noreturn]] void fail(std::string_view message) const {
     std::size_t line = 1;
@@ -315,7 +326,8 @@ class Parser {
     while (p_ != end_ && (*p_ == ' ' || *p_ == '\n' || *p_ == '\t' || *p_ == '\r')) ++p_;
   }
 
-  Json parse_value() {
+  /// Reads one value, the document, with everything nested in it.
+  void read_values() {
     while (true) {
       const char c = peek();
       if (c == '[' || c == '{') {
@@ -326,99 +338,73 @@ class Parser {
         }
         const bool object = c == '{';
         ++p_;
+        sink_.open(object);
         skip_whitespace();
         if (peek() != (object ? '}' : ']')) {
-          open_.push_back(Open{object, values_.size(), keys_.size()});
-          if (object) parse_key();
+          open_.push_back(object);
+          if (object) read_key();
           continue;  // to the first element
         }
         ++p_;
-        if (object) {
-          values_.emplace_back(JsonObject());
-        } else {
-          values_.emplace_back(JsonArray());
-        }
+        sink_.close(object);
       } else {
-        push_scalar(c);
+        read_scalar(c);
       }
-      // The value on top of values_ is complete.  It is the document, or
-      // an element of the innermost open container, whose closing bracket
-      // may complete the next one out.
+      // A value is complete.  It is the document, or an element of the
+      // innermost open container, whose closing bracket may complete the
+      // next one out.
       while (true) {
-        if (open_.empty()) {
-          Json document = std::move(values_.back());
-          values_.pop_back();
-          return document;
-        }
-        const Open& top = open_.back();
+        sink_.done(p_);
+        if (open_.empty()) return;
+        const bool object = open_.back();
         skip_whitespace();
         const char after = next();
         if (after == ',') {
           skip_whitespace();
-          if (top.object) parse_key();
+          if (object) read_key();
           break;  // to the next element
         }
-        if (top.object) {
+        if (object) {
           if (after != '}') fail("expected ',' or '}' in object");
-          close_object(top);
         } else {
           if (after != ']') fail("expected ',' or ']' in array");
-          close_array(top);
         }
         open_.pop_back();
+        sink_.close(object);
       }
     }
   }
 
-  /// Scalars are built in place on the stack: a move into it would cost a
-  /// variant dispatch per value.
-  void push_scalar(char c) {
+  void read_scalar(char c) {
     switch (c) {
-      case '"': values_.emplace_back(parse_string()); break;
+      case '"': sink_.string(read_string()); break;
       case 't':
-        parse_literal("true");
-        values_.emplace_back(true);
+        read_literal("true");
+        sink_.boolean(true);
         break;
       case 'f':
-        parse_literal("false");
-        values_.emplace_back(false);
+        read_literal("false");
+        sink_.boolean(false);
         break;
       case 'n':
-        parse_literal("null");
-        values_.emplace_back(nullptr);
+        read_literal("null");
+        sink_.null();
         break;
-      default: values_.push_back(parse_number());
+      default: read_number();
     }
   }
 
   /// An object's key and its colon, leaving the position at the value.
-  void parse_key() {
+  void read_key() {
     if (peek() != '"') fail("expected object key string");
-    keys_.push_back(parse_string());
+    const std::string_view key = read_string();
     skip_whitespace();
     if (next() != ':') fail("expected ':'");
     skip_whitespace();
+    sink_.key(key, p_);
   }
 
-  void close_array(const Open& open) {
-    const auto first = values_.begin() + static_cast<std::ptrdiff_t>(open.first_value);
-    JsonArray array(std::make_move_iterator(first), std::make_move_iterator(values_.end()));
-    values_.resize(open.first_value);
-    values_.emplace_back(std::move(array));
-  }
-
-  void close_object(const Open& open) {
-    JsonObject object;
-    object.reserve(keys_.size() - open.first_key);
-    for (std::size_t i = 0; open.first_key + i < keys_.size(); ++i) {
-      object.set(std::move(keys_[open.first_key + i]), std::move(values_[open.first_value + i]));
-    }
-    keys_.resize(open.first_key);
-    values_.resize(open.first_value);
-    values_.emplace_back(std::move(object));
-  }
-
-  void parse_literal(std::string_view literal) {
+  void read_literal(std::string_view literal) {
     for (const char c : literal) {
       if (p_ == end_ || *p_++ != c) fail("invalid literal");
     }
@@ -428,32 +414,38 @@ class Parser {
     return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
   }
 
-  std::string parse_string() {
+  /// The string's bytes: a view of the text when it holds no escape, of
+  /// scratch_ otherwise.
+  std::string_view read_string() {
     ++p_;  // the opening quote
     const char* run = p_;
     while (p_ != end_ && plain(*p_)) ++p_;
-    std::string out(run, p_);
+    if (p_ != end_ && *p_ == '"') {
+      ++p_;
+      return {run, static_cast<std::size_t>(p_ - 1 - run)};
+    }
+    scratch_.assign(run, p_);
     while (true) {
       // The scans stop only at a quote, a backslash, a control character
       // or the end of the text.
       const char c = next();
-      if (c == '"') return out;
+      if (c == '"') return scratch_;
       if (c != '\\') fail("unescaped control character in string");
       switch (next()) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': append_unicode_escape(out); break;
+        case '"': scratch_.push_back('"'); break;
+        case '\\': scratch_.push_back('\\'); break;
+        case '/': scratch_.push_back('/'); break;
+        case 'b': scratch_.push_back('\b'); break;
+        case 'f': scratch_.push_back('\f'); break;
+        case 'n': scratch_.push_back('\n'); break;
+        case 'r': scratch_.push_back('\r'); break;
+        case 't': scratch_.push_back('\t'); break;
+        case 'u': append_unicode_escape(scratch_); break;
         default: fail("invalid escape sequence");
       }
       run = p_;
       while (p_ != end_ && plain(*p_)) ++p_;
-      out.append(run, p_);
+      scratch_.append(run, p_);
     }
   }
 
@@ -510,7 +502,7 @@ class Parser {
     while (p_ != end_ && is_digit(*p_)) ++p_;
   }
 
-  Json parse_number() {
+  void read_number() {
     const char* const start = p_;
     if (*p_ == '-') ++p_;
     if (p_ == end_) fail("truncated number");
@@ -538,19 +530,306 @@ class Parser {
     if (is_integer) {
       std::int64_t value = 0;
       const auto [ptr, ec] = std::from_chars(start, p_, value);
-      if (ec == std::errc() && ptr == p_) return Json(value);
+      if (ec == std::errc() && ptr == p_) {
+        sink_.integer(value);
+        return;
+      }
       // Fall through to double on overflow.
     }
     double value = 0.0;
     const auto [ptr, ec] = std::from_chars(start, p_, value);
     if (ec != std::errc() || ptr != p_) fail("unparseable number");
-    return Json(value);
+    sink_.real(value);
   }
+};
+
+/// Builds the DOM: the values of every open array and object wait on a
+/// scratch stack, the keys of open objects on another, and a container is
+/// built once its closing bracket arrives, at its final size.
+class DomBuilder {
+ public:
+  void null() { values_.emplace_back(nullptr); }
+  void boolean(bool b) { values_.emplace_back(b); }
+  void integer(std::int64_t i) { values_.emplace_back(i); }
+  void real(double d) { values_.emplace_back(d); }
+  void string(std::string_view s) { values_.emplace_back(s); }
+  void key(std::string_view k, const char*) { keys_.emplace_back(k); }
+  void done(const char*) {}
+
+  void open(bool) { open_.push_back(Open{values_.size(), keys_.size()}); }
+
+  void close(bool object) {
+    const Open open = open_.back();
+    open_.pop_back();
+    if (object) {
+      JsonObject built;
+      built.reserve(keys_.size() - open.first_key);
+      for (std::size_t i = 0; open.first_key + i < keys_.size(); ++i) {
+        built.set(std::move(keys_[open.first_key + i]), std::move(values_[open.first_value + i]));
+      }
+      keys_.resize(open.first_key);
+      values_.resize(open.first_value);
+      values_.emplace_back(std::move(built));
+    } else {
+      const auto first = values_.begin() + static_cast<std::ptrdiff_t>(open.first_value);
+      JsonArray built(std::make_move_iterator(first), std::make_move_iterator(values_.end()));
+      values_.resize(open.first_value);
+      values_.emplace_back(std::move(built));
+    }
+  }
+
+  /// The document, once the reader has finished.
+  Json take() { return std::move(values_.back()); }
+
+ private:
+  /// An array or object whose closing bracket has not arrived yet.
+  struct Open {
+    std::size_t first_value;  ///< its first element's place in values_
+    std::size_t first_key;    ///< an object's first key's place in keys_
+  };
+
+  std::vector<Json> values_;
+  std::vector<std::string> keys_;
+  std::vector<Open> open_;
+};
+
+/// splitmix64's finaliser.
+[[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Digests values as a byte stream, the same whether the values come from
+/// the reader or from a walk over a DOM.  Each value is a tag byte, then a
+/// string's or key's length (seven bits a byte, low bits first, the high
+/// bit set on every byte but the last) and bytes, or a number's eight
+/// bytes; an array or object is an open tag, its elements (an object's
+/// each after its key) and an end tag.  So the stream is self-delimiting,
+/// and two values stream alike exactly when they are equal with their keys
+/// in the same order; whitespace and escapes never reach it.  Word i of
+/// the stream goes through splitmix64's finaliser in chain i mod 4, and the
+/// four chains and the stream's length fold into the digest at the end.
+class Digester {
+ public:
+  void null() { tag(kNull); }
+  void boolean(bool b) { tag(b ? kTrue : kFalse); }
+  void integer(std::int64_t i) { number(kInteger, i); }
+  void real(double d) { number(kDouble, d); }
+  void string(std::string_view s) { text(kString, s); }
+  void key(std::string_view k, const char*) { text(kKey, k); }
+  void open(bool object) { tag(object ? kObject : kArray); }
+  void close(bool) { tag(kEnd); }
+  void done(const char*) {}
+
+  void value(const Json& json) {
+    switch (json.type()) {
+      case Json::Type::Null: null(); break;
+      case Json::Type::Boolean: boolean(json.as_boolean()); break;
+      case Json::Type::Integer: integer(json.as_integer()); break;
+      case Json::Type::Double: real(json.as_double()); break;
+      case Json::Type::String: string(json.as_string()); break;
+      case Json::Type::Array:
+        open(false);
+        for (const Json& element : json.as_array()) value(element);
+        close(false);
+        break;
+      case Json::Type::Object:
+        open(true);
+        for (const auto& [name, member] : json.as_object()) {
+          key(name, nullptr);
+          value(member);
+        }
+        close(true);
+        break;
+    }
+  }
+
+  /// The digest of everything streamed so far; the digester starts over.
+  JsonDigest finish() {
+    const std::uint64_t total = mixed_ + used_;
+    flush();
+    std::size_t offset = 0;
+    for (std::size_t lane = 0; offset + 8 <= used_; offset += 8, ++lane) {
+      lanes_[lane] = mix64(lanes_[lane] ^ word_at(offset));
+    }
+    std::uint64_t tail = 0;
+    std::memcpy(&tail, buffer_.data() + offset, used_ - offset);
+    const std::uint64_t a = mix64(mix64(lanes_[0] ^ tail) ^ lanes_[1]);
+    const std::uint64_t b = mix64(mix64(lanes_[2] ^ total) ^ lanes_[3]);
+    *this = Digester();
+    return {mix64(a ^ std::rotl(b, 32)), mix64(b ^ std::rotl(a, 21) ^ total)};
+  }
+
+ private:
+  enum Tag : unsigned char { kNull, kFalse, kTrue, kInteger, kDouble, kString, kArray, kObject, kKey, kEnd };
+
+  static constexpr std::size_t kBuffer = 4096;
+  static constexpr std::size_t kBlock = 32;  ///< one word per chain
+
+  void tag(Tag t) {
+    if (used_ == kBuffer) flush();
+    buffer_[used_++] = t;
+  }
+
+  template <typename Number>
+  void number(Tag t, Number n) {
+    static_assert(sizeof n == 8);
+    if (kBuffer - used_ < 9) flush();
+    buffer_[used_++] = t;
+    std::memcpy(buffer_.data() + used_, &n, 8);
+    used_ += 8;
+  }
+
+  void text(Tag t, std::string_view bytes) {
+    if (kBuffer - used_ < 11) flush();
+    buffer_[used_++] = t;
+    std::size_t size = bytes.size();
+    while (size > 0x7f) {
+      buffer_[used_++] = static_cast<unsigned char>(size | 0x80);
+      size >>= 7;
+    }
+    buffer_[used_++] = static_cast<unsigned char>(size);
+    const char* from = bytes.data();
+    size = bytes.size();
+    while (size > kBuffer - used_) {
+      const std::size_t room = kBuffer - used_;
+      std::memcpy(buffer_.data() + used_, from, room);
+      used_ += room;
+      from += room;
+      size -= room;
+      flush();
+    }
+    std::memcpy(buffer_.data() + used_, from, size);
+    used_ += size;
+  }
+
+  [[nodiscard]] std::uint64_t word_at(std::size_t offset) const noexcept {
+    std::uint64_t word = 0;
+    std::memcpy(&word, buffer_.data() + offset, sizeof word);
+    return word;
+  }
+
+  /// Mixes the buffer's whole blocks of four words and keeps the rest, so
+  /// every flush starts at chain 0.
+  void flush() {
+    const std::size_t whole = used_ - used_ % kBlock;
+    std::uint64_t l0 = lanes_[0], l1 = lanes_[1], l2 = lanes_[2], l3 = lanes_[3];
+    for (std::size_t offset = 0; offset < whole; offset += kBlock) {
+      l0 = mix64(l0 ^ word_at(offset));
+      l1 = mix64(l1 ^ word_at(offset + 8));
+      l2 = mix64(l2 ^ word_at(offset + 16));
+      l3 = mix64(l3 ^ word_at(offset + 24));
+    }
+    lanes_ = {l0, l1, l2, l3};
+    std::memmove(buffer_.data(), buffer_.data() + whole, used_ - whole);
+    mixed_ += whole;
+    used_ -= whole;
+  }
+
+  std::array<std::uint64_t, 4> lanes_ = {0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL,
+                                         0xa4093822299f31d0ULL, 0x082efa98ec4e6c89ULL};
+  std::array<unsigned char, kBuffer> buffer_{};
+  std::size_t used_ = 0;
+  std::uint64_t mixed_ = 0;
+};
+
+/// Builds the DOM of a document whose top-level object's members named in
+/// `members` are only digested: each such value is left as null in the
+/// DOM, and its member entry gets the value's text and digest.
+class MemberDigester {
+ public:
+  explicit MemberDigester(std::span<DigestedMember> members) : members_(members) {}
+
+  void null() { forward([](auto& sink) { sink.null(); }); }
+  void boolean(bool b) { forward([b](auto& sink) { sink.boolean(b); }); }
+  void integer(std::int64_t i) { forward([i](auto& sink) { sink.integer(i); }); }
+  void real(double d) { forward([d](auto& sink) { sink.real(d); }); }
+  void string(std::string_view s) { forward([s](auto& sink) { sink.string(s); }); }
+
+  void key(std::string_view k, const char* value) {
+    if (digesting_ != nullptr) {
+      digester_.key(k, value);
+      return;
+    }
+    builder_.key(k, value);
+    if (depth_ != 1 || !root_object_) return;
+    for (DigestedMember& member : members_) {
+      if (member.key == k) {
+        digesting_ = &member;
+        value_ = value;
+        return;
+      }
+    }
+  }
+
+  void open(bool object) {
+    if (depth_++ == 0) root_object_ = object;
+    forward([object](auto& sink) { sink.open(object); });
+  }
+
+  void close(bool object) {
+    --depth_;
+    forward([object](auto& sink) { sink.close(object); });
+  }
+
+  void done(const char* end) {
+    if (digesting_ == nullptr || depth_ != 1) return;
+    digesting_->text = std::string_view(value_, static_cast<std::size_t>(end - value_));
+    digesting_->digest = digester_.finish();
+    digesting_ = nullptr;
+    builder_.null();
+  }
+
+  Json take() { return builder_.take(); }
+
+ private:
+  template <typename Event>
+  void forward(Event&& event) {
+    if (digesting_ != nullptr) {
+      event(digester_);
+    } else {
+      event(builder_);
+    }
+  }
+
+  std::span<DigestedMember> members_;
+  DomBuilder builder_;
+  Digester digester_;
+  /// The member whose value is being digested, if any.
+  DigestedMember* digesting_ = nullptr;
+  const char* value_ = nullptr;  ///< where that value starts
+  std::size_t depth_ = 0;        ///< open containers
+  bool root_object_ = false;
 };
 
 }  // namespace
 
-Json Json::parse(std::string_view text) { return Parser(text).parse_document(); }
+Json Json::parse(std::string_view text) {
+  DomBuilder builder;
+  Reader(text, builder).read_document();
+  return builder.take();
+}
+
+Json Json::parse_digesting(std::string_view text, std::span<DigestedMember> members) {
+  for (DigestedMember& member : members) member.text = {};
+  MemberDigester sink(members);
+  Reader(text, sink).read_document();
+  return sink.take();
+}
+
+JsonDigest Json::digest() const {
+  Digester digester;
+  digester.value(*this);
+  return digester.finish();
+}
+
+JsonDigest Json::digest_text(std::string_view text) {
+  Digester digester;
+  Reader(text, digester).read_document();
+  return digester.finish();
+}
 
 Json json_number(double value) { return std::isfinite(value) ? Json(value) : Json(nullptr); }
 

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -28,6 +29,25 @@
 namespace icsdiv::support {
 
 class Json;
+
+/// A 128-bit digest of a JSON value (Json::digest, Json::digest_text).  Two
+/// values get the same digest when they are equal with their object keys
+/// in the same order, however the text spaced or escaped them; a text that
+/// repeats a key may digest unlike its DOM, which keeps one of the two.
+struct JsonDigest {
+  std::uint64_t hi = 0;
+  std::uint64_t lo = 0;
+
+  friend bool operator==(const JsonDigest&, const JsonDigest&) = default;
+};
+
+/// A member of a document's top-level object whose value
+/// Json::parse_digesting checked and digested instead of building it.
+struct DigestedMember {
+  std::string_view key;   ///< set by the caller: the member to digest
+  std::string_view text;  ///< the value's bytes; empty when the member is absent
+  JsonDigest digest;      ///< the value's digest, as Json::digest would give
+};
 
 /// Ordered object representation: preserves insertion order so that
 /// serialised feeds diff cleanly.  Small objects look keys up by a linear
@@ -136,6 +156,20 @@ class Json {
   /// is nesting past kMaxDepth.  Throws ParseError with the line and column
   /// (in bytes, from 1) where reading stopped.
   static Json parse(std::string_view text);
+
+  /// As parse(), with the same refusals, except that the value of each
+  /// member of a top-level object named by an entry of `members` is only
+  /// checked and digested: it reads as null in the result, and the entry
+  /// gets its text (a view into `text`) and digest, those of the last such
+  /// member when the key repeats.
+  static Json parse_digesting(std::string_view text, std::span<DigestedMember> members);
+
+  /// This value's digest, from one walk over it.
+  [[nodiscard]] JsonDigest digest() const;
+
+  /// The digest of the document in `text`, from one pass that builds
+  /// nothing; refuses what parse() refuses, with the same ParseError.
+  [[nodiscard]] static JsonDigest digest_text(std::string_view text);
 
  private:
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, JsonArray, JsonObject>

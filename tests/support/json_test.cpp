@@ -465,8 +465,8 @@ class DocumentMaker {
   }
 
   double floating() {
-    // -0.0 is left out: it is written as "-0", which reads back as the
-    // integer 0 (NumberEdges pins that).
+    // -0.0 is left out, so the pinned hashes below stay those of the
+    // documents first recorded; NumberEdges pins its round trip.
     constexpr double kEdges[] = {0.1,     0.5,   1e300, -1e-300, 5e-324, 2.2250738585072014e-308,
                                  1.7976931348623157e308, 123456789.125, 1e21, 1e-7};
     if (rng_.index(3) == 0) return kEdges[rng_.index(std::size(kEdges))];
@@ -554,19 +554,19 @@ TEST(JsonRoundTrip, NumberEdges) {
                                "100000000000000000000000"};
   const char* const dumped[] = {"-9223372036854775808", "9223372036854775807", "0", "0",
                                 "9223372036854775808", "-9223372036854775808", "1.5",
-                                "-0", "5e-324", "1.7976931348623157e+308", "100", "0.0025",
+                                "-0.0", "5e-324", "1.7976931348623157e+308", "100", "0.0025",
                                 "1e+23"};
   for (std::size_t i = 0; i < std::size(texts); ++i) {
     const Json value = Json::parse(texts[i]);
     EXPECT_EQ(value.dump(), dumped[i]) << texts[i];
-    if (std::string_view(texts[i]) == "-0.0") continue;
     EXPECT_EQ(Json::parse(value.dump()).dump(), dumped[i]) << texts[i];
   }
-  // The one value that does not survive a round trip: -0.0 is written as
-  // "-0", and "-0" reads as the integer 0.
-  EXPECT_EQ(Json(-0.0).dump(), "-0");
+  // Negative zero keeps its sign through a round trip: it is written as
+  // "-0.0", which reads as a double, while "-0" reads as the integer 0.
+  const Json negative_zero = Json::parse(Json(-0.0).dump());
+  EXPECT_EQ(negative_zero.type(), Json::Type::Double);
+  EXPECT_TRUE(std::signbit(negative_zero.as_double()));
   EXPECT_EQ(Json::parse("-0").type(), Json::Type::Integer);
-  EXPECT_EQ(Json::parse(Json(-0.0).dump()).dump(), "0");
   EXPECT_EQ(Json::parse("-9223372036854775808").type(), Json::Type::Integer);
   EXPECT_EQ(Json::parse("9223372036854775808").type(), Json::Type::Double);
 }

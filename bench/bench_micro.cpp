@@ -364,6 +364,18 @@ void BM_JsonDumpWarmFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_JsonDumpWarmFrame);
 
+/// The validating scan a warm frame's documents get instead of a parse:
+/// the whole frame checked and digested, nothing built.
+void BM_JsonDigestWarmFrame(benchmark::State& state) {
+  const std::string& text = warm_frame();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(support::Json::digest_text(text));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_JsonDigestWarmFrame);
+
 /// A warm optimize after its parse: decode the envelope, hit the session's
 /// solve cache, encode the reply and write its text.  Each iteration
 /// decodes its own copy of the envelope, made with the timer paused.

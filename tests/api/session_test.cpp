@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <set>
 #include <string>
@@ -154,18 +155,10 @@ Documents with_network_edit(const Documents& documents, Edit&& edit) {
   return copy;
 }
 
-TEST(Session, SolveKeysFollowTheDocumentsNotTheirWhitespace) {
-  const Documents documents = make_documents();
-  Session session;
-  EXPECT_FALSE(std::get<OptimizeResponse>(session.execute(optimize_request(documents))).cached);
-
-  // The same documents read back from indented text are the same documents.
-  const Documents reread{support::Json::parse(documents.catalog.dump_pretty()),
-                         support::Json::parse(documents.network.dump_pretty())};
-  EXPECT_TRUE(std::get<OptimizeResponse>(session.execute(optimize_request(reread))).cached);
-
-  // Each edit below leaves a network that decodes, yet is one the session
-  // has not solved.
+/// Edits of `documents` that each leave a network that decodes, yet is one
+/// a session that solved `documents` has not solved: a renamed host, a
+/// dropped candidate, a moved link endpoint and two swapped keys.
+std::vector<std::pair<std::string, Documents>> network_edits(const Documents& documents) {
   using support::JsonArray;
   std::vector<std::pair<std::string, Documents>> edits;
   edits.emplace_back("host name", with_network_edit(documents, [](JsonArray& hosts,
@@ -213,6 +206,22 @@ TEST(Session, SolveKeysFollowTheDocumentsNotTheirWhitespace) {
     swapped.set("name", hosts[0].as_object().at("name"));
     hosts[0] = support::Json(std::move(swapped));
   }));
+  return edits;
+}
+
+TEST(Session, SolveKeysFollowTheDocumentsNotTheirWhitespace) {
+  const Documents documents = make_documents();
+  Session session;
+  EXPECT_FALSE(std::get<OptimizeResponse>(session.execute(optimize_request(documents))).cached);
+
+  // The same documents read back from indented text are the same documents.
+  const Documents reread{support::Json::parse(documents.catalog.dump_pretty()),
+                         support::Json::parse(documents.network.dump_pretty())};
+  EXPECT_TRUE(std::get<OptimizeResponse>(session.execute(optimize_request(reread))).cached);
+
+  // Each edit leaves a network that decodes, yet is one the session has
+  // not solved.
+  const auto edits = network_edits(documents);
   for (const auto& [what, edited] : edits) {
     ASSERT_NE(edited.network.dump(), documents.network.dump()) << what;
     EXPECT_FALSE(std::get<OptimizeResponse>(session.execute(optimize_request(edited))).cached)
@@ -717,6 +726,118 @@ TEST(Session, FailedComputationsAreNotCached) {
   // Same key again: recomputed (and fails again), not served from cache.
   EXPECT_THROW((void)session.execute(evaluate), Error);
   EXPECT_EQ(session.status().eval_cache.executed, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Frames: Session::serve scans a frame's documents instead of building them.
+// Its replies, errors and cache keys are those of parsing the frame and
+// executing the request it holds.
+
+/// A request's frame text, compact or indented.
+std::string frame_of(const Request& request, bool indented = false) {
+  const support::Json wire = request_to_wire(request);
+  return indented ? wire.dump_pretty() : wire.dump();
+}
+
+std::string reply_text(Response response) { return response_to_wire(std::move(response)).dump(); }
+
+/// The reply text of parsing `frame` whole and executing it on `session`.
+std::string parsed_reply(Session& session, const std::string& frame) {
+  try {
+    return reply_text(session.execute(request_from_wire(support::Json::parse(frame))));
+  } catch (const std::exception& error) {
+    return error_to_wire(make_error_body(error)).dump();
+  }
+}
+
+TEST(SessionFrames, FramesAndInProcessRequestsShareKeys) {
+  const Documents documents = make_documents();
+  Session session;
+  Response expected = session.execute(optimize_request(documents));
+  std::get<OptimizeResponse>(expected).cached = true;
+  // The same documents hit from a frame, compact or indented.
+  EXPECT_EQ(session.serve(frame_of(optimize_request(documents))), reply_text(expected));
+  EXPECT_EQ(session.serve(frame_of(optimize_request(documents), true)), reply_text(expected));
+
+  const auto edits = network_edits(documents);
+  for (const auto& [what, edited] : edits) {
+    const Response reply =
+        response_from_wire(support::Json::parse(session.serve(frame_of(optimize_request(edited)))));
+    EXPECT_FALSE(std::get<OptimizeResponse>(reply).cached) << what;
+    EXPECT_TRUE(std::get<OptimizeResponse>(session.execute(optimize_request(edited))).cached)
+        << what;
+  }
+  const StatusResponse status = session.status();
+  EXPECT_EQ(status.solve_cache.executed, 1 + edits.size());
+  EXPECT_EQ(status.solve_cache.hits, 2 + edits.size());
+  EXPECT_EQ(status.requests_failed, 0u);
+}
+
+TEST(SessionFrames, EveryDocumentRequestRepliesAsWhenParsed) {
+  const Documents documents = make_documents(12);
+  Session solver;
+  const auto solved = std::get<OptimizeResponse>(solver.execute(optimize_request(documents)));
+  EvaluateRequest evaluate{documents.catalog, documents.network, solved.assignment, "h0", "h5"};
+  ReportRequest report{documents.catalog, documents.network, solved.assignment};
+  MetricRequest metric{documents.catalog, documents.network, solved.assignment, "h1", "h7"};
+  Session framed;
+  Session parsed;
+  for (const Request& request : {Request(evaluate), Request(report), Request(metric)}) {
+    const std::string frame = frame_of(request);
+    EXPECT_EQ(framed.serve(frame), parsed_reply(parsed, frame)) << request_name(request);
+    // A second frame, indented, is served from the cache.
+    EXPECT_EQ(framed.serve(frame_of(request, true)), parsed_reply(parsed, frame))
+        << request_name(request);
+  }
+  EXPECT_EQ(framed.status().eval_cache.executed, 3u);
+  EXPECT_EQ(framed.status().eval_cache.hits, 3u);
+}
+
+TEST(SessionFrames, MalformedFramesGetTheErrorsOfParseAndDecode) {
+  const Documents documents = make_documents(8);
+  const std::string catalog = documents.catalog.dump();
+  const std::string network = documents.network.dump();
+  const std::string optimize = R"({"request":"optimize","catalog":)" + catalog + R"(,"network":)";
+  const std::string frames[] = {
+      "",
+      "{",
+      "nope",
+      std::string(100000, '['),
+      R"({"request":"optimize","catalog":{}})",
+      R"({})",
+      R"({"request":"version","bogus":1})",
+      R"({"request":"report","catalog":{},"network":{},"assignment":{},"solver":"icm"})",
+      R"({"request":"optimize","catalog":{},"network":{},"max_iterations":-1})",
+      R"({"request":"batch","grid":{},"threads":-2})",
+      R"({"request":"evaluate","catalog":{},"network":{},"assignment":{},"entry":"h0"})",
+      R"({"request":"similarity","feed":{},"cpes":["cpe:2.3:o:a:b"]})",
+      R"({"request":"frobnicate","catalog":[1,2]})",
+      R"({"icsdivd":2,"request":"version"})",
+      R"([1,2,3])",
+      R"({"request":7})",
+      R"({"request":"optimize","catalog":{},"network":{},"solver":7})",
+      R"({"request":"status","network":{"hosts":[]}})",
+      // Faults inside a digested document, at their own line and column.
+      optimize + "{\"hosts\":[1,]}}",
+      optimize + "{\n\"hosts\": [\"\\ud83d\"]}}",
+      optimize + network,
+      // Documents that scan but do not decode, read only on the miss.
+      optimize + "{\"hosts\":7}}",
+      R"({"request":"optimize","catalog":[],"network":)" + network + "}",
+      optimize + network + R"(,"solver":"bp"})",
+      R"({"request":"batch","grid":{"solvers":["bp"]}})",
+      R"({"request":"evaluate","catalog":)" + catalog + R"(,"network":)" + network +
+          R"(,"assignment":{"broken":true}})",
+      R"({"request":"similarity","feed":{"cves":7},"cpes":["cpe:2.3:o:a:b","cpe:2.3:o:a:c"]})",
+  };
+  Session framed;
+  Session parsed;
+  for (const std::string& frame : frames) {
+    const std::string expected = parsed_reply(parsed, frame);
+    ASSERT_NE(expected.find("\"error\""), std::string::npos) << frame.substr(0, 120);
+    EXPECT_EQ(framed.serve(frame), expected) << frame.substr(0, 120);
+  }
+  EXPECT_EQ(framed.status().requests_failed, parsed.status().requests_failed);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -592,6 +593,92 @@ TEST(JsonRoundTrip, RepeatedKeysParseAsSetWouldBuildThem) {
       ASSERT_EQ(parsed.as_object().at(key).as_integer(), value.as_integer()) << key;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Digests: the scan of a text and the walk over its DOM stream the same
+// bytes, and the scan refuses exactly what the parser refuses.
+
+TEST(JsonDigest, TextAndDomDigestAlike) {
+  DocumentMaker maker(20261021);
+  for (int i = 0; i < 400; ++i) {
+    // The DOM read from the text: a double with an integral value is
+    // written like an integer and reads back as one.
+    const Json document = maker.value(0);
+    const JsonDigest digest = Json::parse(document.dump()).digest();
+    ASSERT_EQ(Json::digest_text(document.dump()), digest) << i;
+    ASSERT_EQ(Json::digest_text(document.dump_pretty()), digest) << i;
+  }
+}
+
+TEST(JsonDigest, OnlyEqualValuesDigestAlike) {
+  EXPECT_EQ(Json::digest_text(R"({"a":"A","b":[1,2.5,null]})"),
+            Json::digest_text(" {\n \"a\" : \"\\u0041\" ,\"b\":[ 1,25e-1 , null ]}\r\n"));
+  const std::string_view distinct[] = {
+      "1", "1.0", "-0.0", "0.0", "0", "null", "false", "true", "\"\"", "[]", "{}", "[[]]",
+      "[[],[]]", "[[[]]]", R"({"a":1,"b":2})", R"({"b":2,"a":1})", R"("ab")", R"(["a","b"])",
+      R"({"a":"b"})", R"({"ab":""})", R"(["ab",""])", R"([{}])", R"({"a":{}})", R"({"a":[]})"};
+  for (std::size_t i = 0; i < std::size(distinct); ++i) {
+    for (std::size_t j = i + 1; j < std::size(distinct); ++j) {
+      EXPECT_NE(Json::digest_text(distinct[i]), Json::digest_text(distinct[j]))
+          << distinct[i] << " " << distinct[j];
+    }
+    EXPECT_EQ(Json::digest_text(distinct[i]), Json::parse(distinct[i]).digest()) << distinct[i];
+  }
+}
+
+/// The message of the ParseError `read` throws, with its line and column.
+template <typename Read>
+std::string refusal(Read&& read) {
+  try {
+    read();
+  } catch (const ParseError& e) {
+    return std::string(e.what())
+        .append(" @")
+        .append(std::to_string(e.line()))
+        .append(":")
+        .append(std::to_string(e.column()));
+  }
+  return "accepted";
+}
+
+TEST(JsonDigest, ScansRefuseWhatParseRefuses) {
+  std::vector<std::string> texts;
+  for (const Malformed& c : kMalformed) {
+    texts.emplace_back(c.text);
+    // The same fault inside a member the frame scan digests.
+    texts.push_back(std::string("{\"small\":[1],\"doc\":").append(c.text));
+  }
+  texts.emplace_back(100000, '[');
+  texts.push_back(std::string("{\"doc\":").append(Json::kMaxDepth, '['));
+  for (const std::string& text : texts) {
+    SCOPED_TRACE(text.substr(0, 80));
+    const std::string expected = refusal([&] { (void)Json::parse(text); });
+    ASSERT_NE(expected, "accepted");
+    EXPECT_EQ(refusal([&] { (void)Json::digest_text(text); }), expected);
+    std::array<DigestedMember, 1> members{{{"doc", {}, {}}}};
+    EXPECT_EQ(refusal([&] { (void)Json::parse_digesting(text, members); }), expected);
+  }
+}
+
+TEST(JsonDigest, ParseDigestingLeavesNamedMembersAsNull) {
+  std::array<DigestedMember, 2> members{{{"doc", {}, {}}, {"absent", {}, {}}}};
+  const Json parsed =
+      Json::parse_digesting(R"({"small":1, "doc" : {"x":[1,"\u0041"]} ,"tail":"t"})", members);
+  EXPECT_EQ(parsed.dump(), R"({"small":1,"doc":null,"tail":"t"})");
+  EXPECT_EQ(members[0].text, R"({"x":[1,"\u0041"]})");
+  EXPECT_EQ(members[0].digest, Json::parse(R"({"x":[1,"A"]})").digest());
+  EXPECT_TRUE(members[1].text.empty());
+
+  // A scalar member; a repeated one gives its last value; a nested key of
+  // the same name and a root that is not an object are built as usual.
+  const Json repeated =
+      Json::parse_digesting(R"({"doc":[1],"inner":{"doc":2},"doc":"last"})", members);
+  EXPECT_EQ(repeated.dump(), R"({"doc":null,"inner":{"doc":2}})");
+  EXPECT_EQ(members[0].text, R"("last")");
+  EXPECT_EQ(members[0].digest, Json("last").digest());
+  EXPECT_EQ(Json::parse_digesting(R"([{"doc":1}])", members).dump(), R"([{"doc":1}])");
+  EXPECT_TRUE(members[0].text.empty());
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // property (DESIGN.md §10).
 //
 // A Session owns three coalescing caches of replies keyed by 128-bit
-// content hashes (runner::KeyHasher over the request documents):
+// content hashes (runner::KeyHasher over the request documents' digests,
+// taken from a frame's scan or from a walk over the caller's DOM):
 //
 //   solve  — optimize replies per (catalog, network, solver, iteration cap)
 //   eval   — evaluate/report/similarity/metric replies per input

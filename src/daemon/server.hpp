@@ -5,7 +5,8 @@
 // slices, one thread per connection processing its frames serially.
 // All request execution funnels through the shared Session, whose
 // coalescing caches and admission gate provide cross-connection reuse
-// and back-pressure; the server itself only frames, parses, and routes.
+// and back-pressure; the server itself only frames and routes
+// (Session::serve reads each frame).
 //
 // Graceful shutdown: shutdown() raises the stop flag and half-closes
 // every connection's read side.  A handler mid-request finishes its

@@ -663,7 +663,18 @@ class Digester {
   }
 
  private:
-  enum Tag : unsigned char { kNull, kFalse, kTrue, kInteger, kDouble, kString, kArray, kObject, kKey, kEnd };
+  enum Tag : unsigned char {
+    kNull,
+    kFalse,
+    kTrue,
+    kInteger,
+    kDouble,
+    kString,
+    kArray,
+    kObject,
+    kKey,
+    kEnd
+  };
 
   static constexpr std::size_t kBuffer = 4096;
   static constexpr std::size_t kBlock = 32;  ///< one word per chain

@@ -107,6 +107,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   if (Json::digest_text(compact) != Json::parse(compact).digest()) {
     broken("a DOM's compact text digests unlike its own DOM", text);
   }
+  // The envelope is the DOM with each named top-level member set to null.
+  Json expected = *parsed;
+  if (expected.is_object()) {
+    for (const DigestedMember& member : members) {
+      if (Json* value = expected.as_object().find(member.key)) *value = Json(nullptr);
+    }
+  }
+  if (envelope->dump() != expected.dump()) broken("parse_digesting built another envelope", text);
   for (const DigestedMember& member : members) {
     const Json* value = parsed->is_object() ? parsed->as_object().find(member.key) : nullptr;
     if ((value != nullptr) != (member.text.data() != nullptr)) {
